@@ -24,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -171,11 +172,10 @@ def _check_h_monotone(rng, tol):
 
 
 def _check_k_log_convex(rng, tol):
-    import math as _math
     for curve in _curve_corpus(rng.randint(0, 10 ** 6), per_dim=6):
         n = curve.n
         grid = [n + Fraction(j, 2) for j in range(0, 13)]
-        logs = [_math.log(curve.k_stat(float(s))) for s in grid]
+        logs = [math.log(curve.k_stat(float(s))) for s in grid]
         for i in range(1, len(logs) - 1):
             second = logs[i - 1] + logs[i + 1] - 2 * logs[i]
             if second < -tol:
@@ -445,6 +445,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     bound = args.bound
     if bound < 1:
         raise DomainError("--bound must be >= 1")
+    if not math.isfinite(args.tol) or args.tol <= 0:
+        raise DomainError("--tol must be a finite positive number")
     return RunConfig(command=args.command, model=args.model,
                      anticanonical=args.anticanonical,
                      p_grid=_parse_grid(args.p), bound=bound,

@@ -1,9 +1,10 @@
 """Exact rational polytope kernel.
 
 Convex hull facets, vertex enumeration, deterministic triangulation,
-volumes, halfspace slicing, lattice points, and exact integration of
-powers of affine functionals over simplices, all over Fraction
-coordinates.  Floats never enter.
+volumes, lattice points, survival curves by the B-spline divided-
+difference identity, and exact integration of powers of affine
+functionals over simplices, all over Fraction coordinates.  Floats
+never enter.
 
 The algorithms are deliberately brute force (subset enumeration) because
 the library targets desk-scale inputs: ambient dimension up to about
@@ -18,13 +19,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import ceil, factorial, floor
+from math import ceil, comb, factorial, floor
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvariantViolation, StructureError
 from .linalg import nullspace, primitive_integer_vector, rank, solve_square
 from .numeric import as_fraction
-from .piecewise import (PiecewisePolynomial, Polynomial, lagrange_interpolate)
+from .piecewise import PiecewisePolynomial, Polynomial
 
 Point = tuple[Fraction, ...]
 
@@ -151,26 +152,24 @@ def triangulate_vertices(points: Sequence[Point]) -> tuple[tuple[Point, ...], ..
     return tuple(simplices)
 
 
-def volume_of_point_set(points: Sequence[Point], dim: int) -> Fraction:
-    """Volume of the convex hull; zero when the hull is lower-dimensional."""
-    pts = sorted(set(points))
-    if len(pts) <= dim or affine_dimension(pts) < dim:
-        return Fraction(0)
-    return sum((simplex_volume(s) for s in triangulate_vertices(pts)),
-               Fraction(0))
+def _truncated_power_difference(knots: Sequence[Fraction], hi: Fraction,
+                                n: int) -> Polynomial:
+    """[knots](. - t)_+^n as a polynomial in t on the interval ending at
+    ``hi``, which holds no knot; knots are sorted."""
+    def taylor(a: Fraction, k: int) -> Polynomial:
+        # d^k/dx^k (x - t)_+^n / k! at x = a: C(n, k) (a - t)^(n-k) for a
+        # knot at or above hi, zero for one at or below the interval.
+        m = n - k
+        return Polynomial(comb(n, k) * comb(m, j) * a ** (m - j) * (-1) ** j
+                          for j in range(m + 1) if a >= hi)
 
-
-def cut_simplex_at_least(pts: Sequence[Point], values: Sequence[Fraction],
-                         threshold: Fraction) -> list[Point]:
-    """Vertex set of {x in simplex : g(x) >= threshold} for affine g with
-    the given vertex values.  Every pair of simplex vertices is an edge,
-    so crossings are exactly the straddling pairs."""
-    kept = [p for p, v in zip(pts, values) if v >= threshold]
-    for (pi, vi), (pj, vj) in itertools.combinations(zip(pts, values), 2):
-        if (vi > threshold > vj) or (vj > threshold > vi):
-            lam = (threshold - vi) / (vj - vi)
-            kept.append(tuple(a + lam * (b - a) for a, b in zip(pi, pj)))
-    return kept
+    row = [taylor(a, 0) for a in knots]
+    for k in range(1, n + 1):
+        row = [taylor(knots[i], k) if knots[i] == knots[i + k]
+               else (row[i + 1] - row[i]).scale(
+                   Fraction(1) / (knots[i + k] - knots[i]))
+               for i in range(n + 1 - k)]
+    return row[0]
 
 
 def survival_curve(simplices: Sequence[tuple[Sequence[Point], Sequence[Fraction]]],
@@ -178,30 +177,25 @@ def survival_curve(simplices: Sequence[tuple[Sequence[Point], Sequence[Fraction]
     """Exact piecewise polynomial x -> vol{g >= x} summed over simplices.
 
     ``simplices`` holds (vertex tuple, vertex values of the affine
-    functional) pairs; values must be nonnegative and not all zero.  On
-    each interval between consecutive distinct vertex values the function
-    is a polynomial of degree at most ``dim``, recovered by exact
-    interpolation of slice volumes at interior rational nodes.
+    functional) pairs; values must be nonnegative and not all zero.  A
+    simplex S with vertex values a_0..a_n contributes the B-spline
+    identity vol{g >= t} = vol(S) [a_0, ..., a_n](. - t)_+^n (Curry and
+    Schoenberg 1966), a divided difference in the first argument that is
+    a polynomial in t between consecutive distinct vertex values.
     """
+    if any(len(pts) != dim + 1 or len(vals) != dim + 1
+           for pts, vals in simplices):
+        raise StructureError(f"each simplex needs {dim + 1} vertices and values")
     values_all = sorted({v for _, vals in simplices for v in vals})
     if not values_all or values_all[0] < 0:
         raise InvariantViolation("survival_curve needs nonnegative values")
-    top = values_all[-1]
-    if top == 0:
+    if values_all[-1] == 0:
         raise InvariantViolation("survival_curve needs a positive maximum")
     breaks = sorted({Fraction(0), *values_all})
-    pieces: list[Polynomial] = []
-    for lo, hi in zip(breaks, breaks[1:]):
-        nodes = [lo + (hi - lo) * Fraction(i + 1, dim + 2)
-                 for i in range(dim + 1)]
-        samples = []
-        for x in nodes:
-            total = Fraction(0)
-            for pts, vals in simplices:
-                region = cut_simplex_at_least(pts, vals, x)
-                total += volume_of_point_set(region, dim)
-            samples.append(total)
-        pieces.append(lagrange_interpolate(nodes, samples))
+    weighted = [(simplex_volume(pts), sorted(vals)) for pts, vals in simplices]
+    pieces = [sum((_truncated_power_difference(knots, hi, dim).scale(vol)
+                   for vol, knots in weighted), Polynomial(()))
+              for hi in breaks[1:]]
     return PiecewisePolynomial(breaks, pieces, continuous=True)
 
 
@@ -368,10 +362,15 @@ class RationalPolytope:
     @classmethod
     def from_json_dict(cls, data: dict) -> "RationalPolytope":
         try:
-            dim = int(data["dim"])
+            dim = data["dim"]
             verts = data["vertices"]
         except (KeyError, TypeError) as exc:
             raise StructureError(f"malformed polytope JSON: {exc}") from None
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+            raise StructureError(f"polytope dim must be an integer >= 1: {dim!r}")
+        if not (isinstance(verts, list) and verts
+                and all(isinstance(v, list) for v in verts)):
+            raise StructureError("polytope vertices must be a non-empty list of lists")
         pts = [make_point(v) for v in verts]
         if any(len(p) != dim for p in pts):
             raise StructureError("vertex arity disagrees with dim")

@@ -177,7 +177,8 @@ class VolumeCurve:
         return total.scale(p / self.V)
 
     def s_p_real(self, p: float, tol: float = 1e-10) -> float:
-        """Moment for real p >= 1 to a relative tolerance of about tol."""
+        """Moment for real p >= 1 within +-p*tol*max(1, V*tau**p/p)/V:
+        about tol relative if V*tau**p/p >= 1, else absolute p*tol/V."""
         p = float(p)
         if p < 1.0:
             raise DomainError("moment order p must be at least 1")

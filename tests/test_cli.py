@@ -226,6 +226,29 @@ def test_malformed_model_file_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("doc", [
+    {"dim": "x", "vertices": [["0"], ["1"]]},
+    {"dim": 0, "vertices": [[]]},
+    {"dim": 2, "vertices": 5},
+    {"dim": 2, "vertices": []},
+    {"dim": 1, "vertices": ["0", "1"]},
+])
+def test_malformed_model_document_exits_3(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["invariants", "--model", str(bad)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "StructureError"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_unusable_tol_exits_3(capsys, tol):
+    # NaN would make every "x < -tol" check pass silently.
+    assert cli.main(["verify", "--seed", "0", f"--tol={tol}"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
+
+
 def test_argparse_failures(capsys):
     # unknown subcommand is an input error; --help is a success
     assert cli.main(["frobnicate"]) == 3

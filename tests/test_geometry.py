@@ -15,15 +15,14 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from deltap.errors import InvariantViolation
+from deltap.errors import InvariantViolation, StructureError
 from deltap.geometry import (
     Halfspace,
     RationalPolytope,
     complete_homogeneous,
-    cut_simplex_at_least,
     facet_enumeration,
     integrate_affine_power_over_simplex,
     lattice_points_in,
@@ -31,8 +30,9 @@ from deltap.geometry import (
     survival_curve,
     triangulate_vertices,
     vertex_enumeration,
-    volume_of_point_set,
 )
+from deltap.okounkov import ConcaveTransform
+from deltap.piecewise import lagrange_interpolate
 
 F = Fraction
 
@@ -85,12 +85,6 @@ def test_triangulation_covers_volume():
     assert sum(simplex_volume(t) for t in tris) == 1
 
 
-def test_cut_simplex_half():
-    # g = x on the standard triangle, keep g >= 1/2
-    region = cut_simplex_at_least(TRIANGLE, [F(0), F(1), F(0)], F(1, 2))
-    assert volume_of_point_set(region, 2) == F(1, 8)
-
-
 # ---------------------------------------------------------------------------
 # survival curves and moments
 
@@ -110,6 +104,46 @@ def test_survival_curve_additive_over_triangulation():
     # vol{x >= t} on the unit square is 1 - t
     for t in (F(0), F(1, 4), F(2, 3)):
         assert curve(t) == 1 - t
+
+
+def test_survival_curve_rejects_wrong_vertex_count():
+    with pytest.raises(StructureError):
+        survival_curve([(TRIANGLE, (F(0), F(1), F(0)))], 3)
+    with pytest.raises(StructureError):
+        survival_curve([(TRIANGLE, (F(0), F(1)))], 2)
+
+
+@st.composite
+def _simplex_and_form(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    coord = st.integers(min_value=0, max_value=3)
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1,
+                        max_size=n + 1))
+    linear = draw(st.lists(st.integers(min_value=-3, max_value=3),
+                           min_size=n, max_size=n))
+    shift = draw(st.integers(min_value=0, max_value=2))
+    return n, [tuple(F(c) for c in p) for p in pts], linear, shift
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_simplex_and_form())
+def test_survival_curve_matches_slice_volume_oracle(case):
+    # The closed form against slicing by halfspaces, enumerating the
+    # slice's vertices and triangulating it, interpolated per interval.
+    n, pts, linear, shift = case
+    assume(simplex_volume(pts) != 0)
+    raw = [sum(a * x for a, x in zip(linear, p)) for p in pts]
+    constant = shift - min(raw)
+    vals = tuple(v + constant for v in raw)
+    assume(max(vals) > 0)
+    curve = survival_curve([(pts, vals)], n)
+    assert curve.breakpoints == tuple(sorted({F(0), *vals}))
+    transform = ConcaveTransform(RationalPolytope(pts), [(linear, constant)])
+    for (lo, hi), piece in zip(zip(curve.breakpoints, curve.breakpoints[1:]),
+                               curve.pieces):
+        nodes = [lo + (hi - lo) * F(i + 1, n + 2) for i in range(n + 1)]
+        samples = [transform.slice_volume(x) for x in nodes]
+        assert lagrange_interpolate(nodes, samples) == piece
 
 
 def test_complete_homogeneous_small_cases():
