@@ -40,7 +40,7 @@ from .geometry import Halfspace, RationalPolytope
 from .invariants import delta_family
 from .numeric import SqrtSum
 from .piecewise import PiecewisePolynomial, Polynomial
-from .toric import (ToricModel, ToricValuation, builtin_model,
+from .toric import (CandidateTable, ToricModel, ToricValuation, builtin_model,
                     concave_transform_of, delta_p_search, volume_curve_of)
 from .volume_curve import VolumeCurve, random_admissible_curve
 
@@ -351,9 +351,10 @@ def _scan_rows(cfg: RunConfig, model: ToricModel):
     rows = []
     p_grid = cfg.p_grid
     if p_grid:
-        base = delta_p_search(model, 1, cfg.bound)
+        table = CandidateTable(model, cfg.bound)
+        base = table.delta(1)
         val = ToricValuation(model, base.argmin)
-        curve = volume_curve_of(model, val)
+        curve = table.curves[base.argmin]
         for p in p_grid:
             rows.append({"scan": "order", "x": p, "name": "h_stat",
                          "value": f"{curve.h_stat(p):.12g}",
@@ -363,7 +364,7 @@ def _scan_rows(cfg: RunConfig, model: ToricModel):
                          "value": f"{curve.r_stat(p):.12g}",
                          "status": "conjectural"})
         for p in p_grid:
-            search = delta_p_search(model, p, cfg.bound)
+            search = table.delta(p)
             rows.append({"scan": "order", "x": p, "name": "delta_upper",
                          "value": f"{search.value:.12g}",
                          "status": "upper-bound"})

@@ -15,14 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InvariantViolation, SemanticError
-from .toric import (DeltaSearchResult, ToricModel, ToricValuation,
-                    alpha_candidate as _alpha_search, delta_bar_p_search,
-                    delta_p_search, log_discrepancy, volume_curve_of)
-
-
-def alpha_candidate(model: ToricModel, bound: int) -> Fraction:
-    """Upper bound for the smallest A(v)/tau(v) ratio (candidate box)."""
-    return _alpha_search(model, bound)[0]
+from .toric import (CandidateTable, DeltaSearchResult, ToricModel,
+                    ToricValuation, delta_p_search, log_discrepancy,
+                    volume_curve_of)
 
 
 def kstability_threshold_power(n: int, p: int) -> Fraction:
@@ -121,9 +116,13 @@ def kstability_verdict(model: ToricModel, p: int,
         raise SemanticError(
             "the polarization is not proportional to the anticanonical "
             "class; pass the anticanonical polytope instead")
-    scale = anti[1]
-    search = delta_p_search(model, p, bound)
-    n = model.n
+    return _verdict(model.n, anti[1], delta_p_search(model, p, bound))
+
+
+def _verdict(n: int, scale: Fraction,
+             search: DeltaSearchResult) -> KStabilityVerdict:
+    """Verdict on ``search`` rescaled by the anticanonical factor."""
+    p = search.p
     # value for -K itself: multiply by the proportionality factor.
     lhs = search.ratio_power() * scale ** p
     rhs = kstability_threshold_power(n, p)
@@ -205,14 +204,13 @@ class InvariantReport:
         return out
 
 
-def _check_candidate_inequalities(model: ToricModel, p: int,
-                                  search: DeltaSearchResult) -> None:
+def _check_candidate_inequalities(n: int, p: int, search: DeltaSearchResult,
+                                  curves: dict) -> None:
     """Exact per-candidate theorems: the two-sided barycenter bracket
-    and the monotone comparison between the p-th and first moments."""
-    n = model.n
+    and the monotone comparison between the p-th and first moments;
+    ``curves`` maps each tabulated v to its volume curve."""
     for v, a, s in search.table:
-        val = ToricValuation(model, v)
-        curve = volume_curve_of(model, val)
+        curve = curves[v]
         lower, upper = curve.barycenter_bounds(p)
         if not (lower <= s <= upper):
             raise InvariantViolation(
@@ -242,22 +240,21 @@ def delta_family(model: ToricModel, p_grid, bound: int,
     if not grid or any(p < 1 for p in grid) or list(grid) != sorted(set(grid)):
         raise DomainError("the order grid must be strictly increasing, >= 1")
     anti = model.anticanonical_scale()
-    has_verdicts = anti is not None
-    alpha, alpha_v = _alpha_search(model, bound)
+    table = CandidateTable(model, bound)
+    alpha, alpha_v = table.alpha()
 
     rows = []
     searches = []
     flags: list[str] = []
     for p in grid:
-        search = delta_p_search(model, p, bound)
+        search = table.delta(p)
         searches.append(search)
         if check_candidates:
-            _check_candidate_inequalities(model, p, search)
-        val = ToricValuation(model, search.argmin)
-        tau = volume_curve_of(model, val).tau
+            _check_candidate_inequalities(model.n, p, search, table.curves)
+        tau = table.curves[search.argmin].tau
         threshold = verdict = None
-        if has_verdicts:
-            kv = kstability_verdict(model, p, bound)
+        if anti is not None:
+            kv = _verdict(model.n, anti[1], search)
             threshold = kv.threshold
             verdict = kv.relation
         rows.append(PGridRow(p=p, delta_upper=search.value,

@@ -30,6 +30,9 @@ from .okounkov import AffineForm, ConcaveTransform
 from .volume_curve import VolumeCurve
 
 DEFAULT_SEARCH_BOUND = 5
+# Most integer vectors a candidate box may hold: each candidate costs one
+# volume curve, so the box is refused before it is enumerated.
+MAX_CANDIDATE_BOX = 10_000
 
 
 class ToricModel:
@@ -167,9 +170,13 @@ def concave_transform_of(model: ToricModel, val: ToricValuation) -> ConcaveTrans
 
 def primitive_candidates(n: int, bound: int) -> list[tuple[int, ...]]:
     """All primitive integer vectors with sup-norm at most ``bound``,
-    lexicographically sorted."""
+    lexicographically sorted.  The box may hold at most
+    ``MAX_CANDIDATE_BOX`` integer vectors."""
     if bound < 1:
         raise DomainError("the search bound must be at least 1")
+    if (2 * bound + 1) ** n > MAX_CANDIDATE_BOX:
+        raise DomainError(f"the box of radius {bound} in dimension {n} "
+                          f"exceeds the budget of {MAX_CANDIDATE_BOX} vectors")
     out = []
     for vec in itertools.product(range(-bound, bound + 1), repeat=n):
         if any(vec) and math.gcd(*(abs(x) for x in vec)) == 1:
@@ -220,30 +227,44 @@ class DeltaSearchResult:
         }
 
 
-def _search(model: ToricModel, p: int, bound: int,
-            normalized: bool) -> DeltaSearchResult:
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-        raise DomainError("the search order p must be a positive integer")
-    if not model.is_q_gorenstein:
-        raise UnsupportedModelError("threshold search needs Q-Gorenstein input")
-    rows = []
-    best = None  # (a, moment, v)
-    for v in primitive_candidates(model.n, bound):
-        val = ToricValuation(model, v)
-        a = log_discrepancy(model, val)
-        curve = volume_curve_of(model, val)
-        moment = curve.s_p(p)
-        if not normalized:
-            moment = moment * curve.V
-        if moment <= 0:
-            raise InvariantViolation(f"vanishing moment at {v}")
-        rows.append((v, a, moment))
-        # minimize a / moment^(1/p): compare a^p * moment' cross-wise
-        if best is None or a ** p * best[1] < best[0] ** p * moment:
-            best = (a, moment, v)
-    a, moment, v = best
-    return DeltaSearchResult(p=p, bound=bound, normalized=normalized,
-                             argmin=v, a=a, moment=moment, table=tuple(rows))
+class CandidateTable:
+    """Rows (v, A(v), volume curve of v) for the primitive candidates of
+    the box of radius ``bound``, in lexicographic order, each curve built
+    once; every restricted-candidate infimum reduces over these rows.
+    ``curves`` maps each v to its curve."""
+
+    __slots__ = ("bound", "rows", "curves")
+
+    def __init__(self, model: ToricModel, bound: int):
+        if not model.is_q_gorenstein:
+            raise UnsupportedModelError("threshold search needs Q-Gorenstein input")
+        vals = [ToricValuation(model, v)
+                for v in primitive_candidates(model.n, bound)]
+        self.bound = bound
+        self.rows = tuple((val.v, log_discrepancy(model, val),
+                           volume_curve_of(model, val)) for val in vals)
+        self.curves = {v: curve for v, _, curve in self.rows}
+
+    def delta(self, p: int, normalized: bool = True) -> DeltaSearchResult:
+        """Minimum of A(v)/moment(v)**(1/p), with moment s_p (normalized)
+        or V * s_p; ties resolve to the first row."""
+        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+            raise DomainError("the search order p must be a positive integer")
+        table = []
+        for v, a, curve in self.rows:
+            moment = curve.s_p(p) * (1 if normalized else curve.V)
+            if moment <= 0:
+                raise InvariantViolation(f"vanishing moment at {v}")
+            table.append((v, a, moment))
+        v, a, moment = min(table, key=lambda row: row[1] ** p / row[2])
+        return DeltaSearchResult(p=p, bound=self.bound, normalized=normalized,
+                                 argmin=v, a=a, moment=moment,
+                                 table=tuple(table))
+
+    def alpha(self) -> tuple[Fraction, tuple[int, ...]]:
+        """Minimum of A(v)/tau(v) and its first minimizer."""
+        return min(((a / curve.tau, v) for v, a, curve in self.rows),
+                   key=lambda row: row[0])
 
 
 def delta_p_search(model: ToricModel, p: int,
@@ -254,7 +275,7 @@ def delta_p_search(model: ToricModel, p: int,
     result is an upper bound for the infimum over all valuations; ties
     resolve to the lexicographically smallest vector.
     """
-    return _search(model, p, bound, normalized=True)
+    return CandidateTable(model, bound).delta(p)
 
 
 def delta_bar_p_search(model: ToricModel, p: int,
@@ -264,26 +285,14 @@ def delta_bar_p_search(model: ToricModel, p: int,
     Monotone under polytope inclusion with a fixed fan (bigger body,
     smaller value), which is what the dilation property checks exercise.
     """
-    return _search(model, p, bound, normalized=False)
+    return CandidateTable(model, bound).delta(p, normalized=False)
 
 
 def alpha_candidate(model: ToricModel,
                     bound: int = DEFAULT_SEARCH_BOUND) -> tuple[Fraction, tuple[int, ...]]:
     """Restricted-candidate minimum of A(v)/tau(v), an upper bound for
     the global threshold; exact rational, lexicographic tie-break."""
-    if not model.is_q_gorenstein:
-        raise UnsupportedModelError("threshold search needs Q-Gorenstein input")
-    best = None
-    for v in primitive_candidates(model.n, bound):
-        val = ToricValuation(model, v)
-        a = log_discrepancy(model, val)
-        tau = max(val.g(w) for w in model.P.vertices)
-        if tau <= 0:
-            raise InvariantViolation(f"constant weight for {v}")
-        ratio = a / tau
-        if best is None or ratio < best[0]:
-            best = (ratio, v)
-    return best
+    return CandidateTable(model, bound).alpha()
 
 
 def builtin_model(name: str) -> ToricModel:

@@ -10,7 +10,8 @@ import json
 
 import pytest
 
-from deltap import cli
+from deltap import cli, toric
+from deltap.toric import builtin_model, primitive_candidates
 
 
 def run_cli(argv, tmp_path=None, name="out.txt"):
@@ -166,6 +167,24 @@ def test_scan_emits_labeled_grids(tmp_path):
     assert gaps == ["0", "0"]
 
 
+def test_scan_order_rows_build_each_curve_once(tmp_path, monkeypatch):
+    # every order row of one scan reduces over one candidate table
+    built = []
+    original = toric.volume_curve_of
+
+    def counted(model, val):
+        built.append(model.P.vertices)
+        return original(model, val)
+
+    for module in (toric, cli):
+        monkeypatch.setattr(module, "volume_curve_of", counted)
+    code, _ = run_cli(["scan", "--model", "p2", "--p", "1,2,3", "--m", "1"],
+                      tmp_path)
+    assert code == 0
+    p2 = builtin_model("p2").P.vertices
+    assert built.count(p2) == len(primitive_candidates(2, 3))
+
+
 def test_scan_empty_grid_header_only(tmp_path):
     code, text = run_cli(["scan", "--model", "p2", "--bound", "2"],
                          tmp_path)
@@ -217,6 +236,14 @@ def test_bad_grid_exits_3(capsys):
     assert err["error"] == "DomainError"
     assert cli.main(["invariants", "--model", "p2", "--p", "0,1"]) == 3
     assert cli.main(["invariants", "--model", "p2", "--bound", "0"]) == 3
+
+
+def test_candidate_box_over_budget_exits_3(capsys):
+    # 801**3 candidates: refused before any is enumerated
+    code = cli.main(["invariants", "--model", "pn:3", "--bound", "400"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
 
 
 def test_malformed_model_file_exits_3(tmp_path, capsys):

@@ -13,12 +13,12 @@ from fractions import Fraction
 
 import pytest
 
+from deltap import invariants, toric
 from deltap.errors import DomainError, InvariantViolation, SemanticError
 from deltap.geometry import RationalPolytope
 from deltap.invariants import (
     InvariantReport,
     KStabilityVerdict,
-    alpha_candidate,
     delta_bar_p,
     delta_family,
     h_gap,
@@ -26,7 +26,9 @@ from deltap.invariants import (
     kstability_verdict,
     projective_space_delta_power,
 )
-from deltap.toric import ToricModel, ToricValuation, builtin_model
+from deltap.toric import (ToricModel, ToricValuation, alpha_candidate,
+                          builtin_model, delta_p_search, primitive_candidates,
+                          volume_curve_of)
 
 F = Fraction
 
@@ -222,6 +224,42 @@ def test_delta_family_json_labels_upper_bounds():
     assert doc["alpha_upper_bound"] == "1"
 
 
-def test_alpha_candidate_wrapper():
-    assert alpha_candidate(builtin_model("p2"), 2) == 1
-    assert alpha_candidate(builtin_model("p2-anticanonical"), 2) == F(1, 3)
+def test_delta_family_builds_each_curve_once(monkeypatch):
+    built = []
+
+    def counted(model, val):
+        built.append(val.v)
+        return volume_curve_of(model, val)
+
+    for module in (toric, invariants):
+        monkeypatch.setattr(module, "volume_curve_of", counted)
+    delta_family(builtin_model("p2-anticanonical"), (1, 2, 3, 4), 3)
+    assert len(built) == len(primitive_candidates(2, 3)) == 32
+
+
+@pytest.mark.parametrize("name, anticanonical, bound", [
+    ("p2-anticanonical", False, 2),
+    ("p1xp1", False, 2),
+    ("hirzebruch-1", False, 2),
+    ("pn:3", True, 1),
+])
+def test_delta_family_agrees_with_standalone_searches(name, anticanonical,
+                                                       bound):
+    # delta_family reduces over one shared table; the public entry points
+    # each build their own, so they must give the same rows
+    model = builtin_model(name)
+    if anticanonical:
+        model = ToricModel(model.anticanonical_polytope())
+    report = delta_family(model, (1, 2, 3), bound)
+    assert (report.alpha_upper, report.alpha_argmin) == alpha_candidate(
+        model, bound)
+    for row in report.rows:
+        search = delta_p_search(model, row.p, bound)
+        assert (row.argmin, row.a, row.s_p) == (
+            search.argmin, search.a, search.moment)
+        val = ToricValuation(model, search.argmin)
+        assert row.tau == volume_curve_of(model, val).tau
+        assert (row.verdict is None) == (model.anticanonical_scale() is None)
+        if row.verdict is not None:
+            assert row.verdict == kstability_verdict(model, row.p,
+                                                     bound).relation

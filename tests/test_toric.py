@@ -25,6 +25,7 @@ from deltap.errors import (
 )
 from deltap.geometry import RationalPolytope
 from deltap.toric import (
+    MAX_CANDIDATE_BOX,
     DeltaSearchResult,
     ToricModel,
     ToricValuation,
@@ -203,6 +204,17 @@ def test_primitive_candidates_sorted_and_primitive():
     assert len(cands) == 8
 
 
+def test_primitive_candidates_refuse_a_box_over_budget():
+    # the box size is decided before enumeration, so a huge box fails at once
+    for bound in (400, 10 ** 12):
+        with pytest.raises(DomainError):
+            primitive_candidates(3, bound)
+    edge = (MAX_CANDIDATE_BOX - 1) // 2  # 2 * edge + 1 <= budget
+    assert primitive_candidates(1, edge) == [(-1,), (1,)]
+    with pytest.raises(DomainError):
+        primitive_candidates(1, edge + 1)
+
+
 def test_delta_search_p2_anticanonical():
     model = builtin_model("p2-anticanonical")
     res = delta_p_search(model, 1, bound=2)
@@ -253,6 +265,7 @@ def test_delta_search_rejects_non_q_gorenstein():
 
 def test_alpha_candidates():
     assert alpha_candidate(builtin_model("p1xp1"), bound=2)[0] == 1
+    assert alpha_candidate(builtin_model("p2"), bound=2)[0] == 1
     alpha, arg = alpha_candidate(builtin_model("p2-anticanonical"), bound=2)
     assert alpha == F(1, 3)
 
