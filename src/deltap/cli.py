@@ -369,11 +369,15 @@ def _scan_rows(cfg: RunConfig, model: ToricModel):
                          "value": f"{search.value:.12g}",
                          "status": "upper-bound"})
         p0 = p_grid[0]
-        for m in (cfg.m_grid or (1, 2, 4, 8)):
-            report = verify_moment_identity(model, val, p0, m_grid=(m,))
+        levels = cfg.m_grid or (1, 2, 4, 8)
+        # --m may be unsorted or repeated; the identity takes a strictly
+        # increasing grid, so one call covers the distinct levels.
+        report = verify_moment_identity(model, val, p0,
+                                        m_grid=sorted(set(levels)))
+        gaps = {m: gap for m, _, _, gap in report.rows}
+        for m in levels:
             rows.append({"scan": "level", "x": m, "name": "moment_gap",
-                         "value": f"{report.final_gap:.12g}",
-                         "status": "raw"})
+                         "value": f"{gaps[m]:.12g}", "status": "raw"})
         rows.extend(_truncation_probe(cfg, model, p0))
     return rows
 

@@ -19,8 +19,7 @@ from typing import Sequence
 from .errors import (DomainError, InvariantViolation, StructureError,
                      UnsupportedModelError)
 from .geometry import RationalPolytope, dot, make_point
-from .linalg import (Vector, in_rowspace, nullspace, primitive_integer_vector,
-                     rank, rref)
+from .linalg import Vector, nullspace, primitive_integer_vector, rank, rref
 from .numeric import SqrtSum, as_fraction
 
 GENERATED_MAX_LEVEL = 20
@@ -70,17 +69,14 @@ class FlagFiltration:
         if [v for v, _ in pairs] != values:
             raise StructureError(
                 "flag entries must cover exactly the distinct jump values")
-        outer_rref = None
         for v, rows in pairs:
             expected = sum(1 for a in self.jumps if a >= v)
             if len(rows) != expected or rank(rows) != expected:
                 raise StructureError(
                     f"flag at height {v} must be {expected} independent rows")
         for (_, outer), (_, inner) in zip(pairs, pairs[1:]):
-            rows_r, pivots = rref(outer)
-            for r in inner:
-                if not in_rowspace(rows_r, pivots, r):
-                    raise StructureError("flag subspaces are not nested")
+            if rank(outer + inner) != len(outer):
+                raise StructureError("flag subspaces are not nested")
         return tuple(pairs)
 
     def _membership_tests(self):
@@ -102,6 +98,7 @@ class FlagFiltration:
         vec = _as_vector(s, self.d)
         if all(x == 0 for x in vec):
             raise DomainError("the zero vector has no order")
+        vec = primitive_integer_vector(vec)
         for v, comp in reversed(self._membership_tests()):
             if all(dot(row, vec) == 0 for row in comp):
                 return v
@@ -213,9 +210,8 @@ def compatible_basis(chain: Sequence[Sequence[Sequence]], d: int):
     dims = [rank(rows) for rows in subspaces]
     if any(a <= b for a, b in zip(dims, dims[1:])) or (dims and dims[0] >= d):
         raise StructureError("chain must be strictly decreasing below Q^d")
-    for outer, inner in zip(subspaces, subspaces[1:]):
-        rows_r, pivots = rref(outer)
-        if not all(in_rowspace(rows_r, pivots, r) for r in inner):
+    for outer, inner, dim in zip(subspaces, subspaces[1:], dims):
+        if rank(outer + inner) != dim:
             raise StructureError("chain subspaces are not nested")
 
     basis: list[Vector] = []
@@ -259,7 +255,7 @@ def sup_over_bases_oracle(F: FlagFiltration, p: int, samples: int,
     best = None
     drawn = 0
     while drawn < samples:
-        rows = [tuple(Fraction(rng.randint(-3, 3)) for _ in range(F.d))
+        rows = [tuple(rng.randint(-3, 3) for _ in range(F.d))
                 for _ in range(F.d)]
         if rank(rows) != F.d:
             continue
@@ -280,7 +276,7 @@ def random_flag_filtration(rng: Random, d: int, m: int) -> FlagFiltration:
     if d < 1:
         raise DomainError("dimension must be positive")
     while True:
-        rows = [tuple(Fraction(rng.randint(-3, 3)) for _ in range(d))
+        rows = [tuple(rng.randint(-3, 3) for _ in range(d))
                 for _ in range(d)]
         if rank(rows) == d:
             break

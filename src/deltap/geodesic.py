@@ -319,14 +319,12 @@ class MomentIdentityReport:
     continuous_power: Fraction
     rows: tuple[tuple[int, float, float, float], ...]
     final_gap: float
-    normalized_speed_monotone: bool
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "continuous_power": str(self.continuous_power),
                 "rows": [{"m": m, "quantized": q, "continuous": c, "gap": g}
                          for m, q, c, g in self.rows],
-                "final_gap": self.final_gap,
-                "normalized_speed_monotone": self.normalized_speed_monotone}
+                "final_gap": self.final_gap}
 
     def to_csv_rows(self) -> list[dict]:
         return [{"m": m, "quantized": f"{q:.12g}", "continuous": f"{c:.12g}",
@@ -365,19 +363,16 @@ def verify_moment_identity(model: ToricModel, val: ToricValuation, p: int,
 
     n = model.n
     p_top = max(8, p)
-    monotone = True
     prev = None
     for q in range(1, p_top + 1):
         cur = curve.h_stat_power(q)
         if prev is not None:
             q0 = q - 1
             if prev[1] ** q > cur ** q0:
-                monotone = False
                 raise InvariantViolation(
                     "normalized speed fails to be nondecreasing on a "
                     "divisorial input",
                     witness={"p_low": q0, "p_high": q})
         prev = (q, cur)
     return MomentIdentityReport(p=p, continuous_power=s_cont,
-                                rows=tuple(rows), final_gap=final_gap,
-                                normalized_speed_monotone=monotone)
+                                rows=tuple(rows), final_gap=final_gap)

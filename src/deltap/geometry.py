@@ -3,13 +3,15 @@
 Convex hull facets, vertex enumeration, deterministic triangulation,
 volumes, lattice points, survival curves by the B-spline divided-
 difference identity, and exact integration of powers of affine
-functionals over simplices, all over Fraction coordinates.  Floats
-never enter.
+functionals over simplices.  Coordinates are Fractions, facet normals
+are primitive integer vectors, determinants come from the integer
+kernel in ``linalg``, and floats never enter.
 
 The algorithms are deliberately brute force (subset enumeration) because
 the library targets desk-scale inputs: ambient dimension up to about
 four and a few dozen vertices.  At that scale exhaustive enumeration is
-fast and has no degenerate-position failure modes.
+fast and has no degenerate-position failure modes; ``MAX_HULL_SUBSETS``
+refuses larger inputs.
 
 All objects are immutable after construction; sharing them across
 threads is safe.
@@ -22,12 +24,17 @@ from fractions import Fraction
 from math import ceil, comb, factorial, floor
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import InvariantViolation, StructureError
-from .linalg import nullspace, primitive_integer_vector, rank, solve_square
+from .errors import DomainError, InvariantViolation, StructureError
+from .linalg import (det, nullspace, primitive_integer_vector, rank,
+                     solve_square)
 from .numeric import as_fraction
 from .piecewise import PiecewisePolynomial, Polynomial
 
 Point = tuple[Fraction, ...]
+
+# Most dim-subsets one hull enumeration may walk: each subset costs an
+# exact solve, so an input over budget is refused before the walk.
+MAX_HULL_SUBSETS = 10_000
 
 
 class Halfspace(NamedTuple):
@@ -41,8 +48,9 @@ def make_point(coords: Iterable) -> Point:
     return tuple(as_fraction(c) for c in coords)
 
 
-def dot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+def dot(a: Sequence, b: Sequence):
+    """Exact inner product; an int for two integer vectors."""
+    return sum(x * y for x, y in zip(a, b))
 
 
 def affine_dimension(points: Sequence[Point]) -> int:
@@ -53,6 +61,16 @@ def affine_dimension(points: Sequence[Point]) -> int:
     return rank(diffs) if diffs else 0
 
 
+def _subsets(items: Sequence, dim: int):
+    """The ``dim``-subsets of ``items``, within ``MAX_HULL_SUBSETS``."""
+    count = comb(len(items), dim)
+    if count > MAX_HULL_SUBSETS:
+        raise DomainError(f"a hull of {len(items)} inputs in dimension {dim} "
+                          f"needs {count} subsets, over the budget of "
+                          f"{MAX_HULL_SUBSETS}")
+    return itertools.combinations(items, dim)
+
+
 def facet_enumeration(points: Sequence[Point], dim: int) -> tuple[Halfspace, ...]:
     """Facet halfspaces of the full-dimensional hull of ``points``.
 
@@ -61,7 +79,7 @@ def facet_enumeration(points: Sequence[Point], dim: int) -> tuple[Halfspace, ...
     those whose contact set is (dim-1)-dimensional are kept.
     """
     seen: set[Halfspace] = set()
-    for subset in itertools.combinations(range(len(points)), dim):
+    for subset in _subsets(range(len(points)), dim):
         base = points[subset[0]]
         diffs = [[points[i][k] - base[k] for k in range(dim)]
                  for i in subset[1:]]
@@ -89,7 +107,7 @@ def vertex_enumeration(halfspaces: Sequence[Halfspace], dim: int) -> tuple[Point
     """Vertices of a bounded intersection of halfspaces (basic feasible
     solutions of every ``dim``-subset)."""
     verts: set[Point] = set()
-    for subset in itertools.combinations(halfspaces, dim):
+    for subset in _subsets(halfspaces, dim):
         sol = solve_square([hs.normal for hs in subset],
                            [hs.offset for hs in subset])
         if sol is None:
@@ -104,25 +122,7 @@ def simplex_volume(pts: Sequence[Point]) -> Fraction:
     d = len(pts) - 1
     base = pts[0]
     rows = [[pts[i][k] - base[k] for k in range(d)] for i in range(1, d + 1)]
-    det = Fraction(1)
-    for col in range(d):
-        pivot = None
-        for r in range(col, d):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = rows[col][col]
-        for r in range(col + 1, d):
-            if rows[r][col] != 0:
-                f = rows[r][col] / inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return abs(det) / factorial(d)
+    return abs(det(rows)) / factorial(d)
 
 
 def triangulate_vertices(points: Sequence[Point]) -> tuple[tuple[Point, ...], ...]:

@@ -1,13 +1,15 @@
-"""Small exact linear algebra over Fraction row vectors.
+"""Small exact linear algebra over the rationals, on one integer kernel.
 
-Row operations only, deterministic pivoting (first nonzero column, rows
-in given order), suitable for the desk-scale systems this package meets.
+``_reduce`` clears each row to integers once and runs fraction-free
+Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968), whose every
+division is exact; rank, determinant and rref read off its result.
+Pivoting is deterministic: first nonzero column, first row at or below.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import StructureError
@@ -15,68 +17,78 @@ from .errors import StructureError
 Vector = tuple[Fraction, ...]
 
 
-def _rows(mat) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in mat]
+def _cleared(row: Sequence) -> tuple[list[int], int]:
+    """An integer multiple of a rational row, and the multiplier."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    mult = lcm(*(x.denominator for x in row))
+    return [x.numerator * (mult // x.denominator) for x in row], mult
+
+
+def _reduce(mat: Sequence[Sequence]):
+    """Fraction-free Gauss-Jordan elimination of a rational matrix.
+
+    Returns (rows, pivots, d, sign, scale): the nonzero integer rows, in
+    which each pivot column is ``d`` (the last pivot) on its pivot row
+    and 0 elsewhere; the pivot columns; (-1)^(row swaps); and the product
+    of the row multipliers that cleared the denominators.
+    """
+    rows, scale = [], 1
+    for row in mat:
+        ints, mult = _cleared(row)
+        rows.append(ints)
+        scale *= mult
+    width = len(rows[0]) if rows else 0
+    if any(len(r) != width for r in rows):
+        raise StructureError("ragged matrix")
+    pivots: list[int] = []
+    d, sign = 1, 1
+    for col in range(width):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            sign = -sign
+        top = rows[r]
+        pv = top[col]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[col]
+                rows[i] = [(pv * a - f * b) // d for a, b in zip(row, top)]
+        pivots.append(col)
+        d = pv
+    return rows[:len(pivots)], tuple(pivots), d, sign, scale
 
 
 def rref(mat: Sequence[Sequence]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
     """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    rows = _rows(mat)
-    if not rows:
-        return (), ()
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise StructureError("ragged matrix")
-    pivots: list[int] = []
-    r = 0
-    for col in range(width):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+    rows, pivots, d, _, _ = _reduce(mat)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in rows), pivots
 
 
 def rank(mat: Sequence[Sequence]) -> int:
-    return len(rref(mat)[0])
+    return len(_reduce(mat)[1])
 
 
-def in_rowspace(rref_rows: Sequence[Vector], pivots: Sequence[int],
-                vec: Sequence) -> bool:
-    """Membership of ``vec`` in the row space given by a precomputed rref."""
-    v = [Fraction(x) for x in vec]
-    for row, col in zip(rref_rows, pivots):
-        c = v[col]
-        if c != 0:
-            v = [a - c * b for a, b in zip(v, row)]
-    return all(x == 0 for x in v)
+def det(mat: Sequence[Sequence]) -> Fraction:
+    """Determinant of a square matrix: sign * d / scale at full rank."""
+    if any(len(row) != len(mat) for row in mat):
+        raise StructureError("matrix is not square")
+    _, pivots, d, sign, scale = _reduce(mat)
+    return Fraction(sign * d, scale) if len(pivots) == len(mat) else Fraction(0)
 
 
 def solve_square(mat: Sequence[Sequence], rhs: Sequence) -> Vector | None:
     """Solve A x = b for square A; None when A is singular."""
     n = len(mat)
-    rows = _rows(mat)
-    if any(len(r) != n for r in rows):
+    if any(len(r) != n for r in mat):
         raise StructureError("matrix is not square")
-    b = [Fraction(x) for x in rhs]
-    if len(b) != n:
+    if len(rhs) != n:
         raise StructureError("right-hand side has wrong length")
-    aug = [rows[i] + [b[i]] for i in range(n)]
-    reduced, pivots = rref(aug)
+    reduced, pivots = rref([[*row, b] for row, b in zip(mat, rhs)])
     if len(reduced) == n and pivots == tuple(range(n)):
         return tuple(row[n] for row in reduced)
     # Singular; the system may still be inconsistent or underdetermined,
@@ -87,13 +99,10 @@ def solve_square(mat: Sequence[Sequence], rhs: Sequence) -> Vector | None:
 def solve_linear_system(mat: Sequence[Sequence], rhs: Sequence) -> Vector | None:
     """Any exact solution of A x = b (possibly underdetermined); None if
     the system is inconsistent.  Free variables are set to zero."""
-    rows = _rows(mat)
-    if not rows:
+    if not mat:
         return ()
-    width = len(rows[0])
-    b = [Fraction(x) for x in rhs]
-    aug = [rows[i] + [b[i]] for i in range(len(rows))]
-    reduced, pivots = rref(aug)
+    width = len(mat[0])
+    reduced, pivots = rref([[*row, rhs[i]] for i, row in enumerate(mat)])
     for row, col in zip(reduced, pivots):
         if col == width:
             return None
@@ -105,12 +114,11 @@ def solve_linear_system(mat: Sequence[Sequence], rhs: Sequence) -> Vector | None
 
 def nullspace(mat: Sequence[Sequence], width: int | None = None) -> tuple[Vector, ...]:
     """Basis of {x : A x = 0}, canonical from the rref (free columns)."""
-    rows = _rows(mat)
     if width is None:
-        if not rows:
+        if not mat:
             raise StructureError("cannot infer width of an empty matrix")
-        width = len(rows[0])
-    reduced, pivots = rref(rows) if rows else ((), ())
+        width = len(mat[0])
+    reduced, pivots = rref(mat)
     free_cols = [c for c in range(width) if c not in pivots]
     basis = []
     for fc in free_cols:
@@ -124,14 +132,8 @@ def nullspace(mat: Sequence[Sequence], width: int | None = None) -> tuple[Vector
 
 def primitive_integer_vector(vec: Sequence) -> tuple[int, ...]:
     """Scale a nonzero rational vector to coprime integers (orientation kept)."""
-    v = [Fraction(x) for x in vec]
-    if all(x == 0 for x in v):
+    ints, _ = _cleared(vec)
+    g = gcd(*ints)
+    if g == 0:
         raise StructureError("zero vector has no primitive representative")
-    denom_lcm = 1
-    for x in v:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
     return tuple(x // g for x in ints)

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from deltap import cli, toric
+from deltap import cli, geodesic, toric
 from deltap.toric import builtin_model, primitive_candidates
 
 
@@ -176,13 +176,27 @@ def test_scan_order_rows_build_each_curve_once(tmp_path, monkeypatch):
         built.append(model.P.vertices)
         return original(model, val)
 
-    for module in (toric, cli):
+    for module in (toric, cli, geodesic):
         monkeypatch.setattr(module, "volume_curve_of", counted)
-    code, _ = run_cli(["scan", "--model", "p2", "--p", "1,2,3", "--m", "1"],
-                      tmp_path)
+    code, _ = run_cli(["scan", "--model", "p2", "--p", "1,2,3",
+                       "--m", "1,2,4,8"], tmp_path)
     assert code == 0
     p2 = builtin_model("p2").P.vertices
-    assert built.count(p2) == len(primitive_candidates(2, 3))
+    # one more build: the moment identity over all levels at once
+    assert built.count(p2) == len(primitive_candidates(2, 3)) + 1
+
+
+def test_scan_levels_follow_the_requested_order(tmp_path):
+    def level_rows(m_arg):
+        code, text = run_cli(["scan", "--model", "p2", "--p", "2",
+                              "--m", m_arg, "--bound", "2"], tmp_path)
+        assert code == 0
+        return [(row.split(",")[1], row.split(",")[3])
+                for row in text.splitlines() if row.startswith("level,")]
+
+    gap = dict(level_rows("1,8"))
+    assert level_rows("8,1,1") == [("8", gap["8"]), ("1", gap["1"]),
+                                   ("1", gap["1"])]
 
 
 def test_scan_empty_grid_header_only(tmp_path):
@@ -244,6 +258,21 @@ def test_candidate_box_over_budget_exits_3(capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DomainError"
+
+
+def test_hull_subsets_over_budget_exit_3(tmp_path, capsys):
+    # 25 points on the moment curve in dimension 4: C(25, 4) = 12650
+    # facet subsets, refused before any is tried
+    doc = {"dim": 4, "vertices": [[str(t ** k) for k in range(1, 5)]
+                                  for t in range(25)]}
+    model_file = tmp_path / "cyclic.json"
+    model_file.write_text(json.dumps(doc))
+    code = cli.main(["invariants", "--model", str(model_file), "--p", "1",
+                     "--bound", "1"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
+    assert "12650 subsets" in err["message"]
 
 
 def test_malformed_model_file_exits_3(tmp_path, capsys):

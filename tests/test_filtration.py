@@ -77,6 +77,11 @@ def test_flag_validation_catches_non_nested():
     bad = [(F(0), [(1, 0), (0, 1)]), (F(1), [(1, 0), (0, 1)])]
     with pytest.raises(StructureError):
         FlagFiltration(1, [F(0), F(1)], bad)
+    # right dimensions, but the line at height 2 is outside the plane at 1
+    skew = [(F(0), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+            (F(1), [(1, 0, 0), (0, 1, 0)]), (F(2), [(1, 1, 1)])]
+    with pytest.raises(StructureError, match="not nested"):
+        FlagFiltration(1, [F(0), F(1), F(2)], skew)
 
 
 def test_ord_of_and_flag_moment_route():
@@ -143,6 +148,8 @@ def test_compatible_basis_rejects_bad_chains():
         compatible_basis([[(1, 0), (0, 1)]], 2)  # full space not allowed
     with pytest.raises(StructureError):
         compatible_basis([[(1, 0)], [(0, 1)]], 2)  # not nested
+    with pytest.raises(StructureError, match="not nested"):
+        compatible_basis([[(1, 0, 0), (0, 1, 0)], [(1, 1, 1)]], 3)
 
 
 def test_compatible_basis_attains_filtration_moment():

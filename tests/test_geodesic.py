@@ -222,7 +222,6 @@ def test_moment_identity_second_order_gap_shrinks():
     gaps = [abs(g) for _, _, _, g in report.rows]
     assert gaps[0] == pytest.approx(0.0918, abs=5e-4)
     assert gaps[-1] <= gaps[1] <= gaps[0]
-    assert report.normalized_speed_monotone is True
 
 
 def test_moment_identity_gap_bound_enforced():

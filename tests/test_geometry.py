@@ -18,7 +18,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from deltap.errors import InvariantViolation, StructureError
+from deltap import geometry
+from deltap.errors import DomainError, InvariantViolation, StructureError
 from deltap.geometry import (
     Halfspace,
     RationalPolytope,
@@ -71,6 +72,16 @@ def test_vertex_enumeration_roundtrip():
     facets = facet_enumeration(SQUARE, 2)
     verts = vertex_enumeration(facets, 2)
     assert sorted(verts) == sorted(SQUARE)
+
+
+def test_hull_enumerations_refuse_subsets_over_budget(monkeypatch):
+    monkeypatch.setattr(geometry, "MAX_HULL_SUBSETS", 3)
+    facets = facet_enumeration(TRIANGLE, 2)  # C(3, 2) = 3 subsets
+    assert vertex_enumeration(facets, 2) == tuple(sorted(TRIANGLE))
+    with pytest.raises(DomainError):
+        facet_enumeration(SQUARE, 2)  # C(4, 2) = 6
+    with pytest.raises(DomainError):
+        vertex_enumeration(facets + facets[:1], 2)
 
 
 def test_simplex_volume_standard():

@@ -1,12 +1,14 @@
 """Tests for the small exact linear-algebra kit."""
 
+import itertools
+import math
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltap.linalg import (
-    in_rowspace,
+    det,
     nullspace,
     primitive_integer_vector,
     rank,
@@ -45,12 +47,6 @@ def test_nullspace_spans_kernel():
         assert sum(vec) == 0
 
 
-def test_in_rowspace():
-    rows, pivots = rref([[1, 0, 1], [0, 1, 1]])
-    assert in_rowspace(rows, pivots, [1, 1, 2])
-    assert not in_rowspace(rows, pivots, [0, 0, 1])
-
-
 def test_primitive_integer_vector():
     assert primitive_integer_vector([F(2, 3), F(4, 3)]) == (1, 2)
     assert primitive_integer_vector([-4, -6]) == (-2, -3)
@@ -65,3 +61,69 @@ def test_rref_idempotent(row):
     again, pivots2 = rref([list(r) for r in rows])
     assert rows == again
     assert pivots == pivots2
+
+
+def _rref_oracle(mat):
+    """Fraction Gauss-Jordan with the kernel's pivoting rule; the
+    reference the fraction-free kernel must reproduce."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    pivots = []
+    r = 0
+    for col in range(len(rows[0])):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0),
+                         None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][col]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+
+
+def _leibniz_det(mat):
+    n = len(mat)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(
+            Fraction(mat[i][perm[i]]) for i in range(n))
+    return total
+
+
+ENTRIES = st.one_of(st.integers(-4, 4),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+@st.composite
+def rational_matrices(draw):
+    """1-6 by 1-6 matrices of integers and fractions; some rows are
+    combinations of earlier ones, so ranks fall short and pivots skip
+    columns."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = [draw(st.lists(ENTRIES, min_size=m, max_size=m)) for _ in range(n)]
+    for i in range(1, n):
+        if draw(st.booleans()):
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            a, b = draw(ENTRIES), draw(ENTRIES)
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_kernel_matches_fraction_oracle(mat):
+    rows, pivots = _rref_oracle(mat)
+    assert rref(mat) == (rows, pivots)
+    assert rank(mat) == len(pivots)
+    k = min(len(mat), len(mat[0]))
+    square = [row[:k] for row in mat[:k]]
+    assert det(square) == _leibniz_det(square)
