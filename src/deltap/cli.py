@@ -44,6 +44,10 @@ from .toric import (CandidateTable, ToricModel, ToricValuation, builtin_model,
                     concave_transform_of, delta_p_search, volume_curve_of)
 from .volume_curve import VolumeCurve, random_admissible_curve
 
+# Most cuts the truncation probe of ``scan`` may make: each cut runs a
+# full candidate search, so a wider model is refused before the first.
+MAX_PROBE_CUTS = 400
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -351,6 +355,10 @@ def _scan_rows(cfg: RunConfig, model: ToricModel):
     rows = []
     p_grid = cfg.p_grid
     if p_grid:
+        # The probe's rows come last, but it runs first, so that its
+        # budget refuses a wide model before any search or section walk.
+        p0 = p_grid[0]
+        probe = _truncation_probe(cfg, model, p0)
         table = CandidateTable(model, cfg.bound)
         base = table.delta(1)
         val = ToricValuation(model, base.argmin)
@@ -368,7 +376,6 @@ def _scan_rows(cfg: RunConfig, model: ToricModel):
             rows.append({"scan": "order", "x": p, "name": "delta_upper",
                          "value": f"{search.value:.12g}",
                          "status": "upper-bound"})
-        p0 = p_grid[0]
         levels = cfg.m_grid or (1, 2, 4, 8)
         # --m may be unsorted or repeated; the identity takes a strictly
         # increasing grid, so one call covers the distinct levels.
@@ -378,17 +385,21 @@ def _scan_rows(cfg: RunConfig, model: ToricModel):
         for m in levels:
             rows.append({"scan": "level", "x": m, "name": "moment_gap",
                          "value": f"{gaps[m]:.12g}", "status": "raw"})
-        rows.extend(_truncation_probe(cfg, model, p0))
+        rows.extend(probe)
     return rows
 
 
 def _truncation_probe(cfg: RunConfig, model: ToricModel, p: int):
     """Continuity probe: cut a dilated model at integer heights along
-    the first axis and track the threshold bound."""
+    the first axis and track the threshold bound.  The cuts, one
+    candidate search each, may number at most ``MAX_PROBE_CUTS``."""
     rows = []
     big = ToricModel(model.P.dilate(4))
     xs = [w[0] for w in big.P.vertices]
     lo, hi = min(xs), max(xs)
+    if hi - lo > MAX_PROBE_CUTS:
+        raise DomainError(f"the truncation probe needs {hi - lo} cuts, over "
+                          f"the budget of {MAX_PROBE_CUTS}")
     normal = tuple([-1] + [0] * (model.n - 1))
     for c in range(int(lo) + 1, int(hi) + 1):
         cut = big.P.intersect([Halfspace(normal, Fraction(-c))])

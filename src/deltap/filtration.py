@@ -257,10 +257,11 @@ def sup_over_bases_oracle(F: FlagFiltration, p: int, samples: int,
     while drawn < samples:
         rows = [tuple(rng.randint(-3, 3) for _ in range(F.d))
                 for _ in range(F.d)]
-        if rank(rows) != F.d:
+        try:
+            value = basis_moment(F, rows, p)
+        except StructureError:  # a singular sample
             continue
         drawn += 1
-        value = basis_moment(F, rows, p)
         if best is None or value > best:
             best = value
     return best

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import ceil, comb, factorial, floor
+from math import ceil, comb, factorial, floor, prod
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, InvariantViolation, StructureError
@@ -35,6 +35,9 @@ Point = tuple[Fraction, ...]
 # Most dim-subsets one hull enumeration may walk: each subset costs an
 # exact solve, so an input over budget is refused before the walk.
 MAX_HULL_SUBSETS = 10_000
+# Most integer points of a bounding box one lattice-point walk may test:
+# the walk visits every one, so a larger box is refused before the walk.
+MAX_LATTICE_BOX = 100_000
 
 
 class Halfspace(NamedTuple):
@@ -226,13 +229,18 @@ def integrate_affine_power_over_simplex(volume: Fraction,
 
 def lattice_points_in(halfspaces: Sequence[Halfspace],
                       vertices: Sequence[Point]) -> tuple[tuple[int, ...], ...]:
-    """Integer points of a bounded polytope given by facets + vertices."""
+    """Integer points of a bounded polytope given by facets + vertices,
+    whose bounding box holds at most ``MAX_LATTICE_BOX`` integer points."""
     if not vertices:
         return ()
     dim = len(vertices[0])
     lows = [min(v[i] for v in vertices) for i in range(dim)]
     highs = [max(v[i] for v in vertices) for i in range(dim)]
     ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in zip(lows, highs)]
+    box = prod(len(r) for r in ranges)
+    if box > MAX_LATTICE_BOX:
+        raise DomainError(f"a bounding box of {box} integer points is over "
+                          f"the budget of {MAX_LATTICE_BOX}")
     out = []
     for pt in itertools.product(*ranges):
         if all(dot(hs.normal, pt) >= hs.offset for hs in halfspaces):

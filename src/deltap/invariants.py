@@ -227,8 +227,7 @@ def _check_candidate_inequalities(n: int, p: int, search: DeltaSearchResult,
                 witness={"v": v, "s_p": str(s), "bound": str(rhs)})
 
 
-def delta_family(model: ToricModel, p_grid, bound: int,
-                 check_candidates: bool = True) -> InvariantReport:
+def delta_family(model: ToricModel, p_grid, bound: int) -> InvariantReport:
     """Threshold upper bounds over an integer order grid.
 
     Exactly verifies that the reported bounds are nonincreasing along
@@ -249,8 +248,7 @@ def delta_family(model: ToricModel, p_grid, bound: int,
     for p in grid:
         search = table.delta(p)
         searches.append(search)
-        if check_candidates:
-            _check_candidate_inequalities(model.n, p, search, table.curves)
+        _check_candidate_inequalities(model.n, p, search, table.curves)
         tau = table.curves[search.argmin].tau
         threshold = verdict = None
         if anti is not None:

@@ -99,6 +99,8 @@ def solve_square(mat: Sequence[Sequence], rhs: Sequence) -> Vector | None:
 def solve_linear_system(mat: Sequence[Sequence], rhs: Sequence) -> Vector | None:
     """Any exact solution of A x = b (possibly underdetermined); None if
     the system is inconsistent.  Free variables are set to zero."""
+    if len(rhs) != len(mat):
+        raise StructureError("right-hand side has wrong length")
     if not mat:
         return ()
     width = len(mat[0])

@@ -121,6 +121,52 @@ def lagrange_interpolate(xs: Sequence, ys: Sequence) -> Polynomial:
     return total
 
 
+def _divmod(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Quotient and remainder of p by a nonzero d."""
+    rem, quot = list(p.coeffs), [Fraction(0)] * (len(p.coeffs) - d.degree)
+    for i in reversed(range(len(quot))):
+        quot[i] = rem[i + d.degree] / d.coeffs[-1]
+        for j, c in enumerate(d.coeffs):
+            rem[i + j] -= quot[i] * c
+    return Polynomial(quot), Polynomial(rem[:d.degree])
+
+
+def root_counter(poly: Polynomial):
+    """(a, b) -> number of distinct roots of a nonzero poly in (a, b), by
+    Sturm's theorem on the chain of poly and poly' divided by their gcd,
+    so that a multiple root counts once (Basu, Pollack & Roy, ch. 2)."""
+    chain = [poly, poly.derivative()]
+    while not chain[-1].is_zero():
+        chain.append(_divmod(chain[-2], chain[-1])[1].scale(-1))
+    chain = [_divmod(s, chain[-2])[0] for s in chain[:-1]]
+
+    def variations(x):
+        signs = [v > 0 for v in (s(x) for s in chain) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+    return lambda a, b: variations(a) - variations(b) - (poly(b) == 0)
+
+
+def first_negative(poly: Polynomial, a, b) -> Fraction | None:
+    """A rational x in [a, b] with poly(x) < 0, or None if there is none:
+    a, then b, then the midpoints of a bisection that drops each part on
+    which root counts show that poly >= 0."""
+    for x in (a, b):
+        if poly(x) < 0:
+            return x
+    if poly.degree < 2:  # the ends decide a line
+        return None
+    count, stack = root_counter(poly), [(a, b)]
+    while stack:
+        lo, hi = stack.pop()
+        mid = (lo + hi) * Fraction(1, 2)
+        if poly(mid) < 0:
+            return mid
+        roots = count(lo, hi)
+        if roots > 1 or roots == 1 and poly(lo) * poly(hi) == 0:
+            stack += [(mid, hi), (lo, mid)]
+    return None
+
+
 class PiecewisePolynomial:
     """A piecewise polynomial on [breakpoints[0], breakpoints[-1]].
 

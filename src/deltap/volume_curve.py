@@ -21,12 +21,9 @@ from random import Random
 
 from .errors import DomainError, InvariantViolation
 from .numeric import SqrtSum, as_fraction, log_gamma
-from .piecewise import (PiecewisePolynomial, Polynomial,
-                        integrate_monomial_weighted, integrate_real_power)
-
-CONCAVITY_TOL = 1e-12
-MONOTONE_SAMPLES_PER_PIECE = 8
-CONCAVITY_GRID = 64
+from .piecewise import (PiecewisePolynomial, Polynomial, first_negative,
+                        integrate_monomial_weighted, integrate_real_power,
+                        root_counter)
 
 
 def _check_positive_int(p, what: str) -> int:
@@ -35,14 +32,23 @@ def _check_positive_int(p, what: str) -> int:
     return p
 
 
-def _chord_concave(xs: list[float], ys: list[float], tol: float) -> bool:
-    """Every interior sample lies above the chord of its neighbors."""
-    for (xa, ya), (xb, yb), (xc, yc) in zip(zip(xs, ys), zip(xs[1:], ys[1:]),
-                                            zip(xs[2:], ys[2:])):
-        chord = ((xc - xb) * ya + (xb - xa) * yc) / (xc - xa)
-        if yb < chord - tol:
-            return False
-    return True
+def _check_root_concave(f: PiecewisePolynomial, k: int, what: str) -> None:
+    """Decide that f**(1/k) is concave, for f > 0 inside its domain: on each
+    piece k*f*f'' - (k-1)*f'**2, of the sign of (f**(1/k))'', is <= 0, and
+    at each interior breakpoint f is continuous and its slope does not rise."""
+    bps = f.breakpoints
+    for lo, hi, piece in zip(bps, bps[1:], f.pieces):
+        d = piece.derivative()
+        x = first_negative((d * d).scale(k - 1) - (piece * d.derivative()).scale(k),
+                           lo, hi)
+        if x is not None:
+            raise InvariantViolation(f"{what}**(1/{k}) is not concave at x = {x}",
+                                     witness={"x": str(x)})
+    for x, left, right in zip(bps[1:-1], f.pieces, f.pieces[1:]):
+        if left(x) != right(x) or left.derivative()(x) < right.derivative()(x):
+            raise InvariantViolation(
+                f"{what}**(1/{k}) is not concave at breakpoint x = {x}",
+                witness={"x": str(x)})
 
 
 class VolumeCurve:
@@ -50,9 +56,9 @@ class VolumeCurve:
 
     ``n`` is the dimension, ``V`` the total volume (= curve(0)), and
     ``curve`` a nonincreasing piecewise polynomial vanishing at tau whose
-    n-th root is concave.  The degenerate tau = 0 case (a valuation the
-    polarization never sees) carries no curve; its moments are zero and
-    its normalized statistics are undefined.
+    n-th root is concave (both decided exactly).  The degenerate tau = 0
+    case (a valuation the polarization never sees) carries no curve; its
+    moments are zero and its normalized statistics are undefined.
     """
 
     __slots__ = ("n", "V", "curve", "tau")
@@ -96,45 +102,19 @@ class VolumeCurve:
                 f"curve(0) = {c(Fraction(0))} does not equal V = {self.V}")
         if c(self.tau) != 0:
             raise InvariantViolation(f"curve(tau) = {c(self.tau)} is nonzero")
-        deriv = c.derivative()
-        prev = self.V
-        for i, piece in enumerate(c.pieces):
-            lo, hi = c.breakpoints[i], c.breakpoints[i + 1]
-            step = (hi - lo) / (MONOTONE_SAMPLES_PER_PIECE + 1)
-            for j in range(MONOTONE_SAMPLES_PER_PIECE + 2):
-                x = lo + j * step
-                if deriv.pieces[i](x) > 0:
-                    raise InvariantViolation(
-                        f"volume curve increases near x = {x}",
-                        witness={"x": str(x)})
-                val = piece(x)
-                if val > prev:
-                    raise InvariantViolation(
-                        f"volume curve increases at x = {x}",
-                        witness={"x": str(x)})
-                if val < 0:
-                    raise InvariantViolation(
-                        f"volume curve is negative at x = {x}",
-                        witness={"x": str(x)})
-                if x < self.tau and val == 0:
-                    raise InvariantViolation(
-                        f"volume curve vanishes at x = {x} before tau",
-                        witness={"x": str(x)})
-                prev = val
-        self._check_root_concavity()
-
-    def _check_root_concavity(self) -> None:
-        c = self.curve
-        grid = sorted({*c.breakpoints,
-                       *(self.tau * Fraction(i, CONCAVITY_GRID)
-                         for i in range(CONCAVITY_GRID + 1))})
-        xs = [float(x) for x in grid]
-        root = 1.0 / self.n
-        ys = [float(c(x)) ** root for x in grid]
-        tol = CONCAVITY_TOL * max(1.0, float(self.V) ** root)
-        if not _chord_concave(xs, ys, tol):
+        bps = c.breakpoints
+        for lo, hi, piece in zip(bps, bps[1:], c.pieces):
+            x = first_negative(piece.derivative().scale(-1), lo, hi)
+            if x is not None:
+                raise InvariantViolation(f"volume curve increases near x = {x}",
+                                         witness={"x": str(x)})
+        # Nonincreasing with curve(tau) = 0, the curve is positive before
+        # tau unless its last piece vanishes identically.
+        if c.pieces[-1].is_zero():
             raise InvariantViolation(
-                "curve(x)^(1/n) fails the concavity spot check")
+                f"volume curve vanishes at x = {bps[-2]} before tau",
+                witness={"x": str(bps[-2])})
+        _check_root_concave(c, self.n, "curve")
 
     # -- exact moments -------------------------------------------------
 
@@ -407,9 +387,9 @@ class RadialProfile:
     """The density of a volume curve in radial normal form.
 
     ``fpow`` represents f(x)**(n-1) = -curve'(x)/V.  It integrates to one
-    exactly; for n >= 2 the root f must pass a concavity spot check, which
-    is what distinguishes curves of flag type from arbitrary monotone
-    data.
+    exactly and is nonnegative; for n >= 2 it is positive inside its
+    domain and its root f is concave, which is what distinguishes curves
+    of flag type from arbitrary monotone data.
     """
 
     n: int
@@ -421,35 +401,21 @@ class RadialProfile:
         if total != 1:
             raise InvariantViolation(
                 f"radial density integrates to {total}, not 1")
-        for i, piece in enumerate(self.fpow.pieces):
-            a, b = self.fpow.breakpoints[i], self.fpow.breakpoints[i + 1]
-            step = (b - a) / (MONOTONE_SAMPLES_PER_PIECE + 1)
-            for j in range(MONOTONE_SAMPLES_PER_PIECE + 2):
-                x = a + j * step
-                if piece(x) < 0:
-                    raise InvariantViolation(
-                        f"radial density negative at x = {x}: "
-                        "the curve has an increasing segment")
+        bps = self.fpow.breakpoints
+        for a, b, p in zip(bps, bps[1:], self.fpow.pieces):
+            x = first_negative(p, a, b)
+            if x is not None:
+                raise InvariantViolation(
+                    f"radial density negative at x = {x}: "
+                    "the curve has an increasing segment", witness={"x": str(x)})
+            # A concave root that vanishes inside its domain vanishes on
+            # all of it; the pointwise test below cannot see such a zero.
+            if self.n >= 2 and (p.is_zero() or root_counter(p)(a, b)
+                                or b < bps[-1] and p(b) == 0):
+                raise InvariantViolation(
+                    "radial density vanishes inside its domain")
         if self.n >= 2:
-            self._check_root_concavity()
-
-    def _check_root_concavity(self):
-        lo, hi = self.fpow.domain
-        xs: list[float] = []
-        ys: list[float] = []
-        root = 1.0 / (self.n - 1)
-        for i, piece in enumerate(self.fpow.pieces):
-            a, b = self.fpow.breakpoints[i], self.fpow.breakpoints[i + 1]
-            for j in range(CONCAVITY_GRID + 1):
-                x = a + (b - a) * Fraction(j, CONCAVITY_GRID)
-                v = piece(x)
-                xs.append(float(x))
-                ys.append(float(v) ** root if v > 0 else 0.0)
-        peak = max(ys) if ys else 1.0
-        if not _chord_concave(xs, ys, CONCAVITY_TOL * max(1.0, peak)):
-            raise InvariantViolation(
-                "the radial profile fails its concavity spot check; the "
-                "curve is monotone but not of flag type")
+            _check_root_concave(self.fpow, self.n - 1, "radial density")
 
     def f_value(self, x) -> float:
         v = self.fpow(x)

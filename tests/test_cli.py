@@ -275,6 +275,24 @@ def test_hull_subsets_over_budget_exit_3(tmp_path, capsys):
     assert "12650 subsets" in err["message"]
 
 
+@pytest.mark.parametrize("width, argv, message", [
+    # 4 * 1000 cuts, refused before the candidate table is built
+    (1000, ["--p", "1"], "needs 4000 cuts"),
+    (10 ** 8, ["--p", "1"], "needs 400000000 cuts"),
+    # p2 passes the probe; its level-1000 sections need a box of 1001^2
+    (1, ["--p", "1", "--m", "1000"], "1002001 integer points"),
+])
+def test_scan_enumerations_over_budget_exit_3(tmp_path, capsys, width, argv,
+                                              message):
+    doc = {"dim": 2, "vertices": [["0", "0"], [str(width), "0"], ["0", "1"]]}
+    model_file = tmp_path / "triangle.json"
+    model_file.write_text(json.dumps(doc))
+    assert cli.main(["scan", "--model", str(model_file), *argv]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
+    assert message in err["message"]
+
+
 def test_malformed_model_file_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltap import filtration
 from deltap.errors import DomainError, InvariantViolation, StructureError
 from deltap.filtration import (
     FlagFiltration,
@@ -30,6 +31,7 @@ from deltap.filtration import (
     sup_over_bases_oracle,
 )
 from deltap.geometry import RationalPolytope
+from deltap.linalg import rank
 from deltap.numeric import SqrtSum
 
 F = Fraction
@@ -173,6 +175,24 @@ def test_random_bases_never_beat_the_filtration_moment():
         for p in (1, 2):
             best = sup_over_bases_oracle(filt, p, 200, rng)
             assert best <= filt.s_m_p(p)
+
+
+def test_oracle_checks_each_sample_once(monkeypatch):
+    class CountingRandom(Random):
+        draws = 0
+
+        def randint(self, a, b):
+            self.draws += 1
+            return super().randint(a, b)
+
+    filt = random_flag_filtration(Random(5), 2, 3)
+    ranks = []
+    monkeypatch.setattr(filtration, "rank",
+                        lambda rows: ranks.append(rows) or rank(rows))
+    rng = CountingRandom(0)
+    sup_over_bases_oracle(filt, 2, 100, rng)
+    # one rank per drawn 2 x 2 sample, singular ones included
+    assert len(ranks) == rng.draws // 4 > 100
 
 
 def test_basis_moment_rejects_singular_input():

@@ -4,9 +4,11 @@ import itertools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltap.errors import StructureError
 from deltap.linalg import (
     det,
     nullspace,
@@ -38,6 +40,12 @@ def test_solve_linear_system_overdetermined():
     assert sol == (F(2), F(3))
     # inconsistent variant
     assert solve_linear_system([[1, 0], [0, 1], [1, 1]], [2, 3, 6]) is None
+
+
+def test_solve_linear_system_rejects_wrong_rhs_length():
+    for rhs in ([1], [1, 2, 3]):
+        with pytest.raises(StructureError, match="wrong length"):
+            solve_linear_system([[1, 0], [0, 1]], rhs)
 
 
 def test_nullspace_spans_kernel():

@@ -11,9 +11,11 @@ from deltap.errors import InvariantViolation, RangeError
 from deltap.piecewise import (
     PiecewisePolynomial,
     Polynomial,
+    first_negative,
     integrate_monomial_weighted,
     integrate_real_power,
     lagrange_interpolate,
+    root_counter,
 )
 
 F = Fraction
@@ -123,3 +125,51 @@ def test_weighted_moment_scales_linearly(slope, p):
     g = f.scale(F(3))
     assert integrate_monomial_weighted(g, p, F(0), tau) == \
         3 * integrate_monomial_weighted(f, p, F(0), tau)
+
+
+# ---------------------------------------------------------------------------
+# exact sign kernel
+
+
+def test_sign_kernel_edge_cases():
+    assert first_negative(Polynomial(()), F(0), F(1)) is None
+    # the left end is tried first, then the right one
+    assert first_negative(Polynomial((F(-1),)), F(1, 2), F(3, 4)) == F(1, 2)
+    assert first_negative(Polynomial((F(1), F(-2))), F(0), F(1)) == F(1)
+    # (x - 1/3)^2 (x - 1) is negative on (1/3, 1) and nowhere else there;
+    # its double root at an end of the interval is not inside it
+    poly = Polynomial((F(-1, 3), F(1))) * Polynomial((F(-1, 3), F(1))) \
+        * Polynomial((F(-1), F(1)))
+    assert root_counter(poly)(F(0), F(2)) == 2
+    assert root_counter(poly)(F(1, 3), F(1)) == 0
+    assert first_negative(poly, F(1, 3), F(1)) is not None
+    assert first_negative(poly.scale(-1), F(1, 3), F(1)) is None
+
+
+# Roots and interval ends share one small grid, so roots often sit on an
+# end or repeat.
+GRID = st.sampled_from([F(k, 4) for k in range(-8, 9)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(roots=st.lists(st.tuples(GRID, st.integers(min_value=1, max_value=3)),
+                      max_size=5),
+       lead=st.integers(min_value=-5, max_value=5).filter(bool),
+       ends=st.lists(GRID, min_size=2, max_size=2, unique=True))
+def test_sign_kernel_matches_known_roots(roots, lead, ends):
+    a, b = sorted(ends)
+    poly = Polynomial((F(lead),))
+    for r, mult in roots:
+        for _ in range(mult):
+            poly = poly * Polynomial((-r, F(1)))
+    # oracle: the sign is constant between consecutive distinct roots, so
+    # the ends and one midpoint per gap show every sign poly takes
+    inner = sorted({r for r, _ in roots if a < r < b})
+    cuts = [a, *inner, b]
+    samples = [a, b] + [(x + y) / 2 for x, y in zip(cuts, cuts[1:])]
+    expected = any(poly(x) < 0 for x in samples)
+    x = first_negative(poly, a, b)
+    assert (x is not None) == expected
+    if x is not None:
+        assert a <= x <= b and poly(x) < 0
+    assert root_counter(poly)(a, b) == len(inner)

@@ -93,6 +93,36 @@ def test_rejects_root_concavity_failure():
         poly = poly * Polynomial((F(1), F(-1)))
     with pytest.raises(InvariantViolation):
         VolumeCurve(2, F(1), PiecewisePolynomial((F(0), F(1)), (poly,)))
+    # linear pieces whose slope rises from -2 to -2/3 at the corner x = 1/4
+    kinked = PiecewisePolynomial((F(0), F(1, 4), F(1)), (
+        Polynomial((F(1), F(-2))), Polynomial((F(2, 3), F(-2, 3)))))
+    with pytest.raises(InvariantViolation, match="breakpoint") as info:
+        VolumeCurve(1, F(1), kinked)
+    assert info.value.witness == {"x": "1/4"}
+
+
+def test_rejects_sampling_witness_with_rational_witness():
+    # 1 - x minus a huge multiple of prod (x - k/64): it agrees with the
+    # valid line 1 - x on a 65-point grid, yet ranges from about -2.8 to
+    # 3.8 and breaks the barycenter sandwich
+    bump = Polynomial((F(1),))
+    for k in range(65):
+        bump = bump * Polynomial((F(-k, 64), F(1)))
+    f = Polynomial((F(1), F(-1))) - bump.scale(10 ** 30)
+    with pytest.raises(InvariantViolation) as info:
+        VolumeCurve(1, F(1), PiecewisePolynomial((F(0), F(1)), (f,)))
+    x = F(info.value.witness["x"])
+    assert 0 <= x <= 1 and f.derivative()(x) > 0
+
+
+def test_rejects_curve_vanishing_before_tau():
+    # (1 - x)^2 then 0: nonincreasing and concave by pieces, but its
+    # square root has a corner where its slope rises at x = 1
+    first = Polynomial((F(1), F(-2), F(1)))
+    curve = PiecewisePolynomial((F(0), F(1), F(2)), (first, Polynomial(())))
+    with pytest.raises(InvariantViolation, match="vanishes") as info:
+        VolumeCurve(2, F(1), curve)
+    assert info.value.witness == {"x": "1"}
 
 
 def test_degenerate_curve_basics():
@@ -327,6 +357,20 @@ def test_radial_profile_rejects_non_flag_curve():
     vc = VolumeCurve(2, F(1), curve)  # accepted: root-concavity holds
     with pytest.raises(InvariantViolation):
         vc.radial_profile()
+
+
+def test_radial_profile_rejects_interior_zero():
+    # sqrt(12) |x - 1/2| is convex, yet 12 (x - 1/2)^2 meets the
+    # pointwise root-concavity inequality with equality
+    half = Polynomial((F(-1, 2), F(1)))
+    fpow = PiecewisePolynomial((F(0), F(1)), ((half * half).scale(12),))
+    with pytest.raises(InvariantViolation, match="vanishes inside"):
+        RadialProfile(3, fpow)
+    # the same zero on a breakpoint
+    split = PiecewisePolynomial((F(0), F(1, 2), F(1)),
+                                ((half * half).scale(12),) * 2)
+    with pytest.raises(InvariantViolation, match="vanishes inside"):
+        RadialProfile(3, split)
 
 
 def test_curve_from_profile_linear_profile_is_projective_curve():
