@@ -32,7 +32,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import (AccuracyError, DeltapError, DomainError,
-                     InvariantViolation, UnsupportedModelError)
+                     InvariantViolation, StructureError,
+                     UnsupportedModelError)
 from .filtration import basis_moment, compatible_basis, random_flag_filtration
 from .geodesic import (inverse_legendre, legendre, random_test_curve,
                        verify_moment_identity)
@@ -85,8 +86,12 @@ def load_model(name: str) -> ToricModel:
     path = Path(name)
     if not path.exists():
         raise DomainError(f"no built-in model or file named {name!r}")
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise StructureError(f"model file {name!r} is not UTF-8 text: "
+                             f"{exc.reason} at byte {exc.start}") from None
     return ToricModel(RationalPolytope.from_json_dict(data))
 
 
@@ -352,40 +357,41 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _scan_rows(cfg: RunConfig, model: ToricModel):
-    rows = []
     p_grid = cfg.p_grid
-    if p_grid:
-        # The probe's rows come last, but it runs first, so that its
-        # budget refuses a wide model before any search or section walk.
-        p0 = p_grid[0]
-        probe = _truncation_probe(cfg, model, p0)
-        table = CandidateTable(model, cfg.bound)
-        base = table.delta(1)
-        val = ToricValuation(model, base.argmin)
-        curve = table.curves[base.argmin]
-        for p in p_grid:
-            rows.append({"scan": "order", "x": p, "name": "h_stat",
-                         "value": f"{curve.h_stat(p):.12g}",
-                         "status": "proven-monotone"})
-        for p in p_grid:
-            rows.append({"scan": "order", "x": p, "name": "r_stat",
-                         "value": f"{curve.r_stat(p):.12g}",
-                         "status": "conjectural"})
-        for p in p_grid:
-            search = table.delta(p)
-            rows.append({"scan": "order", "x": p, "name": "delta_upper",
-                         "value": f"{search.value:.12g}",
-                         "status": "upper-bound"})
-        levels = cfg.m_grid or (1, 2, 4, 8)
-        # --m may be unsorted or repeated; the identity takes a strictly
-        # increasing grid, so one call covers the distinct levels.
-        report = verify_moment_identity(model, val, p0,
-                                        m_grid=sorted(set(levels)))
-        gaps = {m: gap for m, _, _, gap in report.rows}
-        for m in levels:
-            rows.append({"scan": "level", "x": m, "name": "moment_gap",
-                         "value": f"{gaps[m]:.12g}", "status": "raw"})
-        rows.extend(probe)
+    if not p_grid:
+        raise DomainError("scan needs an order grid: pass --p")
+    # The probe's rows come last, but it runs first, so that its budget
+    # refuses a wide model before any search or section walk.
+    p0 = p_grid[0]
+    probe = _truncation_probe(cfg, model, p0)
+    table = CandidateTable(model, cfg.bound)
+    base = table.delta(1)
+    val = ToricValuation(model, base.argmin)
+    curve = table.curve(base.argmin)
+    rows = []
+    for p in p_grid:
+        rows.append({"scan": "order", "x": p, "name": "h_stat",
+                     "value": f"{curve.h_stat(p):.12g}",
+                     "status": "proven-monotone"})
+    for p in p_grid:
+        rows.append({"scan": "order", "x": p, "name": "r_stat",
+                     "value": f"{curve.r_stat(p):.12g}",
+                     "status": "conjectural"})
+    for p in p_grid:
+        search = table.delta(p)
+        rows.append({"scan": "order", "x": p, "name": "delta_upper",
+                     "value": f"{search.value:.12g}",
+                     "status": "upper-bound"})
+    levels = cfg.m_grid or (1, 2, 4, 8)
+    # --m may be unsorted or repeated; the identity takes a strictly
+    # increasing grid, so one call covers the distinct levels.
+    report = verify_moment_identity(model, val, p0,
+                                    m_grid=sorted(set(levels)))
+    gaps = {m: gap for m, _, _, gap in report.rows}
+    for m in levels:
+        rows.append({"scan": "level", "x": m, "name": "moment_gap",
+                     "value": f"{gaps[m]:.12g}", "status": "raw"})
+    rows.extend(probe)
     return rows
 
 

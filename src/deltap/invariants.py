@@ -18,6 +18,7 @@ from .errors import DomainError, InvariantViolation, SemanticError
 from .toric import (CandidateTable, DeltaSearchResult, ToricModel,
                     ToricValuation, delta_p_search, log_discrepancy,
                     volume_curve_of)
+from .volume_curve import barycenter_bounds
 
 
 def kstability_threshold_power(n: int, p: int) -> Fraction:
@@ -205,19 +206,18 @@ class InvariantReport:
 
 
 def _check_candidate_inequalities(n: int, p: int, search: DeltaSearchResult,
-                                  curves: dict) -> None:
+                                  table: CandidateTable) -> None:
     """Exact per-candidate theorems: the two-sided barycenter bracket
     and the monotone comparison between the p-th and first moments;
-    ``curves`` maps each tabulated v to its volume curve."""
+    ``table`` gives each tabulated v its tau and s_1."""
     for v, a, s in search.table:
-        curve = curves[v]
-        lower, upper = curve.barycenter_bounds(p)
+        lower, upper = barycenter_bounds(n, table.rows[v][1], p)
         if not (lower <= s <= upper):
             raise InvariantViolation(
                 f"barycenter bracket fails at v={v}, p={p}",
                 witness={"v": v, "s_p": str(s), "lower": str(lower),
                          "upper": str(upper)})
-        s1 = curve.s_p(1)
+        s1 = table.s_p(v, 1)
         # s_p >= ((n+1)/n)^p * n/(n+p) * s_1^p, the inequality behind
         # the threshold theorem, exact after p-th powering.
         rhs = Fraction(n + 1, n) ** p * Fraction(n, n + p) * s1 ** p
@@ -248,8 +248,8 @@ def delta_family(model: ToricModel, p_grid, bound: int) -> InvariantReport:
     for p in grid:
         search = table.delta(p)
         searches.append(search)
-        _check_candidate_inequalities(model.n, p, search, table.curves)
-        tau = table.curves[search.argmin].tau
+        _check_candidate_inequalities(model.n, p, search, table)
+        tau = table.curve(search.argmin).tau
         threshold = verdict = None
         if anti is not None:
             kv = _verdict(model.n, anti[1], search)

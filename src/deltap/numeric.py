@@ -47,10 +47,6 @@ def as_fraction(x) -> Fraction:
     raise DomainError(f"cannot interpret {x!r} as an exact rational")
 
 
-def format_fraction(q) -> str:
-    return str(Fraction(q))
-
-
 def log_gamma(x) -> float:
     """Natural log of the gamma function on the positive reals.
 

@@ -24,14 +24,16 @@ from typing import Sequence
 from .errors import (DomainError, InvariantViolation, StructureError,
                      UnsupportedModelError)
 from .filtration import FlagFiltration, MonomialGradedFiltration
-from .geometry import Halfspace, RationalPolytope, dot, survival_curve
+from .geometry import (Halfspace, RationalPolytope, dot,
+                       integrate_affine_power_over_simplex, simplex_volume,
+                       survival_curve)
 from .linalg import solve_linear_system
 from .okounkov import AffineForm, ConcaveTransform
 from .volume_curve import VolumeCurve
 
 DEFAULT_SEARCH_BOUND = 5
 # Most integer vectors a candidate box may hold: each candidate costs one
-# volume curve, so the box is refused before it is enumerated.
+# closed-form row, so the box is refused before it is enumerated.
 MAX_CANDIDATE_BOX = 10_000
 
 
@@ -228,42 +230,76 @@ class DeltaSearchResult:
 
 
 class CandidateTable:
-    """Rows (v, A(v), volume curve of v) for the primitive candidates of
-    the box of radius ``bound``, in lexicographic order, each curve built
-    once; every restricted-candidate infimum reduces over these rows.
-    ``curves`` maps each v to its curve."""
+    """Closed-form rows for the primitive candidates of the box of radius
+    ``bound``: ``rows`` maps each v, in lexicographic order, to A(v),
+    tau(v) (the largest vertex value of g_v) and the vertex values of g_v
+    on each simplex of the triangulation of P.  Every restricted-candidate
+    infimum reduces over the rows; ``curve(v)`` builds a volume curve
+    only on demand."""
 
-    __slots__ = ("bound", "rows", "curves")
+    __slots__ = ("model", "bound", "rows", "_volumes", "_moments", "_curves")
 
     def __init__(self, model: ToricModel, bound: int):
         if not model.is_q_gorenstein:
             raise UnsupportedModelError("threshold search needs Q-Gorenstein input")
-        vals = [ToricValuation(model, v)
-                for v in primitive_candidates(model.n, bound)]
+        simplices = model.P.triangulation()
+        self.model = model
         self.bound = bound
-        self.rows = tuple((val.v, log_discrepancy(model, val),
-                           volume_curve_of(model, val)) for val in vals)
-        self.curves = {v: curve for v, _, curve in self.rows}
+        self._volumes = [simplex_volume(s) for s in simplices]
+        self._moments = {}
+        self._curves = {}
+        self.rows = {}
+        for v in primitive_candidates(model.n, bound):
+            val = ToricValuation(model, v)
+            g = {w: val.g(w) for w in model.P.vertices}
+            if max(g.values()) <= 0:
+                raise InvariantViolation(f"vanishing support threshold at {v}")
+            self.rows[v] = (log_discrepancy(model, val), max(g.values()),
+                            [[g[w] for w in s] for s in simplices])
+
+    def s_p(self, v: tuple[int, ...], p: int) -> Fraction:
+        """Exact s_p(v), the mean of g_v**p over P, computed once per (v, p)
+        by the closed form on each simplex."""
+        if (v, p) not in self._moments:
+            total = sum(integrate_affine_power_over_simplex(vol, vals, p)
+                        for vol, vals in zip(self._volumes, self.rows[v][2]))
+            self._moments[v, p] = total / self.model.P.volume()
+        return self._moments[v, p]
+
+    def curve(self, v: tuple[int, ...]) -> VolumeCurve:
+        """The volume curve of v, built and validated on first use."""
+        if v not in self._curves:
+            self._curves[v] = volume_curve_of(self.model,
+                                              ToricValuation(self.model, v))
+        return self._curves[v]
 
     def delta(self, p: int, normalized: bool = True) -> DeltaSearchResult:
         """Minimum of A(v)/moment(v)**(1/p), with moment s_p (normalized)
         or V * s_p; ties resolve to the first row."""
         if not isinstance(p, int) or isinstance(p, bool) or p < 1:
             raise DomainError("the search order p must be a positive integer")
+        scale = 1 if normalized else (math.factorial(self.model.n)
+                                      * self.model.P.volume())
         table = []
-        for v, a, curve in self.rows:
-            moment = curve.s_p(p) * (1 if normalized else curve.V)
+        for v, (a, _, _) in self.rows.items():
+            moment = self.s_p(v, p) * scale
             if moment <= 0:
                 raise InvariantViolation(f"vanishing moment at {v}")
             table.append((v, a, moment))
         v, a, moment = min(table, key=lambda row: row[1] ** p / row[2])
+        # The printed row rests on a decided curve, reached independently.
+        curve = self.curve(v)
+        if (curve.s_p(p), curve.tau) != (self.s_p(v, p), self.rows[v][1]):
+            raise InvariantViolation(
+                f"closed-form row disagrees with the volume curve at v={v}",
+                witness={"v": v, "p": p})
         return DeltaSearchResult(p=p, bound=self.bound, normalized=normalized,
                                  argmin=v, a=a, moment=moment,
                                  table=tuple(table))
 
     def alpha(self) -> tuple[Fraction, tuple[int, ...]]:
         """Minimum of A(v)/tau(v) and its first minimizer."""
-        return min(((a / curve.tau, v) for v, a, curve in self.rows),
+        return min(((a / tau, v) for v, (a, tau, _) in self.rows.items()),
                    key=lambda row: row[0])
 
 

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from deltap import cli, geodesic, toric
-from deltap.toric import builtin_model, primitive_candidates
+from deltap.toric import builtin_model
 
 
 def run_cli(argv, tmp_path=None, name="out.txt"):
@@ -168,7 +168,10 @@ def test_scan_emits_labeled_grids(tmp_path):
 
 
 def test_scan_order_rows_build_each_curve_once(tmp_path, monkeypatch):
-    # every order row of one scan reduces over one candidate table
+    # every order row of one scan reduces over one candidate table, which
+    # builds curves only for its argmins
+    argmins = {toric.delta_p_search(builtin_model("p2"), p, 3).argmin
+               for p in (1, 2, 3)}
     built = []
     original = toric.volume_curve_of
 
@@ -183,7 +186,7 @@ def test_scan_order_rows_build_each_curve_once(tmp_path, monkeypatch):
     assert code == 0
     p2 = builtin_model("p2").P.vertices
     # one more build: the moment identity over all levels at once
-    assert built.count(p2) == len(primitive_candidates(2, 3)) + 1
+    assert built.count(p2) == len(argmins) + 1
 
 
 def test_scan_levels_follow_the_requested_order(tmp_path):
@@ -199,11 +202,15 @@ def test_scan_levels_follow_the_requested_order(tmp_path):
                                    ("1", gap["1"])]
 
 
-def test_scan_empty_grid_header_only(tmp_path):
-    code, text = run_cli(["scan", "--model", "p2", "--bound", "2"],
+@pytest.mark.parametrize("argv", [[], ["--m", "1,2"]], ids=["bare", "m-only"])
+def test_scan_without_p_exits_3(tmp_path, capsys, argv):
+    # every scan row hangs off the order grid, so none can be printed
+    code, text = run_cli(["scan", "--model", "p2", "--bound", "2", *argv],
                          tmp_path)
-    assert code == 0
-    assert text == "scan,x,name,value,status\n"
+    assert (code, text) == (3, None)
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
+    assert "--p" in err["message"]
 
 
 def test_scan_json_parses(tmp_path):
@@ -298,6 +305,17 @@ def test_malformed_model_file_exits_3(tmp_path, capsys):
     bad.write_text("{not json")
     assert cli.main(["invariants", "--model", str(bad)]) == 3
     capsys.readouterr()
+
+
+def test_non_utf8_model_file_exits_3(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert cli.main(["invariants", "--model", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "StructureError"
+    assert "not UTF-8" in err["message"]
 
 
 @pytest.mark.parametrize("doc", [

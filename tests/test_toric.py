@@ -16,16 +16,21 @@ Frozen values, worked out from the polytopes directly:
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from deltap import toric
 from deltap.errors import (
     DomainError,
     InvariantViolation,
     StructureError,
     UnsupportedModelError,
 )
-from deltap.geometry import RationalPolytope
+from deltap.geometry import (RationalPolytope, affine_dimension,
+                            complete_homogeneous)
 from deltap.toric import (
     MAX_CANDIDATE_BOX,
+    CandidateTable,
     DeltaSearchResult,
     ToricModel,
     ToricValuation,
@@ -296,3 +301,62 @@ def test_delta_bar_antitone_under_dilation():
         rs = delta_bar_p_search(small, p, bound=2)
         rb = delta_bar_p_search(big, p, bound=2)
         assert rb.ratio_power() <= rs.ratio_power()
+
+
+# ---------------------------------------------------------------------------
+# closed-form candidate rows against the volume curves
+
+
+def assert_rows_match_curves(model, bound):
+    """Every candidate's volume curve validates, and its tau and s_1..s_4
+    equal the closed-form row's."""
+    table = CandidateTable(model, bound)
+    for v in table.rows:
+        curve = volume_curve_of(model, ToricValuation(model, v))
+        assert curve.tau == table.rows[v][1], v
+        assert [curve.s_p(p) for p in range(1, 5)] == \
+            [table.s_p(v, p) for p in range(1, 5)], v
+
+
+@pytest.mark.parametrize("name, anticanonical, bound", [
+    ("p2", False, 3), ("p2-anticanonical", False, 3), ("p1xp1", False, 3),
+    ("hirzebruch-1", False, 2), ("hirzebruch-3", False, 2),
+    ("pn:3", False, 2), ("pn:3", True, 2), ("pn:4", True, 1),
+])
+def test_closed_form_rows_match_curves_on_builtin_models(name, anticanonical,
+                                                         bound):
+    model = builtin_model(name)
+    if anticanonical:
+        model = ToricModel(model.anticanonical_polytope())
+    assert_rows_match_curves(model, bound)
+
+
+@st.composite
+def _lattice_polytope(draw):
+    # polygons with 3..6 given points, or tetrahedra
+    n = draw(st.sampled_from((2, 3)))
+    coord = st.integers(min_value=0, max_value=4 if n == 2 else 3)
+    size = st.integers(min_value=3, max_value=6) if n == 2 else st.just(4)
+    count = draw(size)
+    return draw(st.lists(st.tuples(*[coord] * n), min_size=count,
+                         max_size=count, unique=True))
+
+
+@settings(max_examples=25, deadline=None)
+@given(pts=_lattice_polytope())
+def test_closed_form_rows_match_curves_on_random_polytopes(pts):
+    assume(affine_dimension(pts) == len(pts[0]))
+    assert_rows_match_curves(ToricModel(RationalPolytope(pts)), 1)
+
+
+def test_argmin_check_catches_a_corrupted_closed_form(monkeypatch):
+    # the moment formula without its factor n! p!/(n+p)!
+    def mutant(volume, values, p):
+        return volume * complete_homogeneous(values, p)
+
+    monkeypatch.setattr(toric, "integrate_affine_power_over_simplex", mutant)
+    model = builtin_model("p2-anticanonical")
+    with pytest.raises(AssertionError):
+        assert_rows_match_curves(model, 1)
+    with pytest.raises(InvariantViolation, match="closed-form row disagrees"):
+        delta_p_search(model, 2, bound=1)

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from deltap.errors import DomainError, InvariantViolation
 from deltap.numeric import SqrtSum
 from deltap.piecewise import PiecewisePolynomial, Polynomial
+from deltap import volume_curve
 from deltap.volume_curve import (
+    MAX_CURVE_DEGREE,
     RadialProfile,
     VolumeCurve,
     curve_from_profile,
@@ -113,6 +115,22 @@ def test_rejects_sampling_witness_with_rational_witness():
         VolumeCurve(1, F(1), PiecewisePolynomial((F(0), F(1)), (f,)))
     x = F(info.value.witness["x"])
     assert 0 <= x <= 1 and f.derivative()(x) > 0
+
+
+def test_refuses_a_curve_over_the_degree_budget(monkeypatch):
+    # the same construction on a 129-point grid: its Sturm chains take
+    # tens of seconds, so it is refused before any sign test runs
+    def no_sign_test(*args):
+        raise AssertionError("a sign test ran")
+
+    monkeypatch.setattr(volume_curve, "first_negative", no_sign_test)
+    bump = Polynomial((F(1),))
+    for k in range(129):
+        bump = bump * Polynomial((F(-k, 128), F(1)))
+    f = Polynomial((F(1), F(-1))) - bump.scale(10 ** 30)
+    assert f.degree == 129 > MAX_CURVE_DEGREE
+    with pytest.raises(DomainError, match="degree 129 is over the budget"):
+        VolumeCurve(1, F(1), PiecewisePolynomial((F(0), F(1)), (f,)))
 
 
 def test_rejects_curve_vanishing_before_tau():
