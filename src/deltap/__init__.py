@@ -8,53 +8,53 @@ of the raw invariants it provides threshold searches (always labeled
 upper bounds), stability verdicts, quantization convergence tables, and
 a piecewise-linear Legendre pairing, each shipped with the inequality
 checks the theory guarantees.
+
+The exported names load their module on first use, so ``import deltap``
+and a command that needs a few layers do not pay for the others.
 """
 
-from .errors import (AccuracyError, DeltapError, DomainError,
-                     InvariantViolation, RangeError, SemanticError,
-                     StructureError, UnsupportedModelError)
-from .filtration import (FlagFiltration, MonomialGradedFiltration,
-                         basis_moment, compatible_basis,
-                         generated_filtration, generated_flag_filtration,
-                         random_flag_filtration, round_to_integer_filtration,
-                         rounding_sandwich, sup_over_bases_oracle)
-from .geodesic import (GeodesicRay1D, MomentIdentityReport, TestCurve1D,
-                       dp_speed, inverse_legendre, legendre,
-                       normalized_speed_table, random_test_curve,
-                       verify_moment_identity)
-from .geometry import RationalPolytope, survival_curve
-from .invariants import (InvariantReport, KStabilityVerdict, delta_bar_p,
-                         delta_family, h_gap, kstability_threshold_power,
-                         kstability_verdict, projective_space_delta_power)
-from .okounkov import AffineForm, ConcaveTransform, SpectralMeasure
-from .piecewise import PiecewisePolynomial, Polynomial
-from .toric import (DeltaSearchResult, ToricModel, ToricValuation,
-                    alpha_candidate, builtin_model, concave_transform_of,
-                    delta_bar_p_search, delta_p_search, log_discrepancy,
-                    section_filtration, volume_curve_of)
-from .volume_curve import (RadialProfile, VolumeCurve, curve_from_profile,
-                           random_admissible_curve)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyError", "AffineForm", "ConcaveTransform", "DeltapError",
-    "DeltaSearchResult", "DomainError", "FlagFiltration", "GeodesicRay1D",
-    "InvariantReport", "InvariantViolation", "KStabilityVerdict",
-    "MomentIdentityReport", "MonomialGradedFiltration",
-    "PiecewisePolynomial", "Polynomial", "RadialProfile", "RangeError",
-    "RationalPolytope", "SemanticError", "SpectralMeasure",
-    "StructureError", "TestCurve1D", "ToricModel", "ToricValuation",
-    "UnsupportedModelError", "VolumeCurve", "alpha_candidate",
-    "basis_moment", "builtin_model", "compatible_basis",
-    "concave_transform_of", "curve_from_profile", "delta_bar_p",
-    "delta_bar_p_search", "delta_family", "delta_p_search", "dp_speed",
-    "generated_filtration", "generated_flag_filtration", "h_gap",
-    "inverse_legendre", "kstability_threshold_power", "kstability_verdict",
-    "legendre", "log_discrepancy", "normalized_speed_table",
-    "projective_space_delta_power", "random_admissible_curve",
-    "random_flag_filtration", "random_test_curve",
-    "round_to_integer_filtration", "rounding_sandwich", "section_filtration",
-    "sup_over_bases_oracle", "survival_curve", "verify_moment_identity",
-    "volume_curve_of",
-]
+_EXPORTS = {
+    "errors": ("AccuracyError", "DeltapError", "DomainError",
+               "InvariantViolation", "RangeError", "SemanticError",
+               "StructureError", "UnsupportedModelError"),
+    "filtration": ("FlagFiltration", "MonomialGradedFiltration",
+                   "basis_moment", "compatible_basis", "generated_filtration",
+                   "generated_flag_filtration", "random_flag_filtration",
+                   "round_to_integer_filtration", "rounding_sandwich",
+                   "sup_over_bases_oracle"),
+    "geodesic": ("GeodesicRay1D", "MomentIdentityReport", "TestCurve1D",
+                 "dp_speed", "inverse_legendre", "legendre",
+                 "normalized_speed_table", "random_test_curve",
+                 "verify_moment_identity"),
+    "geometry": ("RationalPolytope", "survival_curve"),
+    "invariants": ("InvariantReport", "KStabilityVerdict", "delta_bar_p",
+                   "delta_family", "h_gap", "kstability_threshold_power",
+                   "kstability_verdict", "projective_space_delta_power"),
+    "okounkov": ("AffineForm", "ConcaveTransform", "SpectralMeasure"),
+    "piecewise": ("PiecewisePolynomial", "Polynomial"),
+    "toric": ("DeltaSearchResult", "ToricModel", "ToricValuation",
+              "alpha_candidate", "builtin_model", "concave_transform_of",
+              "delta_bar_p_search", "delta_p_search", "log_discrepancy",
+              "section_filtration", "volume_curve_of"),
+    "volume_curve": ("RadialProfile", "VolumeCurve", "curve_from_profile",
+                     "random_admissible_curve"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -33,6 +33,15 @@ def _as_vector(row: Sequence, width: int) -> Vector:
     return vec
 
 
+def _exact_row(row: Sequence, width: int) -> Sequence:
+    """A tuple or list of ``width`` ints as it is, since it is exact
+    already; any other row through ``_as_vector``."""
+    if (isinstance(row, (tuple, list)) and len(row) == width
+            and all(type(x) is int for x in row)):
+        return row
+    return _as_vector(row, width)
+
+
 class FlagFiltration:
     """Jumping numbers (and optionally the flag) of a filtration at level m.
 
@@ -95,7 +104,7 @@ class FlagFiltration:
         """Largest height whose subspace contains s (s nonzero)."""
         if self.flag is None:
             raise StructureError("ord_of needs the flag, not just jumps")
-        vec = _as_vector(s, self.d)
+        vec = _exact_row(s, self.d)
         if all(x == 0 for x in vec):
             raise DomainError("the zero vector has no order")
         vec = primitive_integer_vector(vec)
@@ -232,7 +241,7 @@ def compatible_basis(chain: Sequence[Sequence[Sequence]], d: int):
 
 def basis_moment(F: FlagFiltration, basis: Sequence[Sequence], p: int) -> Fraction:
     """(1/d) sum (ord(b_i)/m)**p for a basis; never exceeds s_m_p."""
-    rows = [_as_vector(r, F.d) for r in basis]
+    rows = [_exact_row(r, F.d) for r in basis]
     if len(rows) != F.d or rank(rows) != F.d:
         raise StructureError("basis_moment needs a full basis")
     return sum(((F.ord_of(r) / F.m) ** p for r in rows),

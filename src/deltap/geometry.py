@@ -355,11 +355,6 @@ class RationalPolytope:
             raise InvariantViolation("dilation factor must be positive")
         return RationalPolytope([tuple(c * x for x in v) for v in self.vertices])
 
-    def translate(self, t: Sequence) -> "RationalPolytope":
-        tv = make_point(t)
-        return RationalPolytope([tuple(x + d for x, d in zip(v, tv))
-                                 for v in self.vertices])
-
     def lattice_points(self) -> tuple[tuple[int, ...], ...]:
         return lattice_points_in(self.halfspaces(), self.vertices)
 
@@ -382,7 +377,11 @@ class RationalPolytope:
         pts = [make_point(v) for v in verts]
         if any(len(p) != dim for p in pts):
             raise StructureError("vertex arity disagrees with dim")
-        return cls(pts)
+        P = cls(pts, allow_lower_dimensional=True)
+        if P.lower_dimensional:
+            raise StructureError(f"the vertices do not span dimension {dim}: "
+                                 "a polytope file must be full-dimensional")
+        return P
 
     def __eq__(self, other):
         return (isinstance(other, RationalPolytope)

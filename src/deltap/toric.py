@@ -19,17 +19,19 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (DomainError, InvariantViolation, StructureError,
                      UnsupportedModelError)
-from .filtration import FlagFiltration, MonomialGradedFiltration
 from .geometry import (Halfspace, RationalPolytope, dot,
                        integrate_affine_power_over_simplex, simplex_volume,
                        survival_curve)
 from .linalg import solve_linear_system
-from .okounkov import AffineForm, ConcaveTransform
 from .volume_curve import VolumeCurve
+
+if TYPE_CHECKING:  # loaded on first use by the functions that return them
+    from .filtration import FlagFiltration
+    from .okounkov import ConcaveTransform
 
 DEFAULT_SEARCH_BOUND = 5
 # Most integer vectors a candidate box may hold: each candidate costs one
@@ -159,6 +161,7 @@ def log_discrepancy(model: ToricModel, val: ToricValuation) -> Fraction:
 def section_filtration(model: ToricModel, val: ToricValuation, m: int,
                        with_flag: bool = False) -> FlagFiltration:
     """Level-m filtration of the lattice-point section space of mP."""
+    from .filtration import MonomialGradedFiltration
     graded = MonomialGradedFiltration(model.P, val.v)
     return graded.flag_filtration(m, with_flag=with_flag)
 
@@ -166,6 +169,7 @@ def section_filtration(model: ToricModel, val: ToricValuation, m: int,
 def concave_transform_of(model: ToricModel, val: ToricValuation) -> ConcaveTransform:
     """The valuation's weight function as a transform on the body P;
     its moments match the volume-curve moments exactly (dual route)."""
+    from .okounkov import AffineForm, ConcaveTransform
     form = AffineForm.make(val.v, val.offset)
     return ConcaveTransform(model.P, [form], nonneg=True)
 

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from deltap import cli, geodesic, toric
+from deltap import cli, geodesic, selfcheck, toric
 from deltap.toric import builtin_model
 
 
@@ -108,9 +108,10 @@ def test_verify_all_checks_pass(tmp_path, seed):
     lines = text.splitlines()
     assert lines[0] == "status,property,detail"
     body = [line.split(",") for line in lines[1:]]
-    assert len(body) == len(cli.VERIFY_CHECKS)
+    assert len(body) == len(selfcheck.VERIFY_CHECKS)
     assert all(row[0] == "PASS" for row in body)
-    assert [row[1] for row in body] == [name for name, _ in cli.VERIFY_CHECKS]
+    assert [row[1] for row in body] == [name for name, _
+                                        in selfcheck.VERIFY_CHECKS]
 
 
 def test_verify_rerun_same_seed_byte_identical(tmp_path):
@@ -179,7 +180,7 @@ def test_scan_order_rows_build_each_curve_once(tmp_path, monkeypatch):
         built.append(model.P.vertices)
         return original(model, val)
 
-    for module in (toric, cli, geodesic):
+    for module in (toric, selfcheck, geodesic):
         monkeypatch.setattr(module, "volume_curve_of", counted)
     code, _ = run_cli(["scan", "--model", "p2", "--p", "1,2,3",
                        "--m", "1,2,4,8"], tmp_path)
@@ -324,6 +325,8 @@ def test_non_utf8_model_file_exits_3(tmp_path, capsys):
     {"dim": 2, "vertices": 5},
     {"dim": 2, "vertices": []},
     {"dim": 1, "vertices": ["0", "1"]},
+    # collinear: a well-formed file whose polytope is not full-dimensional
+    {"dim": 2, "vertices": [["0", "0"], ["1", "1"], ["2", "2"]]},
 ])
 def test_malformed_model_document_exits_3(tmp_path, capsys, doc):
     bad = tmp_path / "bad.json"
@@ -344,5 +347,24 @@ def test_unusable_tol_exits_3(capsys, tol):
 def test_argparse_failures(capsys):
     # unknown subcommand is an input error; --help is a success
     assert cli.main(["frobnicate"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "DomainError"
     assert cli.main(["--help"]) == 0
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert "invariants" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["invariants", "--bound", "x"], "invalid int value: 'x'"),
+    (["invariants", "--format", "xml"], "invalid choice: 'xml'"),
+    ([], "required: command"),
+])
+def test_argument_errors_exit_3_with_one_json_object(capsys, argv, message):
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "DomainError"
+    assert message in err["message"]

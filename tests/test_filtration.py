@@ -195,6 +195,29 @@ def test_oracle_checks_each_sample_once(monkeypatch):
     assert len(ranks) == rng.draws // 4 > 100
 
 
+def test_integer_rows_agree_with_their_rational_and_string_forms():
+    # int rows skip the Fraction coercion; every other row keeps it, so
+    # the orders agree and floats and wrong widths are refused as before
+    flag = [(F(0), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+            (F(1), [(1, 1, 0), (0, 0, 1)]), (F(3), [(1, 1, 0)])]
+    filt = FlagFiltration(2, [F(0), F(1), F(3)], flag)
+    for row in [(2, 2, 0), [0, 0, -5], (1, 1, 1), (1, 0, 0), (4, 4, 3)]:
+        exact = [F(x, 3) for x in row]
+        assert filt.ord_of(row) == filt.ord_of(exact) \
+            == filt.ord_of([str(x) for x in exact])
+    basis = [(1, 1, 0), (0, 0, 1), (1, 0, 0)]
+    for p in (1, 2):
+        assert basis_moment(filt, basis, p) \
+            == basis_moment(filt, [[F(x) for x in r] for r in basis], p) \
+            == filt.s_m_p(p)
+    with pytest.raises(DomainError):
+        filt.ord_of((1.0, 0, 0))
+    with pytest.raises(StructureError, match="width"):
+        filt.ord_of((1, 0))
+    with pytest.raises(DomainError):
+        basis_moment(filt, [(1.0, 1, 0), (0, 0, 1), (1, 0, 0)], 1)
+
+
 def test_basis_moment_rejects_singular_input():
     flag = [(F(0), [(1, 0), (0, 1)]), (F(1), [(1, 0)])]
     filt = FlagFiltration(1, [F(0), F(1)], flag)

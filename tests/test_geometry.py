@@ -202,12 +202,9 @@ def test_polytope_volume_and_contains():
     assert not P.contains((F(2), F(0)))
 
 
-def test_polytope_dilate_translate():
+def test_polytope_dilate():
     P = RationalPolytope(TRIANGLE)
     assert P.dilate(3).volume() == F(9, 2)
-    Q = P.translate((F(5), F(7)))
-    assert Q.volume() == P.volume()
-    assert Q.contains((F(5), F(7)))
 
 
 def test_polytope_intersect_halfspace():
@@ -235,6 +232,13 @@ def test_polytope_json_roundtrip():
     assert doc["dim"] == 2
     Q = RationalPolytope.from_json_dict(doc)
     assert Q == P
+
+
+def test_polytope_json_rejects_lower_dimensional_vertices():
+    # a file is outside input: a collinear one is a StructureError
+    doc = {"dim": 2, "vertices": [["0", "0"], ["1", "1"], ["2", "2"]]}
+    with pytest.raises(StructureError, match="full-dimensional"):
+        RationalPolytope.from_json_dict(doc)
 
 
 def test_polytope_rejects_lower_dimensional_input():
