@@ -86,6 +86,13 @@ def load_model(name: str) -> ToricModel:
     except UnicodeDecodeError as exc:
         raise StructureError(f"model file {name!r} is not UTF-8 text: "
                              f"{exc.reason} at byte {exc.start}") from None
+    except json.JSONDecodeError:
+        raise
+    except (RecursionError, ValueError) as exc:
+        # Nesting deeper than the decoder can recurse, or an integer
+        # literal over Python's digit limit.
+        raise StructureError(f"model file {name!r} cannot be decoded: "
+                             f"{exc}") from None
     return ToricModel(RationalPolytope.from_json_dict(data))
 
 

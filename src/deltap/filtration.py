@@ -20,7 +20,7 @@ from .errors import (DomainError, InvariantViolation, StructureError,
                      UnsupportedModelError)
 from .geometry import RationalPolytope, dot, make_point
 from .linalg import Vector, nullspace, primitive_integer_vector, rank, rref
-from .numeric import SqrtSum, as_fraction
+from .numeric import SqrtSum, as_fraction, check_positive_int
 
 GENERATED_MAX_LEVEL = 20
 GENERATED_MAX_DIM = 2
@@ -117,8 +117,7 @@ class FlagFiltration:
 
     def s_m_p(self, p: int) -> Fraction:
         """Exact level-m moment (1/d) sum (a_j/m)**p."""
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise DomainError("moment order p must be a positive integer")
+        check_positive_int(p, "moment order p")
         return sum(((a / self.m) ** p for a in self.jumps),
                    Fraction(0)) / self.d
 
@@ -137,8 +136,7 @@ class FlagFiltration:
         equals s_m_p exactly and cross-checks the flag bookkeeping."""
         if self.flag is None:
             raise StructureError("needs the flag")
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise DomainError("moment order p must be a positive integer")
+        check_positive_int(p, "moment order p")
         total = Fraction(0)
         for t, (v, rows) in enumerate(self.flag):
             nxt = len(self.flag[t + 1][1]) if t + 1 < len(self.flag) else 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InvariantViolation, StructureError
-from .numeric import as_fraction
+from .numeric import as_fraction, check_positive_int
 from .okounkov import ConcaveTransform, SpectralMeasure
 from .toric import (ToricModel, ToricValuation, section_filtration,
                     volume_curve_of)
@@ -269,8 +269,7 @@ def dp_speed(source, p: int) -> float:
     """p-th order speed: the p-th root of the p-th moment of the
     spectral data (a measure, or a transform integrated against
     normalized volume)."""
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-        raise DomainError("the order p must be a positive integer")
+    check_positive_int(p, "order p")
     if isinstance(source, (SpectralMeasure, ConcaveTransform)):
         moment = source.moment_p(p)
     else:
@@ -341,8 +340,7 @@ def verify_moment_identity(model: ToricModel, val: ToricValuation, p: int,
     Normalized-speed monotonicity over orders 1..max(8, p) is exact and
     asserted here because the input is divisorial.
     """
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-        raise DomainError("the order p must be a positive integer")
+    check_positive_int(p, "order p")
     grid = tuple(int(m) for m in m_grid)
     if not grid or any(m < 1 for m in grid) or list(grid) != sorted(set(grid)):
         raise DomainError("the level grid must be strictly increasing, >= 1")

@@ -7,11 +7,13 @@ functionals over simplices.  Coordinates are Fractions, facet normals
 are primitive integer vectors, determinants come from the integer
 kernel in ``linalg``, and floats never enter.
 
-The algorithms are deliberately brute force (subset enumeration) because
-the library targets desk-scale inputs: ambient dimension up to about
-four and a few dozen vertices.  At that scale exhaustive enumeration is
-fast and has no degenerate-position failure modes; ``MAX_HULL_SUBSETS``
-refuses larger inputs.
+Facets and vertices come from deliberately brute-force subset
+enumeration, because the library targets desk-scale inputs: ambient
+dimension up to about four and a few dozen vertices.  At that scale
+exhaustive enumeration is fast and has no degenerate-position failure
+modes; ``MAX_HULL_SUBSETS`` refuses larger inputs.  A polytope's facets
+are enumerated once, and its triangulation is a pulling triangulation
+read off the facet-vertex incidence, with no further hull.
 
 All objects are immutable after construction; sharing them across
 threads is safe.
@@ -78,8 +80,9 @@ def facet_enumeration(points: Sequence[Point], dim: int) -> tuple[Halfspace, ...
     """Facet halfspaces of the full-dimensional hull of ``points``.
 
     Brute force: every ``dim``-subset spanning a hyperplane with all
-    points on one (weak) side contributes a supporting halfspace; only
-    those whose contact set is (dim-1)-dimensional are kept.
+    points on one (weak) side contributes a supporting halfspace.  Its
+    ``dim`` points are affinely independent on the hyperplane, so the
+    hyperplane meets the hull in a facet.
     """
     seen: set[Halfspace] = set()
     for subset in _subsets(range(len(points)), dim):
@@ -93,16 +96,9 @@ def facet_enumeration(points: Sequence[Point], dim: int) -> tuple[Halfspace, ...
         c = dot(normal, base)
         vals = [dot(normal, p) for p in points]
         if all(v >= c for v in vals):
-            hs = Halfspace(normal, c)
+            seen.add(Halfspace(normal, c))
         elif all(v <= c for v in vals):
-            hs = Halfspace(tuple(-x for x in normal), -c)
-        else:
-            continue
-        if hs in seen:
-            continue
-        on = [p for p, v in zip(points, vals) if v == c]
-        if affine_dimension(on) == dim - 1:
-            seen.add(hs)
+            seen.add(Halfspace(tuple(-x for x in normal), -c))
     return tuple(sorted(seen))
 
 
@@ -128,31 +124,34 @@ def simplex_volume(pts: Sequence[Point]) -> Fraction:
     return abs(det(rows)) / factorial(d)
 
 
-def triangulate_vertices(points: Sequence[Point]) -> tuple[tuple[Point, ...], ...]:
-    """Deterministic triangulation of a full-dimensional polytope.
+def triangulate_vertices(vertices: Sequence[Point],
+                         facets: Sequence[Halfspace]) -> tuple[tuple[Point, ...], ...]:
+    """Pulling triangulation of a full-dimensional polytope from its
+    vertices and facets (De Loera, Rambau and Santos, *Triangulations*,
+    2010, ch. 4).
 
-    Fan from the lexicographically smallest vertex over recursively
-    triangulated facets; facet recursion drops the first coordinate on
-    which the facet normal is nonzero (a bijection on the facet).
+    A face is the set of vertices on it; the facets of a face F are the
+    inclusion-maximal proper nonempty sets F & G over the polytope's
+    facets G.  Each face is coned from its lexicographically smallest
+    vertex over its facets that miss that vertex, so every simplex is
+    full-dimensional and no hull is computed below the polytope's own.
     """
-    pts = sorted(set(points))
-    dim = len(pts[0])
-    if dim == 1:
-        return ((pts[0], pts[-1]),)
-    apex = pts[0]
-    simplices: list[tuple[Point, ...]] = []
-    for hs in facet_enumeration(pts, dim):
-        if dot(hs.normal, apex) == hs.offset:
-            continue
-        on_facet = [p for p in pts if dot(hs.normal, p) == hs.offset]
-        drop = next(i for i, x in enumerate(hs.normal) if x != 0)
-        projected = [p[:drop] + p[drop + 1:] for p in on_facet]
-        lift = dict(zip(projected, on_facet))
-        for sub in triangulate_vertices(projected):
-            simplex = (apex,) + tuple(lift[q] for q in sub)
-            if simplex_volume(simplex) != 0:
-                simplices.append(simplex)
-    return tuple(simplices)
+    pts = sorted(set(vertices))
+    incidence = [frozenset(i for i, p in enumerate(pts)
+                           if dot(hs.normal, p) == hs.offset) for hs in facets]
+
+    def pull(face: frozenset) -> list[tuple[int, ...]]:
+        apex = min(face)
+        cuts = dict.fromkeys(face & g for g in incidence)
+        proper = [c for c in cuts if c and c != face]
+        sides = [c for c in proper if not any(c < d for d in proper)]
+        if not sides:  # a vertex is its own simplex
+            return [(apex,)]
+        return [(apex,) + s for side in sides if apex not in side
+                for s in pull(side)]
+
+    return tuple(tuple(pts[i] for i in s)
+                 for s in pull(frozenset(range(len(pts)))))
 
 
 def _truncated_power_difference(knots: Sequence[Fraction], hi: Fraction,
@@ -253,15 +252,13 @@ class RationalPolytope:
 
     Full-dimensional unless constructed with ``allow_lower_dimensional``;
     lower-dimensional (or empty) instances exist only to report volume
-    zero.  When both a vertex description and halfspaces are supplied the
-    two are checked to describe the same polytope.
+    zero.
     """
 
     __slots__ = ("dim", "vertices", "_facets", "_triangulation", "_volume",
                  "lower_dimensional")
 
     def __init__(self, vertices: Sequence[Sequence],
-                 halfspaces: Sequence[Halfspace] | None = None,
                  allow_lower_dimensional: bool = False):
         pts = sorted({make_point(v) for v in vertices})
         if not pts:
@@ -300,12 +297,6 @@ class RationalPolytope:
         self._facets = facets
         self._triangulation = None
         self._volume = None
-        if halfspaces is not None:
-            given = tuple(Halfspace(tuple(int(x) for x in hs[0]),
-                                    as_fraction(hs[1])) for hs in halfspaces)
-            if vertex_enumeration(given, dim) != self.vertices:
-                raise StructureError(
-                    "vertex and halfspace descriptions disagree")
 
     @classmethod
     def from_halfspaces(cls, halfspaces: Sequence[Halfspace], dim: int,
@@ -329,7 +320,8 @@ class RationalPolytope:
         if self.lower_dimensional:
             return ()
         if self._triangulation is None:
-            self._triangulation = triangulate_vertices(self.vertices)
+            self._triangulation = triangulate_vertices(self.vertices,
+                                                       self._facets)
         return self._triangulation
 
     def volume(self) -> Fraction:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InvariantViolation, SemanticError
+from .numeric import check_positive_int
 from .toric import (CandidateTable, DeltaSearchResult, ToricModel,
                     ToricValuation, delta_p_search, log_discrepancy,
                     volume_curve_of)
@@ -62,8 +63,7 @@ def delta_bar_p(model: ToricModel, val: ToricValuation, p: int):
     integral moment; the float value is a / u**(1/p).  Homogeneous of
     degree -(n+p)/p under dilation of the polytope.
     """
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-        raise DomainError("the order p must be a positive integer")
+    check_positive_int(p, "order p")
     a = log_discrepancy(model, val)
     curve = volume_curve_of(model, val)
     return a, curve.V * curve.s_p(p)
@@ -110,8 +110,7 @@ def kstability_verdict(model: ToricModel, p: int,
     itself.  Equality is detected exactly; there is no tolerance band
     for integer p.
     """
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-        raise DomainError("the order p must be a positive integer")
+    check_positive_int(p, "order p")
     anti = model.anticanonical_scale()
     if anti is None:
         raise SemanticError(

@@ -29,6 +29,13 @@ MAX_QUADRATURE_EVALS = 1_000_000
 _EXACT_FACTORIAL_LIMIT = 170
 
 
+def check_positive_int(p, what: str) -> int:
+    """``p`` itself when it is an int >= 1 (not a bool); else DomainError."""
+    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+        raise DomainError(f"{what} must be a positive integer, got {p!r}")
+    return p
+
+
 def as_fraction(x) -> Fraction:
     """Coerce an int, a string like ``"3/4"`` or a Fraction to Fraction.
 

@@ -21,7 +21,7 @@ from .geometry import (Halfspace, RationalPolytope,
                        integrate_affine_power_over_simplex, make_point,
                        simplex_volume, survival_curve)
 from .linalg import primitive_integer_vector
-from .numeric import as_fraction
+from .numeric import as_fraction, check_positive_int
 from .piecewise import PiecewisePolynomial, integrate_monomial_weighted
 
 
@@ -146,8 +146,7 @@ class ConcaveTransform:
 
     def moment_p(self, p: int) -> Fraction:
         """Exact (1/vol) * integral of G**p over the body."""
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise DomainError("moment order p must be a positive integer")
+        check_positive_int(p, "moment order p")
         self._require_nonneg("moment_p")
         total = Fraction(0)
         for idx, cell in self.min_cells():
@@ -190,8 +189,7 @@ class ConcaveTransform:
     def moment_from_slices(self, p: int) -> Fraction:
         """The same moment through p * integral of t**(p-1) vol{G >= t};
         an independent route used to cross-check moment_p exactly."""
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise DomainError("moment order p must be a positive integer")
+        check_positive_int(p, "moment order p")
         self._require_nonneg("moment_from_slices")
         if self.max_value() == 0:
             return Fraction(0)

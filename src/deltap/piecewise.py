@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InvariantViolation, RangeError, StructureError
-from .numeric import adaptive_quadrature, as_fraction
+from .numeric import adaptive_quadrature, as_fraction, check_positive_int
 
 # High-order exact moments shift a curve up by p - 1, so the guard has to
 # admit orders in the hundreds; it only exists to catch runaway degree
@@ -281,10 +281,7 @@ def as_fraction_from_float(x: float, f: PiecewisePolynomial) -> Fraction:
 
 def integrate_monomial_weighted(f: PiecewisePolynomial, p: int, a, b) -> Fraction:
     """Exact ``integral_a^b x**(p-1) * f(x) dx`` for integer p >= 1."""
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise DomainError("integrate_monomial_weighted needs an integer p")
-    if p < 1:
-        raise DomainError("the exponent p must be at least 1")
+    check_positive_int(p, "exponent p")
     a = as_fraction(a)
     b = as_fraction(b)
     lo, hi = f.domain

@@ -27,6 +27,7 @@ from .geometry import (Halfspace, RationalPolytope, dot,
                        integrate_affine_power_over_simplex, simplex_volume,
                        survival_curve)
 from .linalg import solve_linear_system
+from .numeric import check_positive_int
 from .volume_curve import VolumeCurve
 
 if TYPE_CHECKING:  # loaded on first use by the functions that return them
@@ -280,8 +281,7 @@ class CandidateTable:
     def delta(self, p: int, normalized: bool = True) -> DeltaSearchResult:
         """Minimum of A(v)/moment(v)**(1/p), with moment s_p (normalized)
         or V * s_p; ties resolve to the first row."""
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise DomainError("the search order p must be a positive integer")
+        check_positive_int(p, "search order p")
         scale = 1 if normalized else (math.factorial(self.model.n)
                                       * self.model.P.volume())
         table = []

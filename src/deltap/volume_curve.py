@@ -20,7 +20,7 @@ from fractions import Fraction
 from random import Random
 
 from .errors import DomainError, InvariantViolation
-from .numeric import SqrtSum, as_fraction, log_gamma
+from .numeric import SqrtSum, as_fraction, check_positive_int, log_gamma
 from .piecewise import (PiecewisePolynomial, Polynomial, first_negative,
                         integrate_monomial_weighted, integrate_real_power,
                         root_counter)
@@ -30,12 +30,6 @@ from .piecewise import (PiecewisePolynomial, Polynomial, first_negative,
 # with degree (1 - x - 10**30 * prod_k (x - k/N) takes about 1 s at
 # degree 65 and 41 s at 129).  Toric curves have degree n.
 MAX_CURVE_DEGREE = 65
-
-
-def _check_positive_int(p, what: str) -> int:
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-        raise DomainError(f"{what} must be a positive integer, got {p!r}")
-    return p
 
 
 def _check_root_concave(f: PiecewisePolynomial, k: int, what: str) -> None:
@@ -60,7 +54,7 @@ def _check_root_concave(f: PiecewisePolynomial, k: int, what: str) -> None:
 def barycenter_bounds(n: int, tau: Fraction, p: int) -> tuple[Fraction, Fraction]:
     """Exact bounds p! n!/(p+n)! tau**p <= s_p <= n/(n+p) tau**p for a
     volume curve of dimension n and support threshold tau."""
-    _check_positive_int(p, "moment order p")
+    check_positive_int(p, "moment order p")
     lower = Fraction(math.factorial(p) * math.factorial(n),
                      math.factorial(p + n)) * tau ** p
     return lower, Fraction(n, n + p) * tau ** p
@@ -79,7 +73,7 @@ class VolumeCurve:
     __slots__ = ("n", "V", "curve", "tau")
 
     def __init__(self, n: int, V, curve: PiecewisePolynomial):
-        self.n = _check_positive_int(n, "dimension")
+        self.n = check_positive_int(n, "dimension")
         self.V = as_fraction(V)
         if self.V <= 0:
             raise InvariantViolation("total volume must be positive")
@@ -96,7 +90,7 @@ class VolumeCurve:
     @classmethod
     def degenerate(cls, n: int, V) -> "VolumeCurve":
         self = object.__new__(cls)
-        self.n = _check_positive_int(n, "dimension")
+        self.n = check_positive_int(n, "dimension")
         self.V = as_fraction(V)
         if self.V <= 0:
             raise InvariantViolation("total volume must be positive")
@@ -139,7 +133,7 @@ class VolumeCurve:
 
     def s_p(self, p: int) -> Fraction:
         """Exact p-th moment (p/V) * integral of x**(p-1) * curve(x)."""
-        _check_positive_int(p, "moment order p")
+        check_positive_int(p, "moment order p")
         if self.is_degenerate:
             return Fraction(0)
         return (Fraction(p) / self.V
@@ -148,7 +142,7 @@ class VolumeCurve:
     def s_p_from_density(self, p: int) -> Fraction:
         """Same moment through the density -curve'; an independent route
         (integration by parts) used for cross-checks."""
-        _check_positive_int(p, "moment order p")
+        check_positive_int(p, "moment order p")
         if self.is_degenerate:
             return Fraction(0)
         density = self.curve.derivative().scale(-1)
@@ -218,7 +212,7 @@ class VolumeCurve:
     def h_stat_power(self, p: int) -> Fraction:
         """Exact h_stat(p)**p = (n+p)/n * s_p; use cross powers to compare
         h_stat values at integer orders without roots."""
-        _check_positive_int(p, "moment order p")
+        check_positive_int(p, "moment order p")
         if self.is_degenerate:
             raise DomainError("h_stat is undefined for a degenerate curve")
         return Fraction(self.n + p, self.n) * self.s_p(p)
@@ -318,7 +312,7 @@ class VolumeCurve:
     def exp_moment_series(self, terms: int) -> Fraction:
         """Partial sum sum_{k=1..terms} (-1)**(k+1) s_p(k)/k!; converges
         to exp_moment and cross-checks it."""
-        _check_positive_int(terms, "series length")
+        check_positive_int(terms, "series length")
         total = Fraction(0)
         for k in range(1, terms + 1):
             term = self.s_p(k) / math.factorial(k)
@@ -442,7 +436,7 @@ def curve_from_profile(n: int, breakpoints, values) -> VolumeCurve:
     the n-th-root concavity of the curve, so the result is always a
     valid VolumeCurve.
     """
-    _check_positive_int(n, "dimension")
+    check_positive_int(n, "dimension")
     breaks = [as_fraction(b) for b in breakpoints]
     vals = [as_fraction(v) for v in values]
     if len(breaks) != len(vals) or len(breaks) < 2:
@@ -491,7 +485,7 @@ def random_admissible_curve(rng: Random, n: int) -> VolumeCurve:
     Deterministic given the Random instance; used by the self-check
     command and the property-test corpus.
     """
-    _check_positive_int(n, "dimension")
+    check_positive_int(n, "dimension")
     k = rng.randint(1, 4)
     tau_den = rng.randint(1, 3)
     tau = Fraction(rng.randint(1, 4), tau_den)

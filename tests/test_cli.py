@@ -6,9 +6,15 @@ quantities frozen in test_toric.py and test_invariants.py, so these
 tests only pin the formatting and plumbing on top of them.
 """
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltap import cli, geodesic, selfcheck, toric
 from deltap.toric import builtin_model
@@ -308,6 +314,21 @@ def test_malformed_model_file_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,  # deeper than the decoder recurses
+    '{"dim": 1, "vertices": [[' + "7" * 4301 + '], [0]]}',  # over int's digit limit
+], ids=["deep-nesting", "long-integer"])
+def test_model_file_the_decoder_rejects_exits_3(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert cli.main(["invariants", "--model", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "StructureError"
+    assert str(bad) in err["message"]
+
+
 def test_non_utf8_model_file_exits_3(tmp_path, capsys):
     bad = tmp_path / "utf16.json"
     bad.write_bytes(b"\xff\xfe{\x00}\x00")
@@ -368,3 +389,87 @@ def test_argument_errors_exit_3_with_one_json_object(capsys, argv, message):
     err = json.loads(captured.err)
     assert err["error"] == "DomainError"
     assert message in err["message"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every input ends in a documented exit code
+
+
+_coord = st.one_of(
+    st.integers(-3, 3), st.integers(-3, 3).map(str),
+    st.tuples(st.integers(-3, 3), st.integers(1, 3)).map("{0[0]}/{0[1]}".format))
+
+
+@st.composite
+def _polytope_doc(draw):
+    dim = draw(st.integers(1, 3))
+    verts = draw(st.lists(st.lists(_coord, min_size=dim, max_size=dim),
+                          min_size=draw(st.sampled_from([1, dim + 1])),
+                          max_size=7))
+    return {"dim": dim, "vertices": verts}
+
+
+_junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                  st.floats(), st.text(max_size=3),
+                  st.lists(st.integers(-3, 3), max_size=3),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+_model_text = st.one_of(
+    _polytope_doc().map(json.dumps), _polytope_doc().map(json.dumps),
+    st.fixed_dictionaries({"dim": st.one_of(st.integers(0, 4), _junk),
+                           "vertices": st.one_of(st.lists(st.lists(
+                               st.one_of(_coord, _junk), max_size=4),
+                               max_size=7), _junk)}).map(json.dumps),
+    _junk.map(json.dumps),
+    st.text(max_size=8))
+_grid = st.one_of(
+    st.lists(st.integers(-1, 4), max_size=3).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["x", "1,,2", " "]))
+_OPTIONS = {
+    "--model": st.sampled_from(["FILE", "p2", "p1xp1", "hirzebruch-2", "pn:1",
+                                "pn:2", "pn:3", "pn:9", "nope"]),
+    "--anticanonical": st.none(),
+    "--p": _grid,
+    "--bound": st.sampled_from(["1", "2", "0", "x"]),
+    "--m": _grid,
+    "--tol": st.sampled_from(["1e-6", "0", "nan", "x"]),
+    "--format": st.sampled_from(["json", "csv", "xml"]),
+    "--seed": st.sampled_from(["0", "3", "x"]),
+    "--out": st.sampled_from(["OUTFILE", "OUTDIR"]),
+    "--inject-mutant": st.none(),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["invariants", "scan", "invariants", "scan",
+                                    "verify", "frobnicate"]))
+    # Most runs read the fuzzed model file, and scan needs an order grid.
+    argv = [command, "--model", "FILE", "--p", "1,2"]
+    for opt in draw(st.lists(st.sampled_from(sorted(_OPTIONS)), max_size=4)):
+        value = draw(_OPTIONS[opt])
+        argv += [opt] if value is None else [opt, value]
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=_argv(), model=_model_text)
+def test_fuzzed_command_lines_end_in_a_documented_exit(argv, model):
+    with tempfile.TemporaryDirectory() as tmp:
+        where = {"FILE": Path(tmp, "model.json"), "OUTFILE": Path(tmp, "out"),
+                 "OUTDIR": Path(tmp)}
+        where["FILE"].write_text(model)
+        argv = [str(where.get(tok, tok)) for tok in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        report = where["OUTFILE"].read_text() if "--out" in argv and \
+            where["OUTFILE"].exists() else out.getvalue()
+    assert code in (0, 2, 3, 4)
+    if code == 2 and argv[0] == "verify" and not err.getvalue():
+        # a failed property is a row of the report, not an error
+        assert "FAIL" in report
+    elif code != 0:
+        assert out.getvalue() == ""
+        doc = json.loads(err.getvalue())
+        assert isinstance(doc, dict)
+        assert set(doc) == {"error", "message", "witness"}

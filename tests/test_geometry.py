@@ -92,8 +92,93 @@ def test_simplex_volume_standard():
 
 
 def test_triangulation_covers_volume():
-    tris = triangulate_vertices(SQUARE)
+    tris = triangulate_vertices(SQUARE, facet_enumeration(SQUARE, 2))
     assert sum(simplex_volume(t) for t in tris) == 1
+
+
+def _recursive_triangulation(points):
+    """Oracle: fan from the lexicographically smallest point over the
+    facets, each enumerated again, projected by dropping the first
+    coordinate on which its normal is nonzero, triangulated recursively
+    and lifted back; zero-volume simplices are dropped."""
+    pts = sorted(set(points))
+    dim = len(pts[0])
+    if dim == 1:
+        return ((pts[0], pts[-1]),)
+    apex = pts[0]
+    simplices = []
+    for hs in facet_enumeration(pts, dim):
+        if geometry.dot(hs.normal, apex) == hs.offset:
+            continue
+        on_facet = [p for p in pts if geometry.dot(hs.normal, p) == hs.offset]
+        drop = next(i for i, x in enumerate(hs.normal) if x != 0)
+        projected = [p[:drop] + p[drop + 1:] for p in on_facet]
+        lift = dict(zip(projected, on_facet))
+        for sub in _recursive_triangulation(projected):
+            simplex = (apex,) + tuple(lift[q] for q in sub)
+            if simplex_volume(simplex) != 0:
+                simplices.append(simplex)
+    return tuple(simplices)
+
+
+@st.composite
+def _point_set_and_form(draw):
+    n = draw(st.integers(min_value=2, max_value=4))
+    coord = st.integers(min_value=-2, max_value=2)
+    corners = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1,
+                            max_size=n + 4))
+    # Midpoints of pairs lie on the boundary or inside, never at a
+    # vertex unless the pair repeats a point.
+    pairs = draw(st.lists(st.tuples(st.sampled_from(corners),
+                                    st.sampled_from(corners)), max_size=3))
+    pts = [tuple(F(c) for c in p) for p in corners]
+    pts += [tuple((F(a) + b) / 2 for a, b in zip(p, q)) for p, q in pairs]
+    linear = draw(st.lists(st.integers(min_value=-3, max_value=3),
+                           min_size=n, max_size=n))
+    return n, pts, linear
+
+
+def _survival_of(simplices, linear, n):
+    raw = {s: [geometry.dot(linear, p) for p in s] for s in simplices}
+    low = min(min(vals) for vals in raw.values())
+    return survival_curve([(s, tuple(v - low for v in vals))
+                           for s, vals in raw.items()], n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_point_set_and_form())
+def test_pulling_triangulation_matches_recursive_oracle(case):
+    n, pts, linear = case
+    assume(geometry.affine_dimension(pts) == n)
+    assume(any(linear))
+    P = RationalPolytope(pts)
+    tris = P.triangulation()
+    oracle = _recursive_triangulation(pts)
+    assert P.volume() == sum(simplex_volume(s) for s in oracle) > 0
+    for s in tris:
+        assert len(s) == n + 1
+        assert simplex_volume(s) != 0
+        assert set(s) <= set(P.vertices)
+    assert _survival_of(tris, linear, n) == _survival_of(oracle, linear, n)
+
+
+CUBE4 = [tuple(F(c) for c in v) for v in itertools.product((-1, 1), repeat=4)]
+
+
+def test_four_cube_pulls_into_24_simplices():
+    tris = RationalPolytope(CUBE4).triangulation()
+    assert len(tris) == 24
+    assert all(simplex_volume(s) == F(2, 3) for s in tris)
+
+
+def test_triangulation_enumerates_no_facets(monkeypatch):
+    P = RationalPolytope(CUBE4)
+
+    def refuse(points, dim):
+        raise AssertionError("facet_enumeration called by triangulation")
+
+    monkeypatch.setattr(geometry, "facet_enumeration", refuse)
+    assert P.volume() == 16
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +195,8 @@ def test_survival_curve_of_x_on_triangle():
 
 
 def test_survival_curve_additive_over_triangulation():
-    pieces = [(t, tuple(v[0] for v in t)) for t in triangulate_vertices(SQUARE)]
+    pieces = [(t, tuple(v[0] for v in t))
+              for t in triangulate_vertices(SQUARE, facet_enumeration(SQUARE, 2))]
     curve = survival_curve(pieces, 2)
     # vol{x >= t} on the unit square is 1 - t
     for t in (F(0), F(1, 4), F(2, 3)):

@@ -13,9 +13,57 @@ from deltap.numeric import (
     SqrtSum,
     adaptive_quadrature,
     as_fraction,
+    check_positive_int,
     log_gamma,
     squarefree_decompose,
 )
+
+
+# ---------------------------------------------------------------------------
+# check_positive_int
+
+
+def test_check_positive_int_returns_its_argument():
+    assert check_positive_int(3, "order p") == 3
+
+
+@pytest.mark.parametrize("bad", [0, -2, True, 1.0, Fraction(2), "2", None])
+def test_check_positive_int_rejects_everything_else(bad):
+    with pytest.raises(DomainError, match="order p must be a positive integer"):
+        check_positive_int(bad, "order p")
+
+
+def _order_entry_points():
+    """One callable per public entry point that takes an integer order p."""
+    from deltap import filtration, geodesic, invariants, okounkov, piecewise, toric
+    model = toric.builtin_model("p2")
+    val = toric.ToricValuation(model, (1, 0))
+    transform = okounkov.ConcaveTransform(model.P, [((1, 0), 0)])
+    flag = filtration.FlagFiltration(
+        1, [Fraction(0), Fraction(2)],
+        [(Fraction(0), [(1, 0), (0, 1)]), (Fraction(2), [(1, 1)])])
+    mu = geodesic.SpectralMeasure.from_atoms([(Fraction(1), Fraction(1))])
+    curve = piecewise.PiecewisePolynomial(
+        [Fraction(0), Fraction(1)], [piecewise.Polynomial([Fraction(1)])])
+    return [
+        lambda p: toric.CandidateTable(model, 1).delta(p),
+        lambda p: invariants.delta_bar_p(model, val, p),
+        lambda p: invariants.kstability_verdict(model, p, 1),
+        lambda p: geodesic.dp_speed(mu, p),
+        lambda p: geodesic.verify_moment_identity(model, val, p),
+        transform.moment_p,
+        transform.moment_from_slices,
+        flag.s_m_p,
+        flag.s_m_p_from_flag,
+        lambda p: piecewise.integrate_monomial_weighted(curve, p, 0, 1),
+    ]
+
+
+@pytest.mark.parametrize("bad", [0, True, 1.5])
+def test_every_order_entry_point_rejects_a_bad_order(bad):
+    for call in _order_entry_points():
+        with pytest.raises(DomainError, match="must be a positive integer"):
+            call(bad)
 
 
 # ---------------------------------------------------------------------------
