@@ -332,7 +332,7 @@ def main(argv=None) -> int:
         return _report_error(exc, 2)
     except DeltapError as exc:
         return _report_error(exc, 3)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, OverflowError, json.JSONDecodeError) as exc:
         return _report_error(exc, 3)
 
 

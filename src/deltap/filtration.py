@@ -56,9 +56,7 @@ class FlagFiltration:
     __slots__ = ("m", "jumps", "d", "flag", "_membership")
 
     def __init__(self, m: int, jumps: Sequence, flag=None):
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise DomainError("the level m must be a positive integer")
-        self.m = m
+        self.m = check_positive_int(m, "the level m")
         self.jumps = tuple(as_fraction(a) for a in jumps)
         if not self.jumps:
             raise StructureError("a filtration needs at least one jump")
@@ -211,8 +209,7 @@ def compatible_basis(chain: Sequence[Sequence[Sequence]], d: int):
     Deterministic: subspaces contribute their reduced-echelon rows, the
     remainder is filled with standard basis vectors in order.
     """
-    if not isinstance(d, int) or d < 1:
-        raise DomainError("the ambient dimension must be a positive integer")
+    check_positive_int(d, "the ambient dimension")
     subspaces = [tuple(_as_vector(r, d) for r in rows) for rows in chain]
     dims = [rank(rows) for rows in subspaces]
     if any(a <= b for a, b in zip(dims, dims[1:])) or (dims and dims[0] >= d):
@@ -256,8 +253,7 @@ def sup_over_bases_oracle(F: FlagFiltration, p: int, samples: int,
     """
     if F.flag is None:
         raise StructureError("the oracle needs the flag")
-    if not isinstance(samples, int) or samples < 1:
-        raise DomainError("samples must be a positive integer")
+    check_positive_int(samples, "samples")
     rng = rng if rng is not None else Random(0)
     best = None
     drawn = 0
@@ -328,8 +324,7 @@ class MonomialGradedFiltration:
         return Fraction(math.floor(w)) if self.rounded else w
 
     def level_points(self, m: int) -> tuple[tuple[int, ...], ...]:
-        if not isinstance(m, int) or m < 1:
-            raise DomainError("the level m must be a positive integer")
+        check_positive_int(m, "the level m")
         return self.P.dilate(m).lattice_points()
 
     def weights(self, m: int) -> dict[tuple[int, ...], Fraction]:
@@ -364,8 +359,8 @@ def generated_filtration(base: MonomialGradedFiltration, m: int,
     exceeds the true level-k weight and agrees with it when m divides k
     and the weights are affine.
     """
-    if not isinstance(m, int) or m < 1 or not isinstance(k, int) or k < 1:
-        raise DomainError("levels must be positive integers")
+    check_positive_int(m, "the level m")
+    check_positive_int(k, "the level k")
     if k > GENERATED_MAX_LEVEL:
         raise UnsupportedModelError(
             f"generated filtrations are capped at level {GENERATED_MAX_LEVEL}")

@@ -70,7 +70,8 @@ class ConcaveTransform:
     moment and pushforward operations require it.
     """
 
-    __slots__ = ("body", "forms", "nonneg", "_cells", "_max", "_curve")
+    __slots__ = ("body", "forms", "nonneg", "_cells", "_max", "_simplices",
+                 "_curve")
 
     def __init__(self, body: RationalPolytope, forms: Sequence[AffineForm],
                  nonneg: bool = True):
@@ -90,6 +91,7 @@ class ConcaveTransform:
         self.nonneg = bool(nonneg)
         self._cells = None
         self._max = None
+        self._simplices = None
         self._curve = None
         if self.nonneg:
             worst = min(self.value(v) for v in body.vertices)
@@ -140,6 +142,17 @@ class ConcaveTransform:
                             for v in cell.vertices)
         return self._max
 
+    def _simplex_values(self) -> tuple:
+        """(simplex, values of G at its vertices) over the triangulations
+        of the cells, on each of which G is one affine form; moment_p and
+        slice_curve both read it."""
+        if self._simplices is None:
+            self._simplices = tuple(
+                (simplex, tuple(self.forms[idx].evaluate(v) for v in simplex))
+                for idx, cell in self.min_cells()
+                for simplex in cell.triangulation())
+        return self._simplices
+
     def _require_nonneg(self, what: str) -> None:
         if not self.nonneg:
             raise DomainError(f"{what} needs a transform flagged nonnegative")
@@ -149,12 +162,9 @@ class ConcaveTransform:
         check_positive_int(p, "moment order p")
         self._require_nonneg("moment_p")
         total = Fraction(0)
-        for idx, cell in self.min_cells():
-            form = self.forms[idx]
-            for simplex in cell.triangulation():
-                values = [form.evaluate(v) for v in simplex]
-                total += integrate_affine_power_over_simplex(
-                    simplex_volume(simplex), values, p)
+        for simplex, values in self._simplex_values():
+            total += integrate_affine_power_over_simplex(
+                simplex_volume(simplex), values, p)
         return total / self.body.volume()
 
     def slice_volume(self, t) -> Fraction:
@@ -177,13 +187,7 @@ class ConcaveTransform:
         if self.max_value() == 0:
             raise DomainError("the zero transform has no slice curve")
         if self._curve is None:
-            data = []
-            for idx, cell in self.min_cells():
-                form = self.forms[idx]
-                for simplex in cell.triangulation():
-                    data.append((simplex,
-                                 tuple(form.evaluate(v) for v in simplex)))
-            self._curve = survival_curve(data, self.body.dim)
+            self._curve = survival_curve(self._simplex_values(), self.body.dim)
         return self._curve
 
     def moment_from_slices(self, p: int) -> Fraction:
@@ -207,8 +211,7 @@ class ConcaveTransform:
         so the total mass is one exactly at every resolution and the
         moments converge from below as the resolution grows.
         """
-        if not isinstance(resolution, int) or resolution < 1:
-            raise DomainError("resolution must be a positive integer")
+        check_positive_int(resolution, "resolution")
         self._require_nonneg("pushforward")
         top = self.max_value()
         if top == 0:

@@ -3,6 +3,11 @@
 Coefficients are exact rationals in ascending order.  Evaluation keeps
 the type of the argument: a Fraction in gives a Fraction out, a float in
 gives a float out.  Instances are immutable and safe to share.
+
+Every moment of a piecewise polynomial goes through one kernel:
+``PiecewisePolynomial.spans`` checks the bounds and clips the pieces to
+[a, b], and ``power_integral`` sums c (w**(e+k) - u**(e+k)) / (e+k) over
+the clipped pieces and their terms, exactly for an integer exponent.
 """
 
 from __future__ import annotations
@@ -230,7 +235,9 @@ class PiecewisePolynomial:
             self.breakpoints, [p.scale(c) for p in self.pieces],
             continuous=self.continuous)
 
-    def integrate(self, a, b) -> Fraction:
+    def spans(self, a, b) -> list[tuple[Fraction, Fraction, Polynomial]]:
+        """The (u, w, piece) of each piece whose part [u, w] of [a, b] has
+        u < w; the one bounds check and clip of every integral."""
         a = as_fraction(a)
         b = as_fraction(b)
         lo, hi = self.domain
@@ -238,13 +245,16 @@ class PiecewisePolynomial:
             raise RangeError("integration bounds are reversed")
         if a < lo or b > hi:
             raise RangeError(f"[{a}, {b}] not inside [{lo}, {hi}]")
-        total = Fraction(0)
-        for i, piece in enumerate(self.pieces):
-            u = max(a, self.breakpoints[i])
-            w = min(b, self.breakpoints[i + 1])
+        out = []
+        for u, w, piece in zip(self.breakpoints, self.breakpoints[1:],
+                               self.pieces):
+            u, w = max(a, u), min(b, w)
             if u < w:
-                total += piece.integrate(u, w)
-        return total
+                out.append((u, w, piece))
+        return out
+
+    def integrate(self, a, b) -> Fraction:
+        return power_integral(self, 1, a, b)
 
     def __eq__(self, other):
         return (isinstance(other, PiecewisePolynomial)
@@ -279,23 +289,27 @@ def as_fraction_from_float(x: float, f: PiecewisePolynomial) -> Fraction:
     return q
 
 
+def power_integral(f: PiecewisePolynomial, e, a, b):
+    """``integral_a^b x**(e-1) * f(x) dx`` termwise: the sum over
+    ``f.spans(a, b)`` and over the terms c_k x**k of each piece of
+    c_k (w**(e+k) - u**(e+k)) / (e+k).
+
+    Exact for an integer e >= 1; a float for a float e, which needs
+    e + k > 0 on every term and a >= 0.
+    """
+    num = float if isinstance(e, float) else Fraction
+    total = num(0)
+    for u, w, piece in f.spans(a, b):
+        u, w = num(u), num(w)
+        for k, c in enumerate(piece.coeffs):
+            if c:
+                total += num(c) * (w ** (e + k) - u ** (e + k)) / (e + k)
+    return total
+
+
 def integrate_monomial_weighted(f: PiecewisePolynomial, p: int, a, b) -> Fraction:
     """Exact ``integral_a^b x**(p-1) * f(x) dx`` for integer p >= 1."""
-    check_positive_int(p, "exponent p")
-    a = as_fraction(a)
-    b = as_fraction(b)
-    lo, hi = f.domain
-    if a > b:
-        raise RangeError("integration bounds are reversed")
-    if a < lo or b > hi:
-        raise RangeError(f"[{a}, {b}] not inside [{lo}, {hi}]")
-    total = Fraction(0)
-    for i, piece in enumerate(f.pieces):
-        u = max(a, f.breakpoints[i])
-        w = min(b, f.breakpoints[i + 1])
-        if u < w:
-            total += piece.shift_up(p - 1).integrate(u, w)
-    return total
+    return power_integral(f, check_positive_int(p, "exponent p"), a, b)
 
 
 def integrate_real_power(f: PiecewisePolynomial, p: float, a, b,
@@ -310,23 +324,11 @@ def integrate_real_power(f: PiecewisePolynomial, p: float, a, b,
         raise DomainError("the exponent p must be at least 1")
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    a = as_fraction(a)
-    b = as_fraction(b)
-    lo, hi = f.domain
-    if a > b:
-        raise RangeError("integration bounds are reversed")
-    if a < lo or b > hi:
-        raise RangeError(f"[{a}, {b}] not inside [{lo}, {hi}]")
-    if a < 0:
+    spans = [(float(u), float(w), piece) for u, w, piece in f.spans(a, b)]
+    if as_fraction(a) < 0:
         raise DomainError("real-power integration needs a nonnegative domain")
-    if a == b:
+    if not spans:
         return 0.0
-    spans = []
-    for i, piece in enumerate(f.pieces):
-        u = max(a, f.breakpoints[i])
-        w = min(b, f.breakpoints[i + 1])
-        if u < w:
-            spans.append((float(u), float(w), piece))
     total_len = sum(w - u for u, w, _ in spans)
     result = 0.0
     for u, w, piece in spans:

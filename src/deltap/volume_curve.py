@@ -7,9 +7,13 @@ s_p (the p-th moment of the vanishing-order distribution d(-vol)/V),
 the normalized statistic h_stat, the auxiliary family k_stat, the
 radial profile of the curve, and an entropy-style candidate functional.
 
-Rational quantities are exact.  Real exponents go through termwise
-closed forms or tolerance-controlled quadrature; nothing exact is ever
-recomputed from floats.
+Rational quantities are exact.  Every moment reads the pieces of the
+curve or of its density from ``PiecewisePolynomial.spans``: integer
+orders and k_stat go through the termwise kernel
+``piecewise.power_integral``, half-integer orders through the same terms
+as sums of square roots, and other real orders through
+tolerance-controlled quadrature; nothing exact is ever recomputed from
+floats.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import DomainError, InvariantViolation
 from .numeric import SqrtSum, as_fraction, check_positive_int, log_gamma
 from .piecewise import (PiecewisePolynomial, Polynomial, first_negative,
                         integrate_monomial_weighted, integrate_real_power,
-                        root_counter)
+                        power_integral, root_counter)
 
 
 # Highest degree a VolumeCurve validates: its Sturm chains grow steeply
@@ -157,15 +161,13 @@ class VolumeCurve:
         if self.is_degenerate:
             return SqrtSum.from_rational(0)
         total = SqrtSum.from_rational(0)
-        c = self.curve
-        for i, piece in enumerate(c.pieces):
-            lo, hi = c.breakpoints[i], c.breakpoints[i + 1]
+        for u, w, piece in self.curve.spans(0, self.tau):
             for k, coef in enumerate(piece.coeffs):
                 if coef == 0:
                     continue
                 e = p + k
-                term = (SqrtSum.rational_power(hi, e)
-                        - SqrtSum.rational_power(lo, e))
+                term = (SqrtSum.rational_power(w, e)
+                        - SqrtSum.rational_power(u, e))
                 total = total + term.scale(coef / e)
         return total.scale(p / self.V)
 
@@ -252,16 +254,8 @@ class VolumeCurve:
         if self.n == 1:
             return float(self.tau) ** s
         density = self.curve.derivative().scale(-1)
-        total = 0.0
-        for i, piece in enumerate(density.pieces):
-            a = float(density.breakpoints[i])
-            b = float(density.breakpoints[i + 1])
-            for k, coef in enumerate(piece.coeffs):
-                if coef == 0:
-                    continue
-                e = s - self.n + k + 1
-                total += float(coef) * (b ** e - a ** e) / e
-        return s * total / float(self.V)
+        return (s * power_integral(density, s - self.n + 1, 0, self.tau)
+                / float(self.V))
 
     def r_stat(self, p: float, tol: float = 1e-10) -> float:
         """Scaled moment ((n+p)!/(n! p!) s_p)**(1/p), reported by scans.
@@ -295,8 +289,7 @@ class VolumeCurve:
         if self.is_degenerate:
             return 0.0
         total = 0.0
-        c = self.curve
-        for i, piece in enumerate(c.pieces):
+        for a, b, piece in self.curve.spans(0, self.tau):
             q = piece
             repeated = piece
             while True:
@@ -304,7 +297,6 @@ class VolumeCurve:
                 if q.is_zero():
                     break
                 repeated = repeated + q
-            a, b = c.breakpoints[i], c.breakpoints[i + 1]
             total += (math.exp(-float(a)) * float(repeated(a))
                       - math.exp(-float(b)) * float(repeated(b)))
         return total / float(self.V)

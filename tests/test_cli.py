@@ -329,6 +329,17 @@ def test_model_file_the_decoder_rejects_exits_3(tmp_path, capsys, text):
     assert str(bad) in err["message"]
 
 
+def test_coordinate_too_large_for_a_float_exits_3(tmp_path, capsys):
+    # 4,000 digits pass the decoder's limit but overflow a float
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"dim": 1, "vertices": [["0"], ["7" * 4000]]}))
+    assert cli.main(["invariants", "--model", str(big), "--p", "1",
+                     "--bound", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "OverflowError"
+
+
 def test_non_utf8_model_file_exits_3(tmp_path, capsys):
     bad = tmp_path / "utf16.json"
     bad.write_bytes(b"\xff\xfe{\x00}\x00")

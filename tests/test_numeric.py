@@ -34,7 +34,8 @@ def test_check_positive_int_rejects_everything_else(bad):
 
 
 def _order_entry_points():
-    """One callable per public entry point that takes an integer order p."""
+    """One callable per public entry point that takes a positive integer:
+    an order p, a level, a count or a dimension."""
     from deltap import filtration, geodesic, invariants, okounkov, piecewise, toric
     model = toric.builtin_model("p2")
     val = toric.ToricValuation(model, (1, 0))
@@ -43,6 +44,7 @@ def _order_entry_points():
         1, [Fraction(0), Fraction(2)],
         [(Fraction(0), [(1, 0), (0, 1)]), (Fraction(2), [(1, 1)])])
     mu = geodesic.SpectralMeasure.from_atoms([(Fraction(1), Fraction(1))])
+    section = filtration.MonomialGradedFiltration(model.P, (1, 0))
     curve = piecewise.PiecewisePolynomial(
         [Fraction(0), Fraction(1)], [piecewise.Polynomial([Fraction(1)])])
     return [
@@ -56,6 +58,13 @@ def _order_entry_points():
         flag.s_m_p,
         flag.s_m_p_from_flag,
         lambda p: piecewise.integrate_monomial_weighted(curve, p, 0, 1),
+        lambda m: filtration.FlagFiltration(m, [Fraction(0)]),
+        section.level_points,
+        lambda m: filtration.generated_filtration(section, m, 1),
+        lambda k: filtration.generated_filtration(section, 1, k),
+        transform.pushforward,
+        lambda samples: filtration.sup_over_bases_oracle(flag, 1, samples),
+        lambda d: filtration.compatible_basis([], d),
     ]
 
 

@@ -103,6 +103,20 @@ def test_slice_curve_matches_slice_volume():
         assert curve(t) == G.slice_volume(t)
 
 
+def test_moments_and_slice_curve_share_one_walk(monkeypatch):
+    G = ConcaveTransform(SQUARE, [coord(0), coord(1)])
+    assert G.moment_p(1) == F(1, 3)
+    G.max_value()
+
+    def refuse(*args):
+        raise AssertionError("the forms were evaluated again")
+    monkeypatch.setattr(AffineForm, "evaluate", refuse)
+    # E[min(x, y)^2] = 1/6 on the unit square; vol{min >= t} = (1 - t)^2
+    assert G.moment_p(2) == F(1, 6)
+    assert G.slice_curve()(F(1, 3)) == F(4, 9)
+    assert G.moment_from_slices(2) == F(1, 6)
+
+
 def test_moment_rejects_bad_order():
     G = ConcaveTransform(SQUARE, [coord(0)])
     with pytest.raises(DomainError):

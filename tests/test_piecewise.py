@@ -1,5 +1,9 @@
-"""Tests for exact polynomials, piecewise-polynomial curves, and the two
-weighted-moment integrators."""
+"""Tests for exact polynomials, piecewise-polynomial curves, and the
+moment kernel: ``PiecewisePolynomial.spans`` clips the pieces to [a, b]
+and ``power_integral`` sums c (w**(e+k) - u**(e+k)) / (e+k) over them.
+The antiderivative of each clipped piece, shifted up by p - 1, is the
+oracle it is checked against; the real-order quadrature is checked
+against the exact integer orders."""
 
 from fractions import Fraction
 
@@ -15,6 +19,7 @@ from deltap.piecewise import (
     integrate_monomial_weighted,
     integrate_real_power,
     lagrange_interpolate,
+    power_integral,
     root_counter,
 )
 
@@ -125,6 +130,88 @@ def test_weighted_moment_scales_linearly(slope, p):
     g = f.scale(F(3))
     assert integrate_monomial_weighted(g, p, F(0), tau) == \
         3 * integrate_monomial_weighted(f, p, F(0), tau)
+
+
+SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def piecewise_and_bounds(draw):
+    """A piecewise polynomial, continuous or not, on breakpoints in
+    [0, 4], and bounds a <= b inside its domain, often breakpoints
+    themselves, with a = b allowed."""
+    cuts = draw(st.lists(st.fractions(min_value=0, max_value=4,
+                                      max_denominator=6),
+                         min_size=2, max_size=6, unique=True))
+    bps = sorted(cuts)
+    pieces = [Polynomial(draw(st.lists(SMALL, max_size=5))) for _ in bps[1:]]
+    continuous = draw(st.booleans())
+    if continuous:  # shift each piece to meet the last at its left end
+        for i in range(1, len(pieces)):
+            gap = pieces[i - 1](bps[i]) - pieces[i](bps[i])
+            pieces[i] = pieces[i] + Polynomial((gap,))
+    f = PiecewisePolynomial(bps, pieces, continuous=continuous)
+    point = st.one_of(st.sampled_from(bps),
+                      st.fractions(min_value=bps[0], max_value=bps[-1],
+                                   max_denominator=12))
+    a, b = sorted((draw(point), draw(point)))
+    return f, a, b
+
+
+def _antiderivative_oracle(f, p, a, b):
+    total = F(0)
+    for i, piece in enumerate(f.pieces):
+        u = max(a, f.breakpoints[i])
+        w = min(b, f.breakpoints[i + 1])
+        if u < w:
+            total += piece.shift_up(p - 1).integrate(u, w)
+    return total
+
+
+@settings(max_examples=120, deadline=None)
+@given(fab=piecewise_and_bounds(), p=st.integers(min_value=1, max_value=7))
+def test_moment_kernel_matches_antiderivative_oracle(fab, p):
+    f, a, b = fab
+    expected = _antiderivative_oracle(f, p, a, b)
+    assert integrate_monomial_weighted(f, p, a, b) == expected
+    assert power_integral(f, p, a, b) == expected
+    if p == 1:
+        assert f.integrate(a, b) == expected
+    if a == b:
+        assert expected == 0 and f.spans(a, b) == []
+
+
+def test_spans_clip_to_the_bounds():
+    one, two, three = (Polynomial((F(k),)) for k in (1, 2, 3))
+    f = PiecewisePolynomial((F(0), F(1), F(2), F(3)), (one, two, three),
+                            continuous=False)
+    assert f.spans(F(1, 2), F(2)) == [(F(1, 2), F(1), one), (F(1), F(2), two)]
+    assert f.spans(F(1), F(1)) == []
+    assert f.integrate(F(1, 2), F(3)) == F(1, 2) + 2 + 3
+
+
+@pytest.mark.parametrize("a, b, message", [
+    (F(1), F(1, 2), "reversed"),
+    (F(-1), F(1), "not inside"),
+    (F(0), F(3), "not inside"),
+])
+def test_every_integral_rejects_bounds_off_the_domain(a, b, message):
+    f = PiecewisePolynomial((F(0), F(1), F(2)),
+                            (Polynomial((F(1),)), Polynomial((F(2), F(-1)))))
+    for call in (lambda: f.integrate(a, b),
+                 lambda: integrate_monomial_weighted(f, 2, a, b),
+                 lambda: integrate_real_power(f, 1.5, a, b)):
+        with pytest.raises(RangeError, match=message):
+            call()
+
+
+def test_float_order_is_the_termwise_float_sum():
+    # int_0^1 x^(1/2) (1 - x) dx = 2/3 - 2/5 = 4/15, with the terms in
+    # floats and no quadrature
+    f = PiecewisePolynomial((F(0), F(1)), (Polynomial((F(1), F(-1))),))
+    got = power_integral(f, 1.5, 0, 1)
+    assert isinstance(got, float)
+    assert got == 1.0 / 1.5 - 1.0 / 2.5
 
 
 # ---------------------------------------------------------------------------

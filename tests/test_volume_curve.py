@@ -330,6 +330,50 @@ def test_k_stat_domain_boundary():
     assert c.k_stat(2.0 + 1e-6) > 0
 
 
+def _k_stat_loop(c, s):
+    """k_stat as a loop over the density's pieces in floats, the form it
+    had before the termwise kernel; the oracle below."""
+    if c.n == 1:
+        return float(c.tau) ** s
+    density = c.curve.derivative().scale(-1)
+    total = 0.0
+    for i, piece in enumerate(density.pieces):
+        a = float(density.breakpoints[i])
+        b = float(density.breakpoints[i + 1])
+        for k, coef in enumerate(piece.coeffs):
+            if coef == 0:
+                continue
+            e = s - c.n + k + 1
+            total += float(coef) * (b ** e - a ** e) / e
+    return s * total / float(c.V)
+
+
+def _s_p_half_loop(c, p):
+    """s_p_half as a loop over the curve's pieces; the oracle below."""
+    total = SqrtSum.from_rational(0)
+    for i, piece in enumerate(c.curve.pieces):
+        lo, hi = c.curve.breakpoints[i], c.curve.breakpoints[i + 1]
+        for k, coef in enumerate(piece.coeffs):
+            if coef == 0:
+                continue
+            e = p + k
+            term = (SqrtSum.rational_power(hi, e)
+                    - SqrtSum.rational_power(lo, e))
+            total = total + term.scale(coef / e)
+    return total.scale(p / c.V)
+
+
+def test_k_stat_and_s_p_half_equal_their_loop_oracles():
+    for n in (1, 2, 3, 4):
+        rng = Random(f"loop-oracle:{n}")
+        for _ in range(12):
+            c = random_admissible_curve(rng, n)
+            for s in (n - 0.5, float(n), n + 1.3, n + 2.0, n + 3.7):
+                assert c.k_stat(s) == _k_stat_loop(c, s)
+            for p in (F(3, 2), F(5, 2), F(9, 2)):
+                assert c.s_p_half(p) == _s_p_half_loop(c, p)
+
+
 # ---------------------------------------------------------------------------
 # exponential moment and the entropy-style candidate
 
