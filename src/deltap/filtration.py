@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (DomainError, InvariantViolation, StructureError,
                      UnsupportedModelError)
@@ -31,6 +31,19 @@ def _as_vector(row: Sequence, width: int) -> Vector:
     if len(vec) != width:
         raise StructureError(f"row {row!r} does not have width {width}")
     return vec
+
+
+def level_moment(values: Iterable[tuple[Fraction, int]], m: int, d: int,
+                 p: int) -> Fraction:
+    """(1/d) sum c (a/m)**p over (a, c) pairs of a value and its
+    multiplicity: the values are brought to the lcm of their denominators
+    once, the powers are summed in integers, and one Fraction is built."""
+    check_positive_int(p, "moment order p")
+    pairs = list(values)
+    q = math.lcm(*(a.denominator for a, _ in pairs))
+    total = sum(c * (a.numerator * (q // a.denominator)) ** p
+                for a, c in pairs)
+    return Fraction(total, d * (q * m) ** p)
 
 
 def _exact_row(row: Sequence, width: int) -> Sequence:
@@ -115,9 +128,7 @@ class FlagFiltration:
 
     def s_m_p(self, p: int) -> Fraction:
         """Exact level-m moment (1/d) sum (a_j/m)**p."""
-        check_positive_int(p, "moment order p")
-        return sum(((a / self.m) ** p for a in self.jumps),
-                   Fraction(0)) / self.d
+        return level_moment(((a, 1) for a in self.jumps), self.m, self.d, p)
 
     def s_m_p_half(self, p) -> SqrtSum:
         """The same moment at half-integer p >= 1/2, exactly."""
@@ -134,12 +145,10 @@ class FlagFiltration:
         equals s_m_p exactly and cross-checks the flag bookkeeping."""
         if self.flag is None:
             raise StructureError("needs the flag")
-        check_positive_int(p, "moment order p")
-        total = Fraction(0)
-        for t, (v, rows) in enumerate(self.flag):
-            nxt = len(self.flag[t + 1][1]) if t + 1 < len(self.flag) else 0
-            total += (v / self.m) ** p * (len(rows) - nxt)
-        return total / self.d
+        sizes = [len(rows) for _, rows in self.flag] + [0]
+        return level_moment(((v, size - nxt) for (v, _), size, nxt
+                             in zip(self.flag, sizes, sizes[1:])),
+                            self.m, self.d, p)
 
     def t_m(self) -> Fraction:
         """Largest jump, normalized by the level."""
@@ -239,8 +248,7 @@ def basis_moment(F: FlagFiltration, basis: Sequence[Sequence], p: int) -> Fracti
     rows = [_exact_row(r, F.d) for r in basis]
     if len(rows) != F.d or rank(rows) != F.d:
         raise StructureError("basis_moment needs a full basis")
-    return sum(((F.ord_of(r) / F.m) ** p for r in rows),
-               Fraction(0)) / F.d
+    return level_moment(((F.ord_of(r), 1) for r in rows), F.m, F.d, p)
 
 
 def sup_over_bases_oracle(F: FlagFiltration, p: int, samples: int,
@@ -277,8 +285,8 @@ def random_flag_filtration(rng: Random, d: int, m: int) -> FlagFiltration:
     random unimodular-ish basis so suffix spans realize the required
     dimensions exactly.
     """
-    if d < 1:
-        raise DomainError("dimension must be positive")
+    check_positive_int(d, "the dimension d")
+    check_positive_int(m, "the level m")
     while True:
         rows = [tuple(rng.randint(-3, 3) for _ in range(d))
                 for _ in range(d)]
@@ -303,7 +311,7 @@ class MonomialGradedFiltration:
     approximations require.
     """
 
-    __slots__ = ("P", "v", "offset", "rounded")
+    __slots__ = ("P", "v", "offset", "rounded", "_v_int", "_offset")
 
     def __init__(self, P: RationalPolytope, v: Sequence, rounded: bool = False):
         if not P.is_full_dimensional:
@@ -316,12 +324,18 @@ class MonomialGradedFiltration:
             raise DomainError("the valuation vector must be nonzero")
         self.offset = -min(dot(self.v, u) for u in P.vertices)
         self.rounded = bool(rounded)
+        # v in ints when it is integral, and the offset as a numerator
+        # over a denominator, so a weight is one Fraction
+        self._v_int = (tuple(x.numerator for x in self.v)
+                       if all(x.denominator == 1 for x in self.v) else self.v)
+        self._offset = (self.offset.numerator, self.offset.denominator)
 
     def weight(self, u: Sequence, m: int) -> Fraction:
-        w = dot(self.v, u) + m * self.offset
+        num, den = self._offset
+        w = dot(self._v_int, u) * den + m * num  # the weight times den
         if w < 0:
             raise InvariantViolation(f"negative weight at {u}")
-        return Fraction(math.floor(w)) if self.rounded else w
+        return Fraction(w // den) if self.rounded else Fraction(w, den)
 
     def level_points(self, m: int) -> tuple[tuple[int, ...], ...]:
         check_positive_int(m, "the level m")

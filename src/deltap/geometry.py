@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import ceil, comb, factorial, floor, prod
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, InvariantViolation, StructureError
@@ -55,7 +56,7 @@ def make_point(coords: Iterable) -> Point:
 
 def dot(a: Sequence, b: Sequence):
     """Exact inner product; an int for two integer vectors."""
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def affine_dimension(points: Sequence[Point]) -> int:
@@ -229,7 +230,9 @@ def integrate_affine_power_over_simplex(volume: Fraction,
 def lattice_points_in(halfspaces: Sequence[Halfspace],
                       vertices: Sequence[Point]) -> tuple[tuple[int, ...], ...]:
     """Integer points of a bounded polytope given by facets + vertices,
-    whose bounding box holds at most ``MAX_LATTICE_BOX`` integer points."""
+    whose bounding box holds at most ``MAX_LATTICE_BOX`` integer points.
+    An integer point meets <normal, x> >= offset exactly when the integer
+    <normal, x> reaches ceil(offset), so the walk stays in ints."""
     if not vertices:
         return ()
     dim = len(vertices[0])
@@ -240,11 +243,9 @@ def lattice_points_in(halfspaces: Sequence[Halfspace],
     if box > MAX_LATTICE_BOX:
         raise DomainError(f"a bounding box of {box} integer points is over "
                           f"the budget of {MAX_LATTICE_BOX}")
-    out = []
-    for pt in itertools.product(*ranges):
-        if all(dot(hs.normal, pt) >= hs.offset for hs in halfspaces):
-            out.append(pt)
-    return tuple(sorted(out))
+    tests = [(hs.normal, ceil(hs.offset)) for hs in halfspaces]
+    return tuple(pt for pt in itertools.product(*ranges)
+                 if all(dot(n, pt) >= c for n, c in tests))
 
 
 class RationalPolytope:

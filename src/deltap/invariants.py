@@ -45,8 +45,8 @@ def h_gap(n: int, p: int) -> tuple[int, float]:
     the gap is what separates dimension >= 2 models from the borderline
     curve case.
     """
-    if n < 1 or p < 1:
-        raise DomainError("h_gap needs n >= 1 and p >= 1")
+    check_positive_int(n, "the dimension n")
+    check_positive_int(p, "the order p")
     product = Fraction(1)
     for i in range(1, n):
         product *= Fraction(p + i, i)

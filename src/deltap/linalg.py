@@ -17,8 +17,11 @@ from .errors import StructureError
 Vector = tuple[Fraction, ...]
 
 
-def _cleared(row: Sequence) -> tuple[list[int], int]:
-    """An integer multiple of a rational row, and the multiplier."""
+def _cleared(row: Sequence) -> tuple[Sequence[int], int]:
+    """An integer multiple of a rational row, and the multiplier; an
+    all-int row is its own, with multiplier 1."""
+    if all(type(x) is int for x in row):
+        return row, 1
     row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     mult = lcm(*(x.denominator for x in row))
     return [x.numerator * (mult // x.denominator) for x in row], mult

@@ -1,8 +1,12 @@
-"""Dense univariate polynomials and piecewise polynomials over Fraction.
+"""Dense univariate polynomials and piecewise polynomials with exact
+rational coefficients, held as integer numerators over one denominator.
 
-Coefficients are exact rationals in ascending order.  Evaluation keeps
-the type of the argument: a Fraction in gives a Fraction out, a float in
-gives a float out.  Instances are immutable and safe to share.
+A :class:`Polynomial` stores ``nums`` and ``den`` with coefficient k
+equal to nums[k]/den, in lowest terms (den > 0 and gcd(den, *nums) = 1),
+so arithmetic, evaluation and Sturm chains run on ints and build one
+Fraction at the end; ``coeffs`` gives the Fraction tuple.  Evaluation
+keeps the type of the argument: a Fraction in gives a Fraction out, a
+float in gives a float out.  Instances are immutable and safe to share.
 
 Every moment of a piecewise polynomial goes through one kernel:
 ``PiecewisePolynomial.spans`` checks the bounds and clips the pieces to
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InvariantViolation, RangeError, StructureError
@@ -25,79 +30,124 @@ from .numeric import adaptive_quadrature, as_fraction, check_positive_int
 MAX_DEGREE = 512
 
 
+def _horner(nums: Sequence[int], xn: int, xd: int) -> int:
+    """sum_k nums[k] xn**k xd**(deg-k): the value at xn/xd times xd**deg."""
+    acc, pw = 0, 1
+    for c in reversed(nums):
+        acc = acc * xn + c * pw
+        pw *= xd
+    return acc
+
+
+def _sign_at(nums: Sequence[int], x) -> int:
+    """Sign of the polynomial with integer coefficients nums at x."""
+    v = _horner(nums, x.numerator, x.denominator)
+    return (v > 0) - (v < 0)
+
+
+def _make(nums: list, den: int) -> "Polynomial":
+    """The polynomial sum nums[k] x**k / den."""
+    return object.__new__(Polynomial)._set(nums, den)
+
+
 class Polynomial:
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if len(cs) - 1 > MAX_DEGREE:
-            raise StructureError(
-                f"polynomial degree {len(cs) - 1} exceeds the supported "
-                f"maximum {MAX_DEGREE}")
-        self.coeffs = tuple(cs)
+        cs = [c if type(c) is int else as_fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, nums: list, den: int) -> "Polynomial":
+        """Store nums / den in lowest terms, trailing zeros dropped."""
+        while nums and nums[-1] == 0:
+            nums.pop()
+        if len(nums) - 1 > MAX_DEGREE:
+            raise StructureError(f"polynomial degree {len(nums) - 1} exceeds "
+                                 f"the supported maximum {MAX_DEGREE}")
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        self.nums, self.den = tuple(nums), den
+        return self
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, in ascending order."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __call__(self, x):
-        acc = 0 if not isinstance(x, float) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + (float(c) if isinstance(x, float) else c)
-        return acc
+        if isinstance(x, float):
+            acc = 0.0
+            for c in reversed(self.nums):
+                acc = acc * x + c / self.den
+            return acc
+        if not self.nums:
+            return 0
+        xd = x.denominator
+        return Fraction(_horner(self.nums, x.numerator, xd),
+                        self.den * xd ** self.degree)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
+        den = lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.nums]
+        b = [c * (den // other.den) for c in other.nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+            a[i] += c
+        return _make(a, den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1)
+        return self + _make([-c for c in other.nums], other.den)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero() or other.is_zero():
             return Polynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
+            for j, b in enumerate(other.nums):
                 out[i + j] += a * b
-        return Polynomial(out)
+        return _make(out, self.den * other.den)
 
     def scale(self, c) -> "Polynomial":
         c = as_fraction(c)
-        return Polynomial(v * c for v in self.coeffs)
+        return _make([v * c.numerator for v in self.nums],
+                     self.den * c.denominator)
 
     def shift_up(self, k: int) -> "Polynomial":
         """Multiply by x**k."""
         if self.is_zero():
             return self
-        return Polynomial((Fraction(0),) * k + self.coeffs)
+        return _make([0] * k + list(self.nums), self.den)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return _make([i * c for i, c in enumerate(self.nums) if i > 0],
+                     self.den)
 
     def antiderivative(self) -> "Polynomial":
-        return Polynomial([Fraction(0)]
-                          + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+        m = lcm(*range(1, len(self.nums) + 1))
+        return _make([0] + [c * (m // (i + 1)) for i, c in enumerate(self.nums)],
+                     self.den * m)
 
     def integrate(self, a, b) -> Fraction:
         F = self.antiderivative()
         return F(as_fraction(b)) - F(as_fraction(a))
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return (isinstance(other, Polynomial) and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
@@ -126,37 +176,68 @@ def lagrange_interpolate(xs: Sequence, ys: Sequence) -> Polynomial:
     return total
 
 
-def _divmod(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Quotient and remainder of p by a nonzero d."""
-    rem, quot = list(p.coeffs), [Fraction(0)] * (len(p.coeffs) - d.degree)
+def _primitive(nums: Sequence[int]) -> Sequence[int]:
+    """nums over the positive gcd of its entries (nonzero nums)."""
+    g = gcd(*nums)
+    return nums if g == 1 else [c // g for c in nums]
+
+
+def _neg_pseudo_rem(a: list, b: list) -> list:
+    """A positive multiple of -(a rem b): the pseudo-remainder
+    lc(b)**(deg a - deg b + 1) * a rem b, with its sign corrected."""
+    rem, top, db = list(a), b[-1], len(b) - 1
+    steps = len(a) - db
+    for i in reversed(range(steps)):
+        q = rem[i + db]
+        rem = [top * c for c in rem[:i + db]]
+        for j in range(db):
+            rem[i + j] -= q * b[j]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return [-c for c in rem] if top > 0 or steps % 2 == 0 else rem
+
+
+def _exact_quotient(a: list, b: list) -> list:
+    """a / b for integer a divisible by the primitive integer b: by
+    Gauss's lemma the quotient is integral, so every step divides exactly."""
+    rem, db = list(a), len(b) - 1
+    quot = [0] * (len(a) - db)
     for i in reversed(range(len(quot))):
-        quot[i] = rem[i + d.degree] / d.coeffs[-1]
-        for j, c in enumerate(d.coeffs):
+        quot[i] = rem[i + db] // b[-1]
+        for j, c in enumerate(b):
             rem[i + j] -= quot[i] * c
-    return Polynomial(quot), Polynomial(rem[:d.degree])
+    return quot
 
 
 def root_counter(poly: Polynomial):
     """(a, b) -> number of distinct roots of a nonzero poly in (a, b), by
     Sturm's theorem on the chain of poly and poly' divided by their gcd,
-    so that a multiple root counts once (Basu, Pollack & Roy, ch. 2)."""
-    chain = [poly, poly.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(_divmod(chain[-2], chain[-1])[1].scale(-1))
-    chain = [_divmod(s, chain[-2])[0] for s in chain[:-1]]
+    so that a multiple root counts once (Basu, Pollack & Roy, ch. 2).
+
+    The chain is a primitive pseudo-remainder sequence on the integer
+    numerators: each member is a positive multiple of the one over the
+    rationals, so the sign variations, and the counts, are the same."""
+    chain = [_primitive(poly.nums)]
+    nxt = poly.derivative().nums
+    while nxt:
+        chain.append(_primitive(nxt))
+        nxt = _neg_pseudo_rem(chain[-2], chain[-1])
+    chain = [_exact_quotient(s, chain[-1]) for s in chain]
 
     def variations(x):
-        signs = [v > 0 for v in (s(x) for s in chain) if v]
+        signs = [v > 0 for v in (_sign_at(s, x) for s in chain) if v]
         return sum(s != t for s, t in zip(signs, signs[1:]))
-    return lambda a, b: variations(a) - variations(b) - (poly(b) == 0)
+    return lambda a, b: (variations(a) - variations(b)
+                         - (_sign_at(poly.nums, b) == 0))
 
 
 def first_negative(poly: Polynomial, a, b) -> Fraction | None:
     """A rational x in [a, b] with poly(x) < 0, or None if there is none:
     a, then b, then the midpoints of a bisection that drops each part on
     which root counts show that poly >= 0."""
+    nums = poly.nums
     for x in (a, b):
-        if poly(x) < 0:
+        if _sign_at(nums, x) < 0:
             return x
     if poly.degree < 2:  # the ends decide a line
         return None
@@ -164,10 +245,11 @@ def first_negative(poly: Polynomial, a, b) -> Fraction | None:
     while stack:
         lo, hi = stack.pop()
         mid = (lo + hi) * Fraction(1, 2)
-        if poly(mid) < 0:
+        if _sign_at(nums, mid) < 0:
             return mid
         roots = count(lo, hi)
-        if roots > 1 or roots == 1 and poly(lo) * poly(hi) == 0:
+        if roots > 1 or (roots == 1
+                         and _sign_at(nums, lo) * _sign_at(nums, hi) == 0):
             stack += [(mid, hi), (lo, mid)]
     return None
 
@@ -294,17 +376,34 @@ def power_integral(f: PiecewisePolynomial, e, a, b):
     ``f.spans(a, b)`` and over the terms c_k x**k of each piece of
     c_k (w**(e+k) - u**(e+k)) / (e+k).
 
-    Exact for an integer e >= 1; a float for a float e, which needs
-    e + k > 0 on every term and a >= 0.
+    Exact for an integer e >= 1, in integers: with c_k = N_k / D and
+    L = lcm(e, ..., e + deg), a piece contributes
+    x**e * sum_k M_k x**k / (D L) at each end, M_k = N_k L / (e+k), so
+    one Horner sum per end and one Fraction for the whole integral.  A
+    float for a float e, which needs e + k > 0 on every term and a >= 0.
     """
-    num = float if isinstance(e, float) else Fraction
-    total = num(0)
+    if isinstance(e, float):
+        total = 0.0
+        for u, w, piece in f.spans(a, b):
+            u, w = float(u), float(w)
+            for k, c in enumerate(piece.nums):
+                if c:
+                    total += (c / piece.den * (w ** (e + k) - u ** (e + k))
+                              / (e + k))
+        return total
+    num, den = 0, 1
     for u, w, piece in f.spans(a, b):
-        u, w = num(u), num(w)
-        for k, c in enumerate(piece.coeffs):
-            if c:
-                total += num(c) * (w ** (e + k) - u ** (e + k)) / (e + k)
-    return total
+        if not piece.nums:
+            continue
+        top = e + piece.degree
+        m = lcm(*range(e, top + 1))
+        terms = [c * (m // (e + k)) for k, c in enumerate(piece.nums)]
+        un, ud, wn, wd = u.numerator, u.denominator, w.numerator, w.denominator
+        span = (wn ** e * _horner(terms, wn, wd) * ud ** top
+                - un ** e * _horner(terms, un, ud) * wd ** top)
+        span_den = piece.den * m * (ud * wd) ** top
+        num, den = num * span_den + span * den, den * span_den
+    return Fraction(num, den)
 
 
 def integrate_monomial_weighted(f: PiecewisePolynomial, p: int, a, b) -> Fraction:

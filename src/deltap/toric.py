@@ -179,8 +179,8 @@ def primitive_candidates(n: int, bound: int) -> list[tuple[int, ...]]:
     """All primitive integer vectors with sup-norm at most ``bound``,
     lexicographically sorted.  The box may hold at most
     ``MAX_CANDIDATE_BOX`` integer vectors."""
-    if bound < 1:
-        raise DomainError("the search bound must be at least 1")
+    check_positive_int(n, "the dimension n")
+    check_positive_int(bound, "the search bound")
     if (2 * bound + 1) ** n > MAX_CANDIDATE_BOX:
         raise DomainError(f"the box of radius {bound} in dimension {n} "
                           f"exceeds the budget of {MAX_CANDIDATE_BOX} vectors")

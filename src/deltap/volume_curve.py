@@ -31,20 +31,25 @@ from .piecewise import (PiecewisePolynomial, Polynomial, first_negative,
 
 
 # Highest degree a VolumeCurve validates: its Sturm chains grow steeply
-# with degree (1 - x - 10**30 * prod_k (x - k/N) takes about 1 s at
-# degree 65 and 41 s at 129).  Toric curves have degree n.
+# with degree (1 - x - 10**30 * prod_k (x - k/N) takes about 0.3 s at
+# degree 65 and 14 s at 129 on one x86-64 core under CPython 3.11).
+# Toric curves have degree n.
 MAX_CURVE_DEGREE = 65
 
 
 def _check_root_concave(f: PiecewisePolynomial, k: int, what: str) -> None:
     """Decide that f**(1/k) is concave, for f > 0 inside its domain: on each
     piece k*f*f'' - (k-1)*f'**2, of the sign of (f**(1/k))'', is <= 0, and
-    at each interior breakpoint f is continuous and its slope does not rise."""
+    at each interior breakpoint f is continuous and its slope does not rise.
+    For k = 1 that is f*f'' <= 0, so f'' alone, of half the degree, decides."""
     bps = f.breakpoints
     for lo, hi, piece in zip(bps, bps[1:], f.pieces):
         d = piece.derivative()
-        x = first_negative((d * d).scale(k - 1) - (piece * d.derivative()).scale(k),
-                           lo, hi)
+        if k == 1:
+            test = d.derivative().scale(-1)
+        else:
+            test = (d * d).scale(k - 1) - (piece * d.derivative()).scale(k)
+        x = first_negative(test, lo, hi)
         if x is not None:
             raise InvariantViolation(f"{what}**(1/{k}) is not concave at x = {x}",
                                      witness={"x": str(x)})

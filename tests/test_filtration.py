@@ -10,6 +10,7 @@ Frozen values, derived by direct counting:
     (1/25)(1/12)(sum_{u<=20} u + 4*20) = 290/300 = 29/30
 """
 
+import math
 from fractions import Fraction
 from random import Random
 
@@ -25,6 +26,7 @@ from deltap.filtration import (
     basis_moment,
     compatible_basis,
     generated_flag_filtration,
+    level_moment,
     random_flag_filtration,
     round_to_integer_filtration,
     rounding_sandwich,
@@ -289,6 +291,20 @@ def test_generated_filtration_requires_integer_weights():
     assert all(a.denominator == 1 for a in gen.jumps)
 
 
+@pytest.mark.parametrize("v", [(1, -2), (F(1, 2), F(-2, 3))])
+@pytest.mark.parametrize("rounded", [False, True])
+def test_monomial_weight_is_the_fraction_formula(v, rounded):
+    # a vertex off the lattice makes the offset fractional
+    P = RationalPolytope([(F(0), F(0)), (F(5, 2), F(0)), (F(0), F(3))])
+    base = MonomialGradedFiltration(P, v, rounded=rounded)
+    for m in (1, 2, 3):
+        for u in base.level_points(m):
+            w = sum(F(a) * b for a, b in zip(base.v, u)) + m * base.offset
+            want = F(math.floor(w)) if rounded else w
+            got = base.weight(u, m)
+            assert type(got) is Fraction and got == want
+
+
 # ---------------------------------------------------------------------------
 # property tests
 
@@ -311,3 +327,35 @@ def test_property_moment_routes_agree(seed, d):
     filt = random_flag_filtration(Random(seed), d, 3)
     for p in (1, 2, 3):
         assert filt.s_m_p_from_flag(p) == filt.s_m_p(p)
+
+
+JUMPS = st.lists(st.fractions(min_value=0, max_value=40, max_denominator=30),
+                 min_size=1, max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(jumps=JUMPS, m=st.integers(min_value=1, max_value=9),
+       p=st.integers(min_value=1, max_value=7))
+def test_level_moment_matches_the_fraction_sum(jumps, m, p):
+    # the kernel sums integer powers over the lcm of the denominators;
+    # the naive sum reduces a Fraction at every term
+    naive = sum(((a / m) ** p for a in jumps), Fraction(0)) / len(jumps)
+    pairs = [(a, jumps.count(a)) for a in sorted(set(jumps))]
+    assert level_moment(pairs, m, len(jumps), p) == naive
+    assert level_moment(((a, 1) for a in jumps), m, len(jumps), p) == naive
+    filt = FlagFiltration(m, sorted(jumps))
+    assert filt.s_m_p(p) == naive
+
+
+@pytest.mark.parametrize("d, m", [(1.5, 1), (True, 1), (0, 1), (2, 1.5),
+                                  (2, True), (2, 0)])
+def test_random_flag_filtration_needs_positive_integers(d, m):
+    with pytest.raises(DomainError, match="must be a positive integer"):
+        random_flag_filtration(Random(0), d, m)
+
+
+def test_basis_moment_needs_a_positive_order():
+    filt = random_flag_filtration(Random(0), 2, 2)
+    basis = compatible_basis([rows for _, rows in filt.flag[1:]], filt.d)
+    with pytest.raises(DomainError, match="moment order p"):
+        basis_moment(filt, basis, 0)

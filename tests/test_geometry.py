@@ -11,6 +11,7 @@ evaluated from scratch here, with no shared code path.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from math import factorial
 
@@ -334,3 +335,30 @@ def test_polytope_rejects_lower_dimensional_input():
     P = RationalPolytope([(F(0), F(0)), (F(1), F(1)), (F(2), F(2))],
                          allow_lower_dimensional=True)
     assert P.volume() == 0
+
+
+def _lattice_walk_with_fraction_offsets(halfspaces, vertices):
+    """The reference walk: every point of the bounding box, each compared
+    with the Fraction offsets themselves."""
+    dim = len(vertices[0])
+    ranges = [range(math.ceil(min(v[i] for v in vertices)),
+                    math.floor(max(v[i] for v in vertices)) + 1)
+              for i in range(dim)]
+    return tuple(sorted(
+        pt for pt in itertools.product(*ranges)
+        if all(sum(F(a) * b for a, b in zip(hs.normal, pt)) >= hs.offset
+               for hs in halfspaces)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(min_value=2, max_value=3), data=st.data())
+def test_lattice_points_match_a_walk_with_fraction_offsets(dim, data):
+    coord = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    pts = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1,
+                             max_size=dim + 3, unique=True))
+    assume(geometry.affine_dimension([geometry.make_point(p) for p in pts])
+           == dim)
+    P = RationalPolytope(pts)
+    got = lattice_points_in(P.halfspaces(), P.vertices)
+    assert got == _lattice_walk_with_fraction_offsets(P.halfspaces(),
+                                                      P.vertices)

@@ -60,6 +60,13 @@ def test_curve_case_is_borderline_in_closed_form():
             projective_space_delta_power(1, p) == F(p + 1, 2 ** p)
 
 
+@pytest.mark.parametrize("n, p", [(1.5, 2), (True, 2), (2, 1.5),
+                                  (2, True), (0, 1)])
+def test_h_gap_needs_positive_integers(n, p):
+    with pytest.raises(DomainError, match="must be a positive integer"):
+        h_gap(n, p)
+
+
 def test_h_gap_vanishes_at_first_order():
     for n in range(1, 7):
         sign, value = h_gap(n, 1)

@@ -3,7 +3,9 @@ moment kernel: ``PiecewisePolynomial.spans`` clips the pieces to [a, b]
 and ``power_integral`` sums c (w**(e+k) - u**(e+k)) / (e+k) over them.
 The antiderivative of each clipped piece, shifted up by p - 1, is the
 oracle it is checked against; the real-order quadrature is checked
-against the exact integer orders."""
+against the exact integer orders.  The integer-numerator kernel
+(arithmetic, evaluation, power_integral and the Sturm root counts) is
+checked against the Fraction-coefficient reference it replaced."""
 
 from fractions import Fraction
 
@@ -260,3 +262,152 @@ def test_sign_kernel_matches_known_roots(roots, lead, ends):
     if x is not None:
         assert a <= x <= b and poly(x) < 0
     assert root_counter(poly)(a, b) == len(inner)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Fraction reference it replaced
+
+
+class FractionPolynomial:
+    """The reference: a Fraction per coefficient, ascending, reduced by
+    every operation, as ``Polynomial`` was before it held one integer
+    numerator per coefficient over a common denominator."""
+
+    def __init__(self, coeffs):
+        cs = [F(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __call__(self, x):
+        acc = 0 if not isinstance(x, float) else 0.0
+        for c in reversed(self.coeffs):
+            acc = acc * x + (float(c) if isinstance(x, float) else c)
+        return acc
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPolynomial(out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __mul__(self, other):
+        if not self.coeffs or not other.coeffs:
+            return FractionPolynomial(())
+        out = [F(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPolynomial(out)
+
+    def scale(self, c):
+        return FractionPolynomial(v * F(c) for v in self.coeffs)
+
+    def derivative(self):
+        return FractionPolynomial(i * c for i, c in enumerate(self.coeffs)
+                                  if i > 0)
+
+    def antiderivative(self):
+        return FractionPolynomial(
+            [F(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+
+
+def _fraction_divmod(p, d):
+    rem, quot = list(p.coeffs), [F(0)] * (len(p.coeffs) - len(d.coeffs) + 1)
+    for i in reversed(range(len(quot))):
+        quot[i] = rem[i + len(d.coeffs) - 1] / d.coeffs[-1]
+        for j, c in enumerate(d.coeffs):
+            rem[i + j] -= quot[i] * c
+    return FractionPolynomial(quot), FractionPolynomial(rem[:len(d.coeffs) - 1])
+
+
+def _fraction_root_counter(poly):
+    """Sturm's theorem on the Fraction chain of poly, poly' over their gcd."""
+    chain = [poly, poly.derivative()]
+    while chain[-1].coeffs:
+        chain.append(_fraction_divmod(chain[-2], chain[-1])[1].scale(-1))
+    chain = [_fraction_divmod(s, chain[-2])[0] for s in chain[:-1]]
+
+    def variations(x):
+        signs = [v > 0 for v in (s(x) for s in chain) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+    return lambda a, b: variations(a) - variations(b) - (poly(b) == 0)
+
+
+def _fraction_power_integral(f, e, a, b):
+    total = F(0)
+    for u, w, piece in f.spans(a, b):
+        for k, c in enumerate(piece.coeffs):
+            total += c * (w ** (e + k) - u ** (e + k)) / (e + k)
+    return total
+
+
+WIDE = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+COEFFS = st.lists(WIDE, max_size=7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=COEFFS, b=COEFFS, c=WIDE, x=WIDE,
+       xf=st.floats(min_value=-8, max_value=8, allow_nan=False))
+def test_integer_kernel_matches_fraction_reference(a, b, c, x, xf):
+    p, q = Polynomial(a), Polynomial(b)
+    rp, rq = FractionPolynomial(a), FractionPolynomial(b)
+    assert p.coeffs == rp.coeffs
+    for got, want in ((p + q, rp + rq), (p - q, rp - rq), (p * q, rp * rq),
+                      (p.scale(c), rp.scale(c)),
+                      (p.derivative(), rp.derivative()),
+                      (p.antiderivative(), rp.antiderivative())):
+        assert got.coeffs == want.coeffs
+        assert got == Polynomial(want.coeffs)
+        assert got.degree == len(want.coeffs) - 1
+    assert p(x) == rp(x) and p(xf) == rp(xf)
+    assert (p * q)(xf) == (rp * rq)(xf)  # numerators past 2**53
+    assert isinstance(p(xf), float)
+    assert p.integrate(x, c) == rp.antiderivative()(c) - rp.antiderivative()(x)
+
+
+def test_polynomials_compare_in_lowest_terms():
+    p = Polynomial((F(1, 2), F(3, 4)))
+    assert (p.nums, p.den) == ((2, 3), 4)
+    assert p == Polynomial((F(2, 4), F(6, 8))) == p.scale(2).scale(F(1, 2))
+    assert hash(p) == hash(p.scale(3).scale(F(1, 3)))
+    assert Polynomial(()).nums == () and Polynomial(()).den == 1
+    assert (p - p).is_zero() and (p - p) == Polynomial((F(0),))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fab=piecewise_and_bounds(), e=st.integers(min_value=1, max_value=8))
+def test_power_integral_matches_fraction_reference(fab, e):
+    f, a, b = fab
+    assert power_integral(f, e, a, b) == _fraction_power_integral(f, e, a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(roots=st.lists(st.tuples(GRID, st.integers(min_value=1, max_value=4)),
+                      max_size=5),
+       extra=st.lists(SMALL, max_size=3),
+       lead=st.fractions(min_value=-5, max_value=5,
+                         max_denominator=7).filter(bool),
+       ends=st.lists(st.fractions(min_value=-3, max_value=3,
+                                  max_denominator=8),
+                     min_size=2, max_size=2, unique=True))
+def test_root_counts_match_fraction_reference(roots, extra, lead, ends):
+    # multiple roots on a grid, times a small factor that may add
+    # irrational or complex ones
+    a, b = sorted(ends)
+    poly = Polynomial((lead,)) * Polynomial(extra or [1])
+    for r, mult in roots:
+        for _ in range(mult):
+            poly = poly * Polynomial((-r, F(1)))
+    if poly.is_zero():
+        return
+    expected = _fraction_root_counter(FractionPolynomial(poly.coeffs))
+    got = root_counter(poly)
+    for lo, hi in ((a, b), (F(-3), F(3)), (a, (a + b) / 2)):
+        assert got(lo, hi) == expected(lo, hi)

@@ -220,6 +220,13 @@ def test_primitive_candidates_refuse_a_box_over_budget():
         primitive_candidates(1, edge + 1)
 
 
+@pytest.mark.parametrize("n, bound", [(2, 1.5), (2, True), (2, 0),
+                                      (1.5, 1), (True, 1)])
+def test_primitive_candidates_need_positive_integers(n, bound):
+    with pytest.raises(DomainError, match="must be a positive integer"):
+        primitive_candidates(n, bound)
+
+
 def test_delta_search_p2_anticanonical():
     model = builtin_model("p2-anticanonical")
     res = delta_p_search(model, 1, bound=2)

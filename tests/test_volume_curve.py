@@ -117,9 +117,24 @@ def test_rejects_sampling_witness_with_rational_witness():
     assert 0 <= x <= 1 and f.derivative()(x) > 0
 
 
+def test_root_concavity_with_k_1_decides_the_second_derivative():
+    # 1 - (79/64) x plus a huge multiple of prod (x - k/79), k = 0..64, on
+    # [0, 64/79]: decreasing, but f'' > 0 at tau.  For k = 1 the sign test
+    # is -f'' of degree 63; the test -f f'' of degree 128 ran past 40 s.
+    bump = Polynomial((F(1),))
+    for k in range(65):
+        bump = bump * Polynomial((F(-k, 79), F(1)))
+    f = Polynomial((F(1), F(-79, 64))) + bump.scale(10 ** 30)
+    with pytest.raises(InvariantViolation,
+                       match=r"curve\*\*\(1/1\) is not concave at x = 64/79"):
+        VolumeCurve(1, F(1), PiecewisePolynomial((F(0), F(64, 79)), (f,)))
+    assert f.derivative().derivative()(F(64, 79)) > 0
+
+
 def test_refuses_a_curve_over_the_degree_budget(monkeypatch):
     # the same construction on a 129-point grid: its Sturm chains take
-    # tens of seconds, so it is refused before any sign test runs
+    # about 14 s on one x86-64 core, so it is refused before any sign
+    # test runs
     def no_sign_test(*args):
         raise AssertionError("a sign test ran")
 
