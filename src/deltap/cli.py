@@ -27,9 +27,9 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (AccuracyError, DeltapError, DomainError,
                      InvariantViolation, StructureError,
@@ -44,8 +44,7 @@ from .toric import (CandidateTable, ToricModel, ToricValuation, builtin_model,
 MAX_PROBE_CUTS = 400
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     model: str
     anticanonical: bool

@@ -14,8 +14,8 @@ for the inputs at hand (divisorial data), and report the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, InvariantViolation, StructureError
 from .numeric import as_fraction, check_positive_int
@@ -29,8 +29,12 @@ def _slopes(xs, ys):
             for (x0, y0), (x1, y1) in zip(zip(xs, ys), zip(xs[1:], ys[1:]))]
 
 
-@dataclass(frozen=True)
-class TestCurve1D:
+class _TestCurveFields(NamedTuple):
+    breakpoints: tuple[Fraction, ...]
+    values: tuple[Fraction, ...]
+
+
+class TestCurve1D(_TestCurveFields):
     """Concave nonincreasing PL function on [0, lambda_max], zero at 0.
 
     Stored in canonical form: strictly increasing breakpoints starting
@@ -38,13 +42,12 @@ class TestCurve1D:
     decreasing.  Use :meth:`make` to canonicalize raw data.
     """
 
+    __slots__ = ()
     __test__ = False  # keep pytest from collecting the Test* name
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        b, v = self.breakpoints, self.values
+    def __new__(cls, breakpoints, values):
+        b, v = breakpoints, values
         if len(b) != len(v) or not b:
             raise StructureError("breakpoints and values must align")
         if b[0] != 0 or v[0] != 0:
@@ -59,6 +62,7 @@ class TestCurve1D:
         if any(s1 == s0 for s0, s1 in zip(s, s[1:])):
             raise StructureError(
                 "collinear pieces must be merged; canonicalize with make()")
+        return super().__new__(cls, breakpoints, values)
 
     @classmethod
     def make(cls, breakpoints, values) -> "TestCurve1D":
@@ -109,8 +113,12 @@ class TestCurve1D:
                         [Fraction(y) for y in data["values"]])
 
 
-@dataclass(frozen=True)
-class GeodesicRay1D:
+class _GeodesicRayFields(NamedTuple):
+    knots: tuple[tuple[Fraction, Fraction], ...]
+    final_slope: Fraction
+
+
+class GeodesicRay1D(_GeodesicRayFields):
     """Convex nondecreasing PL function on [0, infinity), zero at 0.
 
     ``knots`` are (t, phi(t)) pairs starting at (0, 0); ``final_slope``
@@ -120,17 +128,16 @@ class GeodesicRay1D:
     for every such ray and is re-checked on construction.
     """
 
-    knots: tuple[tuple[Fraction, Fraction], ...]
-    final_slope: Fraction
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        k = self.knots
-        if not k or k[0] != (Fraction(0), Fraction(0)):
+    def __new__(cls, knots, final_slope):
+        if not knots or knots[0] != (Fraction(0), Fraction(0)):
             raise StructureError("a ray starts at the knot (0, 0)")
-        ts = [t for t, _ in k]
+        ts = [t for t, _ in knots]
         if any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
             raise StructureError("knot times must strictly increase")
-        slopes = _slopes(ts, [y for _, y in k]) + [self.final_slope]
+        slopes = _slopes(ts, [y for _, y in knots]) + [final_slope]
         if any(s < 0 for s in slopes):
             raise InvariantViolation("a geodesic ray is nondecreasing")
         if any(s1 < s0 for s0, s1 in zip(slopes, slopes[1:])):
@@ -138,11 +145,12 @@ class GeodesicRay1D:
         if any(s1 == s0 for s0, s1 in zip(slopes, slopes[1:])):
             raise StructureError(
                 "collinear pieces must be merged; canonicalize with make()")
-        for t, y in k:
-            if y > self.final_slope * t:
+        for t, y in knots:
+            if y > final_slope * t:
                 raise InvariantViolation(
                     "ray exceeds its linear growth bound",
                     witness={"t": str(t), "phi": str(y)})
+        return super().__new__(cls, knots, final_slope)
 
     @classmethod
     def make(cls, knots, final_slope) -> "GeodesicRay1D":
@@ -303,8 +311,7 @@ def normalized_speed_table(measure: SpectralMeasure, n: int, p_grid):
     return rows, monotone
 
 
-@dataclass(frozen=True)
-class MomentIdentityReport:
+class MomentIdentityReport(NamedTuple):
     """Quantized versus continuous p-th moments along a level grid.
 
     ``rows`` hold (m, quantized root, continuous root, gap) where the

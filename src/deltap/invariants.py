@@ -11,8 +11,8 @@ set and are labeled as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, InvariantViolation, SemanticError
 from .numeric import check_positive_int
@@ -69,8 +69,7 @@ def delta_bar_p(model: ToricModel, val: ToricValuation, p: int):
     return a, curve.V * curve.s_p(p)
 
 
-@dataclass(frozen=True)
-class KStabilityVerdict:
+class KStabilityVerdict(NamedTuple):
     """Comparison of a candidate threshold bound with the uniform
     stability threshold, for an anticanonically polarized model.
 
@@ -141,8 +140,7 @@ def _verdict(n: int, scale: Fraction,
         h_sign=sign, h_value=value, search=search)
 
 
-@dataclass(frozen=True)
-class PGridRow:
+class PGridRow(NamedTuple):
     p: int
     delta_upper: float
     argmin: tuple[int, ...]
@@ -159,8 +157,7 @@ class PGridRow:
                 "threshold": self.threshold, "verdict": self.verdict}
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Threshold table over an order grid, with exact side conditions.
 
     Every row is an upper bound over the candidate box.  ``flags``

@@ -12,7 +12,6 @@ Everything here is exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -244,16 +243,20 @@ class ConcaveTransform:
                 f"nonneg={self.nonneg})")
 
 
-@dataclass(frozen=True)
-class SpectralMeasure:
-    """A probability measure with finitely many nonnegative atoms."""
-
+class _SpectralFields(NamedTuple):
     atoms: tuple[tuple[Fraction, Fraction], ...]
 
-    def __post_init__(self):
+
+class SpectralMeasure(_SpectralFields):
+    """A probability measure with finitely many nonnegative atoms."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, atoms):
         total = Fraction(0)
         last = None
-        for loc, mass in self.atoms:
+        for loc, mass in atoms:
             if loc < 0:
                 raise InvariantViolation("atom locations must be >= 0")
             if mass <= 0:
@@ -264,6 +267,7 @@ class SpectralMeasure:
             total += mass
         if total != 1:
             raise InvariantViolation(f"total mass is {total}, not 1")
+        return super().__new__(cls, atoms)
 
     @classmethod
     def from_atoms(cls, pairs: Sequence) -> "SpectralMeasure":

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import (DomainError, InvariantViolation, StructureError,
                      UnsupportedModelError)
@@ -43,7 +42,7 @@ MAX_CANDIDATE_BOX = 10_000
 class ToricModel:
     """A polarized toric model: lattice polytope plus derived fan data."""
 
-    __slots__ = ("P", "n", "_vertex_supports")
+    __slots__ = ("P", "n", "_vertex_supports", "_curves")
 
     def __init__(self, P: RationalPolytope):
         if not P.is_full_dimensional:
@@ -53,6 +52,7 @@ class ToricModel:
         self.P = P
         self.n = P.dim
         self._vertex_supports = None
+        self._curves = {}
 
     def vertex_rays(self, w) -> tuple[tuple[int, ...], ...]:
         """Primitive ray generators of the normal-fan cone at vertex w."""
@@ -138,13 +138,16 @@ class ToricValuation:
 
 
 def volume_curve_of(model: ToricModel, val: ToricValuation) -> VolumeCurve:
-    """Exact volume curve x -> n! * vol{u in P : g_v(u) >= x}."""
-    data = []
-    for simplex in model.P.triangulation():
-        data.append((simplex, tuple(val.g(u) for u in simplex)))
-    curve = survival_curve(data, model.n).scale(math.factorial(model.n))
-    V = Fraction(math.factorial(model.n)) * model.P.volume()
-    return VolumeCurve(model.n, V, curve)
+    """Exact volume curve x -> n! * vol{u in P : g_v(u) >= x}, built and
+    validated once per model and valuation."""
+    if val.v not in model._curves:
+        data = []
+        for simplex in model.P.triangulation():
+            data.append((simplex, tuple(val.g(u) for u in simplex)))
+        curve = survival_curve(data, model.n).scale(math.factorial(model.n))
+        V = Fraction(math.factorial(model.n)) * model.P.volume()
+        model._curves[val.v] = VolumeCurve(model.n, V, curve)
+    return model._curves[val.v]
 
 
 def log_discrepancy(model: ToricModel, val: ToricValuation) -> Fraction:
@@ -191,8 +194,7 @@ def primitive_candidates(n: int, bound: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class DeltaSearchResult:
+class DeltaSearchResult(NamedTuple):
     """Outcome of a restricted-candidate threshold search.
 
     ``value`` = min over the candidate box of A(v) / moment(v)**(1/p),
@@ -242,7 +244,7 @@ class CandidateTable:
     infimum reduces over the rows; ``curve(v)`` builds a volume curve
     only on demand."""
 
-    __slots__ = ("model", "bound", "rows", "_volumes", "_moments", "_curves")
+    __slots__ = ("model", "bound", "rows", "_volumes", "_moments")
 
     def __init__(self, model: ToricModel, bound: int):
         if not model.is_q_gorenstein:
@@ -252,7 +254,6 @@ class CandidateTable:
         self.bound = bound
         self._volumes = [simplex_volume(s) for s in simplices]
         self._moments = {}
-        self._curves = {}
         self.rows = {}
         for v in primitive_candidates(model.n, bound):
             val = ToricValuation(model, v)
@@ -272,11 +273,9 @@ class CandidateTable:
         return self._moments[v, p]
 
     def curve(self, v: tuple[int, ...]) -> VolumeCurve:
-        """The volume curve of v, built and validated on first use."""
-        if v not in self._curves:
-            self._curves[v] = volume_curve_of(self.model,
-                                              ToricValuation(self.model, v))
-        return self._curves[v]
+        """The volume curve of v; one the model holds needs no valuation."""
+        return self.model._curves.get(v) or volume_curve_of(
+            self.model, ToricValuation(self.model, v))
 
     def delta(self, p: int, normalized: bool = True) -> DeltaSearchResult:
         """Minimum of A(v)/moment(v)**(1/p), with moment s_p (normalized)

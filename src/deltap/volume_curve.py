@@ -19,9 +19,9 @@ floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
+from typing import NamedTuple
 
 from .errors import DomainError, InvariantViolation
 from .numeric import SqrtSum, as_fraction, check_positive_int, log_gamma
@@ -159,22 +159,21 @@ class VolumeCurve:
                 / self.V)
 
     def s_p_half(self, p) -> SqrtSum:
-        """Exact moment for half-integer p >= 1 as a sum of square roots."""
+        """Exact moment for half-integer p = m + 1/2 >= 1, as one root per
+        breakpoint x: sqrt(x) * x**m * sum_k c_k x**k/(p+k), ends netted."""
         p = as_fraction(p)
         if p.denominator != 2 or p < 1:
             raise DomainError("s_p_half needs a half-integer p >= 1")
         if self.is_degenerate:
             return SqrtSum.from_rational(0)
-        total = SqrtSum.from_rational(0)
+        m = p.numerator // 2
+        at: dict[Fraction, Fraction] = {}
         for u, w, piece in self.curve.spans(0, self.tau):
-            for k, coef in enumerate(piece.coeffs):
-                if coef == 0:
-                    continue
-                e = p + k
-                term = (SqrtSum.rational_power(w, e)
-                        - SqrtSum.rational_power(u, e))
-                total = total + term.scale(coef / e)
-        return total.scale(p / self.V)
+            q = Polynomial([c / (p + k) for k, c in enumerate(piece.coeffs)])
+            for x, sign in ((w, 1), (u, -1)):
+                at[x] = at.get(x, 0) + sign * x ** m * q(x)
+        return sum((SqrtSum.sqrt(x).scale(r) for x, r in at.items()),
+                   SqrtSum.from_rational(0)).scale(p / self.V)
 
     def s_p_real(self, p: float, tol: float = 1e-10) -> float:
         """Moment for real p >= 1 within +-p*tol*max(1, V*tau**p/p)/V:
@@ -387,8 +386,12 @@ class VolumeCurve:
         return f"VolumeCurve(n={self.n}, V={self.V}, tau={self.tau})"
 
 
-@dataclass(frozen=True)
-class RadialProfile:
+class _RadialFields(NamedTuple):
+    n: int
+    fpow: PiecewisePolynomial
+
+
+class RadialProfile(_RadialFields):
     """The density of a volume curve in radial normal form.
 
     ``fpow`` represents f(x)**(n-1) = -curve'(x)/V.  It integrates to one
@@ -397,17 +400,17 @@ class RadialProfile:
     of flag type from arbitrary monotone data.
     """
 
-    n: int
-    fpow: PiecewisePolynomial
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        lo, hi = self.fpow.domain
-        total = self.fpow.integrate(lo, hi)
+    def __new__(cls, n, fpow):
+        lo, hi = fpow.domain
+        total = fpow.integrate(lo, hi)
         if total != 1:
             raise InvariantViolation(
                 f"radial density integrates to {total}, not 1")
-        bps = self.fpow.breakpoints
-        for a, b, p in zip(bps, bps[1:], self.fpow.pieces):
+        bps = fpow.breakpoints
+        for a, b, p in zip(bps, bps[1:], fpow.pieces):
             x = first_negative(p, a, b)
             if x is not None:
                 raise InvariantViolation(
@@ -415,12 +418,13 @@ class RadialProfile:
                     "the curve has an increasing segment", witness={"x": str(x)})
             # A concave root that vanishes inside its domain vanishes on
             # all of it; the pointwise test below cannot see such a zero.
-            if self.n >= 2 and (p.is_zero() or root_counter(p)(a, b)
-                                or b < bps[-1] and p(b) == 0):
+            if n >= 2 and (p.is_zero() or root_counter(p)(a, b)
+                           or b < bps[-1] and p(b) == 0):
                 raise InvariantViolation(
                     "radial density vanishes inside its domain")
-        if self.n >= 2:
-            _check_root_concave(self.fpow, self.n - 1, "radial density")
+        if n >= 2:
+            _check_root_concave(fpow, n - 1, "radial density")
+        return super().__new__(cls, n, fpow)
 
 
 def curve_from_profile(n: int, breakpoints, values) -> VolumeCurve:

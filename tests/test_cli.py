@@ -196,6 +196,26 @@ def test_scan_order_rows_build_each_curve_once(tmp_path, monkeypatch):
     assert built.count(p2) == len(argmins) + 1
 
 
+def test_scan_builds_each_curve_of_its_model_once(tmp_path, monkeypatch):
+    # the moment identity reuses the curve that the candidate table built
+    # for the p = 1 argmin, since the model keeps every curve it builds
+    argmins = {toric.delta_p_search(builtin_model("p2"), p, 3).argmin
+               for p in (1, 2, 3)}
+    built = []
+    original = toric.survival_curve
+
+    def counted(data, n):
+        built.append(frozenset(u for simplex, _ in data for u in simplex))
+        return original(data, n)
+
+    monkeypatch.setattr(toric, "survival_curve", counted)
+    code, _ = run_cli(["scan", "--model", "p2", "--p", "1,2,3",
+                       "--m", "1,2,4,8"], tmp_path)
+    assert code == 0
+    p2 = frozenset(builtin_model("p2").P.vertices)
+    assert built.count(p2) == len(argmins)
+
+
 def test_scan_levels_follow_the_requested_order(tmp_path):
     def level_rows(m_arg):
         code, text = run_cli(["scan", "--model", "p2", "--p", "2",

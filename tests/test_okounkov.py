@@ -141,6 +141,18 @@ def test_spectral_measure_must_be_probability():
         SpectralMeasure.from_atoms([(F(0), F(3, 2)), (F(1), F(-1, 2))])
 
 
+@pytest.mark.parametrize("atoms, message", [
+    (((F(0), F(1, 2)), (F(1), F(1, 3))), "total mass is 5/6"),
+    (((F(-1), F(1, 2)), (F(1), F(1, 2))), "locations must be >= 0"),
+    (((F(1), F(1, 2)), (F(1), F(1, 2))), "increase strictly"),
+    (((F(2), F(1, 2)), (F(1), F(1, 2))), "increase strictly"),
+], ids=["mass", "negative", "repeated", "decreasing"])
+def test_spectral_measure_checks_direct_construction(atoms, message):
+    # from_atoms merges and sorts its pairs; a direct call is checked too
+    with pytest.raises(InvariantViolation, match=message):
+        SpectralMeasure(atoms)
+
+
 def test_spectral_measure_moments():
     mu = SpectralMeasure.from_atoms([(F(0), F(1, 2)), (F(2), F(1, 2))])
     assert mu.moment_p(1) == 1

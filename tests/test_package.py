@@ -1,9 +1,12 @@
-"""The package surface: lazy exports, and the layers each command loads.
+"""The package surface: lazy exports, the layers each command loads,
+and the result records.
 
 Each command runs in a fresh interpreter without a bytecode cache, so
 every module it imports is compiled and executed on every run.  These
 tests pin which ``deltap`` modules a bare import and each subcommand
-load, and that the lazily resolved exports are the library's objects.
+load, that none of them loads ``dataclasses`` (no module generates code
+at import), that the lazily resolved exports are the library's objects,
+and that every result record is an immutable named tuple.
 """
 
 import importlib
@@ -11,11 +14,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import deltap
+from deltap import cli, geodesic, invariants, okounkov, toric
+from deltap.errors import DeltapError
 
 SRC = Path(deltap.__file__).resolve().parents[1]
 
@@ -31,10 +37,12 @@ VERIFY_LAYERS = SCAN_LAYERS | {"deltap.selfcheck"}
 
 
 def loaded_modules(code: str) -> set[str]:
-    """The deltap modules loaded after running ``code`` in a fresh
-    interpreter; ``code`` must leave stdout empty."""
+    """The deltap modules, and ``dataclasses`` if it was imported, loaded
+    after running ``code`` in a fresh interpreter; ``code`` must leave
+    stdout empty."""
     probe = (code + "\nimport sys\nprint(json.dumps(sorted(m for m in "
-             "sys.modules if m == 'deltap' or m.startswith('deltap.'))))")
+             "sys.modules if m in ('deltap', 'dataclasses') "
+             "or m.startswith('deltap.'))))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", "import json\n" + probe],
                           capture_output=True, text=True, env=env,
@@ -48,6 +56,15 @@ def test_bare_import_loads_no_submodule():
     assert loaded_modules(code) == {"deltap"}
 
 
+def test_library_names_load_no_dataclasses():
+    # the names the benchmark's library calls import, resolved together
+    code = ("from deltap import (ToricModel, ToricValuation, basis_moment, "
+            "builtin_model, compatible_basis, random_admissible_curve, "
+            "random_flag_filtration, rounding_sandwich, section_filtration, "
+            "sup_over_bases_oracle, volume_curve_of)")
+    assert "dataclasses" not in loaded_modules(code)
+
+
 @pytest.mark.parametrize("argv, layers", [
     (["invariants", "--model", "pn:3", "--anticanonical", "--p", "1,2",
       "--bound", "1"], INVARIANTS_LAYERS),
@@ -59,7 +76,9 @@ def test_each_subcommand_loads_only_its_layers(tmp_path, argv, layers):
     out = tmp_path / "out.txt"
     code = ("from deltap import cli\n"
             f"assert cli.main({argv + ['--out', str(out)]!r}) == 0")
-    assert loaded_modules(code) == layers
+    loaded = loaded_modules(code)
+    assert "dataclasses" not in loaded
+    assert loaded == layers
     assert out.read_text()
 
 
@@ -75,3 +94,61 @@ def test_exports_are_the_objects_of_their_home_modules():
         deltap.no_such_name
     with pytest.raises(ImportError):
         exec("from deltap import no_such_name", {})
+
+
+RECORDS = ("RunConfig", "DeltaSearchResult", "KStabilityVerdict", "PGridRow",
+           "InvariantReport", "MomentIdentityReport", "RadialProfile",
+           "TestCurve1D", "GeodesicRay1D", "SpectralMeasure")
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of each result record, by class name."""
+    model = toric.builtin_model("p2-anticanonical")
+    val = toric.ToricValuation(model, (1, 0))
+    report = invariants.delta_family(model, (1,), 1)
+    curve = geodesic.TestCurve1D.make([0, 1], [0, -1])
+    built = [
+        cli.RunConfig("invariants", "p2", False, (1,), 1, (), 1e-9, "csv", 0,
+                      None),
+        toric.delta_p_search(model, 1, 1),
+        invariants.kstability_verdict(model, 1, 1),
+        report.rows[0],
+        report,
+        geodesic.verify_moment_identity(model, val, 1, m_grid=(1,)),
+        toric.volume_curve_of(model, val).radial_profile(),
+        curve,
+        geodesic.legendre(curve),
+        okounkov.SpectralMeasure.from_atoms([(Fraction(0), Fraction(1))]),
+    ]
+    return {type(record).__name__: record for record in built}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_result_records_are_immutable(records, name):
+    record = records[name]
+    assert isinstance(record, tuple)
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.note = "added"
+
+
+@pytest.mark.parametrize("name, field, bad", [
+    ("RadialProfile", "fpow", lambda record: record.fpow.scale(2)),
+    ("TestCurve1D", "values", lambda record: (Fraction(0), Fraction(1))),
+    ("GeodesicRay1D", "final_slope", lambda record: Fraction(-1)),
+    ("SpectralMeasure", "atoms",
+     lambda record: ((Fraction(0), Fraction(1, 2)),)),
+])
+def test_checked_records_check_replaced_fields(records, name, field, bad):
+    # the named-tuple constructors _make and _replace run the same checks
+    # as a direct call
+    record = records[name]
+    fields = [bad(record) if f == field else value
+              for f, value in zip(record._fields, record)]
+    with pytest.raises(DeltapError):
+        type(record)._make(fields)
+    with pytest.raises(DeltapError):
+        record._replace(**{field: bad(record)})
