@@ -3,9 +3,16 @@
 A test curve is a concave nonincreasing piecewise-linear function psi
 on [0, lambda_max] with psi(0) = 0 (minus infinity beyond lambda_max);
 a geodesic ray is a convex nondecreasing piecewise-linear function phi
-on [0, infinity) with phi(0) = 0.  The two are exchanged by an exact
-Legendre-type transform on breakpoint data, and rays carry p-th order
-speeds given by moments of a spectral measure.
+on [0, infinity) with phi(0) = 0.  Both are stored as canonical point
+lists (no repeated point, no point collinear with its neighbours).
+
+The Legendre pairing phi(t) = sup (psi(lambda) + t*lambda) exchanges
+slopes and breakpoints: phi has a knot at t = -s for each slope s < 0
+of psi, its slopes are the breakpoints lambda_j of psi, and its final
+slope is lambda_max; conversely the breakpoints of psi are 0,
+lambda_max and the slopes of phi in between.  Both directions are
+closed forms on the breakpoint data.  Rays carry p-th order speeds
+given by moments of a spectral measure.
 
 The quantization checks compare level-m filtration moments against the
 continuous limit and report the gap; they assert only what is a theorem
@@ -14,11 +21,12 @@ for the inputs at hand (divisorial data), and report the rest.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, InvariantViolation, StructureError
-from .numeric import as_fraction, check_positive_int
+from .numeric import as_fraction, check_grid, check_positive_int
 from .okounkov import ConcaveTransform, SpectralMeasure
 from .toric import (ToricModel, ToricValuation, section_filtration,
                     volume_curve_of)
@@ -27,6 +35,33 @@ from .toric import (ToricModel, ToricValuation, section_filtration,
 def _slopes(xs, ys):
     return [(y1 - y0) / (x1 - x0)
             for (x0, y0), (x1, y1) in zip(zip(xs, ys), zip(xs[1:], ys[1:]))]
+
+
+def _canonical(points, what: str) -> list[tuple[Fraction, Fraction]]:
+    """``points`` in their given order without repeats and without any
+    point collinear with its neighbours; a repeated x with another y
+    raises StructureError naming ``what``."""
+    keep: list[tuple[Fraction, Fraction]] = []
+    for x, y in points:
+        if keep and x == keep[-1][0]:
+            if y != keep[-1][1]:
+                raise StructureError(f"conflicting duplicate {what}")
+            continue
+        if len(keep) >= 2:
+            (x0, y0), (x1, y1) = keep[-2], keep[-1]
+            if (y1 - y0) / (x1 - x0) == (y - y1) / (x - x1):
+                keep[-1] = (x, y)
+                continue
+        keep.append((x, y))
+    return keep
+
+
+def _interpolate(xs, ys, x) -> Fraction:
+    """The piecewise-linear interpolant of (xs, ys) at xs[0] <= x <= xs[-1]."""
+    i = bisect_right(xs, x) - 1
+    if i == len(xs) - 1:
+        return ys[i]
+    return ys[i] + (x - xs[i]) * (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
 
 
 class _TestCurveFields(NamedTuple):
@@ -70,21 +105,7 @@ class TestCurve1D(_TestCurveFields):
         v = [as_fraction(y) for y in values]
         if len(b) != len(v) or not b:
             raise StructureError("breakpoints and values must align")
-        keep_b, keep_v = [b[0]], [v[0]]
-        for x, y in zip(b[1:], v[1:]):
-            if keep_b and x == keep_b[-1]:
-                if y != keep_v[-1]:
-                    raise StructureError("conflicting duplicate breakpoint")
-                continue
-            if len(keep_b) >= 2:
-                s_prev = (keep_v[-1] - keep_v[-2]) / (keep_b[-1] - keep_b[-2])
-                s_new = (y - keep_v[-1]) / (x - keep_b[-1])
-                if s_new == s_prev:
-                    keep_b[-1], keep_v[-1] = x, y
-                    continue
-            keep_b.append(x)
-            keep_v.append(y)
-        return cls(tuple(keep_b), tuple(keep_v))
+        return cls(*zip(*_canonical(zip(b, v), "breakpoint")))
 
     @property
     def lambda_max(self) -> Fraction:
@@ -94,14 +115,7 @@ class TestCurve1D(_TestCurveFields):
         lam = as_fraction(lam)
         if lam < 0 or lam > self.lambda_max:
             raise DomainError("outside [0, lambda_max]")
-        b, v = self.breakpoints, self.values
-        for i in range(len(b) - 1, -1, -1):
-            if lam >= b[i]:
-                if i == len(b) - 1:
-                    return v[i]
-                t = (lam - b[i]) / (b[i + 1] - b[i])
-                return v[i] + t * (v[i + 1] - v[i])
-        raise DomainError("outside [0, lambda_max]")
+        return _interpolate(self.breakpoints, self.values, lam)
 
     def to_json_dict(self) -> dict:
         return {"breakpoints": [str(x) for x in self.breakpoints],
@@ -156,28 +170,12 @@ class GeodesicRay1D(_GeodesicRayFields):
     def make(cls, knots, final_slope) -> "GeodesicRay1D":
         pts = sorted((as_fraction(t), as_fraction(y)) for t, y in knots)
         final = as_fraction(final_slope)
-        keep: list[tuple[Fraction, Fraction]] = []
-        for t, y in pts:
-            if keep and t == keep[-1][0]:
-                if y != keep[-1][1]:
-                    raise StructureError("conflicting duplicate knot")
-                continue
-            keep.append((t, y))
-        # merge collinear interior knots, then a trailing knot whose
-        # incoming slope equals the final slope.
-        i = 1
-        while i + 1 < len(keep):
-            (t0, y0), (t1, y1), (t2, y2) = keep[i - 1], keep[i], keep[i + 1]
-            if (y1 - y0) * (t2 - t1) == (y2 - y1) * (t1 - t0):
-                del keep[i]
-            else:
-                i += 1
-        while len(keep) >= 2:
+        keep = _canonical(pts, "knot")
+        # a last knot on the final slope's line is not a knot
+        if len(keep) >= 2:
             (t0, y0), (t1, y1) = keep[-2], keep[-1]
             if y1 - y0 == final * (t1 - t0):
-                del keep[-1]
-            else:
-                break
+                keep.pop()
         return cls(tuple(keep), final)
 
     @property
@@ -188,15 +186,10 @@ class GeodesicRay1D(_GeodesicRayFields):
         t = as_fraction(t)
         if t < 0:
             raise DomainError("rays are parametrized by t >= 0")
-        k = self.knots
-        for i in range(len(k) - 1, -1, -1):
-            if t >= k[i][0]:
-                if i == len(k) - 1:
-                    return k[i][1] + self.final_slope * (t - k[i][0])
-                t0, y0 = k[i]
-                t1, y1 = k[i + 1]
-                return y0 + (t - t0) * (y1 - y0) / (t1 - t0)
-        raise DomainError("rays are parametrized by t >= 0")
+        ts, ys = zip(*self.knots)
+        if t >= ts[-1]:
+            return ys[-1] + self.final_slope * (t - ts[-1])
+        return _interpolate(ts, ys, t)
 
     def to_json_dict(self) -> dict:
         return {"knots": [[str(t), str(y)] for t, y in self.knots],
@@ -211,52 +204,29 @@ class GeodesicRay1D(_GeodesicRayFields):
 def legendre(tc: TestCurve1D) -> GeodesicRay1D:
     """phi(t) = sup over lambda of (psi(lambda) + t*lambda), exactly.
 
-    For fixed t the objective is concave PL in lambda, so the sup is
-    attained at a breakpoint; phi is the upper envelope of the finite
-    line family t -> psi_j + t*lambda_j and is computed as such.
+    On the piece of psi with slope s from (lambda_j, psi_j), the
+    objective is constant in lambda exactly at t = -s; so the sup moves
+    from lambda_j to lambda_{j+1} there, phi has a knot at t = -s with
+    value psi_j - s*lambda_j for each slope s < 0, and its final slope
+    is lambda_max.
     """
-    lines = list(zip(tc.breakpoints, tc.values))  # (slope, intercept)
-    stack: list[tuple[Fraction, Fraction]] = []
-    for slope, icpt in lines:
-        while stack:
-            s0, c0 = stack[-1]
-            tstar = (c0 - icpt) / (slope - s0)
-            if len(stack) >= 2:
-                s1, c1 = stack[-2]
-                tprev = (c1 - c0) / (s0 - s1)
-                if tstar <= tprev:
-                    stack.pop()
-                    continue
-            elif tstar <= 0:
-                stack.pop()
-                continue
-            break
-        stack.append((slope, icpt))
-    if stack[0][1] != 0:
-        raise InvariantViolation("transform does not vanish at t = 0")
+    b, v = tc.breakpoints, tc.values
     knots = [(Fraction(0), Fraction(0))]
-    for (s0, c0), (s1, c1) in zip(stack, stack[1:]):
-        t = (c0 - c1) / (s1 - s0)
-        knots.append((t, c0 + s0 * t))
-    return GeodesicRay1D.make(knots, stack[-1][0])
+    knots += [(-s, y - s * x) for x, y, s in zip(b, v, _slopes(b, v)) if s < 0]
+    return GeodesicRay1D.make(knots, tc.lambda_max)
 
 
 def inverse_legendre(gr: GeodesicRay1D) -> TestCurve1D:
     """psi(lambda) = inf over t >= 0 of (phi(t) - t*lambda), exactly.
 
     Finite exactly on [0, final_slope]; the inf is attained at a knot,
-    so psi is a lower envelope of finitely many lines in lambda.  On
-    canonical data this inverts :func:`legendre` on the nose.
+    and psi breaks at the slopes of phi, which a canonical ray keeps in
+    [0, final_slope).  This inverts :func:`legendre` on the nose.
     """
-    lam_max = gr.final_slope
-    ts = [t for t, _ in gr.knots]
-    cuts = {Fraction(0), lam_max}
-    for s in _slopes(ts, [y for _, y in gr.knots]):
-        if 0 <= s <= lam_max:
-            cuts.add(s)
-    breaks = sorted(cuts)
-    vals = [min(y - t * lam for t, y in gr.knots) for lam in breaks]
-    return TestCurve1D.make(breaks, vals)
+    ts, ys = zip(*gr.knots)
+    breaks = sorted({Fraction(0), gr.final_slope, *_slopes(ts, ys)})
+    return TestCurve1D.make(
+        breaks, [min(y - t * lam for t, y in gr.knots) for lam in breaks])
 
 
 def random_test_curve(rng, max_pieces: int = 4) -> TestCurve1D:
@@ -286,6 +256,16 @@ def dp_speed(source, p: int) -> float:
     return float(moment) ** (1.0 / p)
 
 
+def _first_decrease(powers):
+    """The first adjacent (p1, p2) of ``powers``, (p, y_p**p) pairs with
+    p increasing and y_p >= 0, where y_p1 > y_p2, or None; decided as
+    x1**p2 > x2**p1, without roots."""
+    for (p1, x1), (p2, x2) in zip(powers, powers[1:]):
+        if x1 ** p2 > x2 ** p1:
+            return p1, p2
+    return None
+
+
 def normalized_speed_table(measure: SpectralMeasure, n: int, p_grid):
     """Rows (p, ((n+p)/n)**(1/p) * dp_speed) plus a monotonicity flag.
 
@@ -294,21 +274,10 @@ def normalized_speed_table(measure: SpectralMeasure, n: int, p_grid):
     (a single atom at C > 0 gives a strictly decreasing sequence), so a
     False flag is information, not an error.
     """
-    grid = tuple(int(p) for p in p_grid)
-    if any(p < 1 for p in grid) or list(grid) != sorted(set(grid)):
-        raise DomainError("the order grid must be strictly increasing, >= 1")
-    rows = []
-    for p in grid:
-        factor = Fraction(n + p, n) * measure.moment_p(p)
-        rows.append((p, float(factor) ** (1.0 / p)))
-    monotone = True
-    for (p1, _), (p2, _) in zip(rows, rows[1:]):
-        lhs = (Fraction(n + p1, n) * measure.moment_p(p1)) ** p2
-        rhs = (Fraction(n + p2, n) * measure.moment_p(p2)) ** p1
-        if lhs > rhs:
-            monotone = False
-            break
-    return rows, monotone
+    powers = [(p, Fraction(n + p, n) * measure.moment_p(p))
+              for p in check_grid(p_grid, "order grid")]
+    rows = [(p, float(x) ** (1.0 / p)) for p, x in powers]
+    return rows, _first_decrease(powers) is None
 
 
 class MomentIdentityReport(NamedTuple):
@@ -348,9 +317,7 @@ def verify_moment_identity(model: ToricModel, val: ToricValuation, p: int,
     asserted here because the input is divisorial.
     """
     check_positive_int(p, "order p")
-    grid = tuple(int(m) for m in m_grid)
-    if not grid or any(m < 1 for m in grid) or list(grid) != sorted(set(grid)):
-        raise DomainError("the level grid must be strictly increasing, >= 1")
+    grid = check_grid(m_grid, "level grid")
     curve = volume_curve_of(model, val)
     s_cont = curve.s_p(p)
     c_root = float(s_cont) ** (1.0 / p)
@@ -366,18 +333,11 @@ def verify_moment_identity(model: ToricModel, val: ToricValuation, p: int,
             f"gap {final_gap} at level {grid[-1]} exceeds bound {gap_bound}",
             witness={"m": grid[-1], "gap": final_gap, "bound": gap_bound})
 
-    n = model.n
-    p_top = max(8, p)
-    prev = None
-    for q in range(1, p_top + 1):
-        cur = curve.h_stat_power(q)
-        if prev is not None:
-            q0 = q - 1
-            if prev[1] ** q > cur ** q0:
-                raise InvariantViolation(
-                    "normalized speed fails to be nondecreasing on a "
-                    "divisorial input",
-                    witness={"p_low": q0, "p_high": q})
-        prev = (q, cur)
+    drop = _first_decrease([(q, curve.h_stat_power(q))
+                            for q in range(1, max(8, p) + 1)])
+    if drop is not None:
+        raise InvariantViolation(
+            "normalized speed fails to be nondecreasing on a divisorial input",
+            witness={"p_low": drop[0], "p_high": drop[1]})
     return MomentIdentityReport(p=p, continuous_power=s_cont,
                                 rows=tuple(rows), final_gap=final_gap)

@@ -14,8 +14,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError, InvariantViolation, SemanticError
-from .numeric import check_positive_int
+from .errors import InvariantViolation, SemanticError
+from .numeric import check_grid, check_positive_int
 from .toric import (CandidateTable, DeltaSearchResult, ToricModel,
                     ToricValuation, delta_p_search, log_discrepancy,
                     volume_curve_of)
@@ -231,9 +231,7 @@ def delta_family(model: ToricModel, p_grid, bound: int) -> InvariantReport:
     rather than trusted) and that each tabulated candidate satisfies the
     two-sided bracket; anticanonical models also get per-order verdicts.
     """
-    grid = tuple(int(p) for p in p_grid)
-    if not grid or any(p < 1 for p in grid) or list(grid) != sorted(set(grid)):
-        raise DomainError("the order grid must be strictly increasing, >= 1")
+    grid = check_grid(p_grid, "order grid")
     anti = model.anticanonical_scale()
     table = CandidateTable(model, bound)
     alpha, alpha_v = table.alpha()

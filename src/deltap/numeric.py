@@ -36,6 +36,15 @@ def check_positive_int(p, what: str) -> int:
     return p
 
 
+def check_grid(grid, what: str) -> tuple[int, ...]:
+    """``grid`` as a tuple of ints when it is nonempty, >= 1 and strictly
+    increasing; else DomainError naming ``what``."""
+    out = tuple(int(x) for x in grid)
+    if not out or out[0] < 1 or any(b <= a for a, b in zip(out, out[1:])):
+        raise DomainError(f"the {what} must be strictly increasing, >= 1")
+    return out
+
+
 def as_fraction(x) -> Fraction:
     """Coerce an int, a string like ``"3/4"`` or a Fraction to Fraction.
 

@@ -167,7 +167,8 @@ class ConcaveTransform:
         return total / self.body.volume()
 
     def slice_volume(self, t) -> Fraction:
-        """Volume of the slice body {G >= t}."""
+        """Volume of the slice body {G >= t}, from a hull of that body:
+        the reference that the tests hold :meth:`slice_curve` to."""
         t = as_fraction(t)
         constraints = list(self.body.halfspaces())
         for form in self.forms:
@@ -206,9 +207,9 @@ class ConcaveTransform:
         Lebesgue measure.
 
         Atoms sit at grid points i*T/resolution with masses given by
-        slice-volume differences (plus the exact mass of the top level),
-        so the total mass is one exactly at every resolution and the
-        moments converge from below as the resolution grows.
+        differences of the slice curve (plus the exact mass of the top
+        level), so the total mass is one exactly at every resolution and
+        the moments converge from below as the resolution grows.
         """
         check_positive_int(resolution, "resolution")
         self._require_nonneg("pushforward")
@@ -217,7 +218,8 @@ class ConcaveTransform:
             return SpectralMeasure.from_atoms([(Fraction(0), Fraction(1))])
         vol = self.body.volume()
         grid = [top * Fraction(i, resolution) for i in range(resolution + 1)]
-        slices = [self.slice_volume(t) for t in grid]
+        curve = self.slice_curve()
+        slices = [curve(t) for t in grid]
         atoms = [(grid[i], (slices[i] - slices[i + 1]) / vol)
                  for i in range(resolution)]
         atoms.append((top, slices[resolution] / vol))

@@ -15,8 +15,8 @@ from fractions import Fraction
 from .errors import InvariantViolation
 from .filtration import (basis_moment, compatible_basis,
                          random_flag_filtration, rounding_sandwich)
-from .geodesic import (inverse_legendre, legendre, random_test_curve,
-                       verify_moment_identity)
+from .geodesic import (_first_decrease, inverse_legendre, legendre,
+                       random_test_curve, verify_moment_identity)
 from .invariants import delta_family
 from .numeric import SqrtSum
 from .piecewise import PiecewisePolynomial, Polynomial
@@ -59,15 +59,13 @@ def _check_dual_route(rng, tol):
 
 def _check_h_monotone(rng, tol):
     for curve in _curve_corpus(rng.randint(0, 10 ** 6)):
-        prev = None
-        for p in range(1, 7):
-            cur = curve.h_stat_power(p)
-            if prev is not None and prev ** p > cur ** (p - 1):
-                raise InvariantViolation(
-                    "normalized moment fails to be nondecreasing",
-                    witness={"n": curve.n, "p": p,
-                             "curve": curve.to_json_dict()})
-            prev = cur
+        drop = _first_decrease([(p, curve.h_stat_power(p))
+                                for p in range(1, 7)])
+        if drop is not None:
+            raise InvariantViolation(
+                "normalized moment fails to be nondecreasing",
+                witness={"n": curve.n, "p": drop[1],
+                         "curve": curve.to_json_dict()})
 
 
 def _check_k_log_convex(rng, tol):
@@ -178,14 +176,16 @@ def _check_delta_report(rng, tol):
         raise InvariantViolation("missing verdicts on an anticanonical model")
 
 
-def mutant_curve():
-    """A curve that increases on [1/2, 3/4]: its validation must fail."""
+def _check_mutant(rng, tol):
+    """Build a curve that increases on [1/2, 3/4].  Fails either way:
+    with the validator's own error when it rejects the curve, and with
+    "mutant escaped detection" when it does not."""
     breaks = (Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1))
     pieces = (Polynomial((Fraction(1), Fraction(-1))),
               Polynomial((Fraction(0), Fraction(1))),
               Polynomial((Fraction(3), Fraction(-3))))
-    curve = PiecewisePolynomial(breaks, pieces)
-    return VolumeCurve(1, Fraction(1), curve)
+    VolumeCurve(1, Fraction(1), PiecewisePolynomial(breaks, pieces))
+    raise InvariantViolation("mutant escaped detection")
 
 
 VERIFY_CHECKS = (
@@ -200,3 +200,4 @@ VERIFY_CHECKS = (
     ("compatible-basis", _check_compatible_basis),
     ("delta-report", _check_delta_report),
 )
+MUTANT_CHECK = ("mutant-curve-rejected", _check_mutant)

@@ -18,6 +18,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltap.errors import DomainError, InvariantViolation, StructureError
 from deltap.geodesic import (
@@ -31,8 +33,10 @@ from deltap.geodesic import (
     verify_moment_identity,
 )
 from deltap.geometry import RationalPolytope
+from deltap.invariants import delta_family
 from deltap.okounkov import AffineForm, ConcaveTransform, SpectralMeasure
-from deltap.toric import ToricModel, ToricValuation, builtin_model
+from deltap.toric import ToricValuation, builtin_model
+from deltap.volume_curve import VolumeCurve
 
 F = Fraction
 
@@ -151,6 +155,92 @@ def test_transform_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
+# the piecewise-linear core against the definitions
+
+
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=7)
+
+
+@st.composite
+def _test_curves(draw):
+    seed = draw(st.integers(min_value=0, max_value=10 ** 6))
+    return random_test_curve(Random(seed), max_pieces=6)
+
+
+@st.composite
+def _rays(draw):
+    """A canonical ray from random positive knot steps and strictly
+    increasing nonnegative slopes."""
+    k = draw(st.integers(min_value=0, max_value=5))
+    steps = draw(st.lists(st.fractions(min_value=F(1, 6), max_value=3,
+                                       max_denominator=6),
+                          min_size=k + 1, max_size=k + 1))
+    slopes = [F(0)] if draw(st.booleans()) else []
+    for step in steps:
+        slopes.append((slopes[-1] if slopes else F(0)) + step)
+    knots = [(F(0), F(0))]
+    for step, slope in zip(steps, slopes[:k]):
+        t, y = knots[-1]
+        knots.append((t + step, y + slope * step))
+    return GeodesicRay1D.make(knots, slopes[k])
+
+
+def _blow_up(points, data):
+    """``points`` with extra points on each segment (its ends included,
+    so runs of repeats and collinear runs both occur)."""
+    raw = [points[0]]
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        cuts = sorted(data.draw(st.lists(UNIT, max_size=3)))
+        raw += [(x0 + c * (x1 - x0), y0 + c * (y1 - y0)) for c in cuts]
+        raw.append((x1, y1))
+    return raw
+
+
+@settings(max_examples=80, deadline=None)
+@given(tc=_test_curves(), t=st.fractions(min_value=0, max_value=20,
+                                         max_denominator=12))
+def test_legendre_value_is_the_max_over_breakpoints(tc, t):
+    expected = max(y + t * x for x, y in zip(tc.breakpoints, tc.values))
+    assert legendre(tc).value(t) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(ray=_rays(), u=UNIT)
+def test_inverse_legendre_value_is_the_min_over_knots(ray, u):
+    lam = u * ray.final_slope
+    expected = min(y - t * lam for t, y in ray.knots)
+    assert inverse_legendre(ray).value(lam) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(tc=_test_curves(), data=st.data())
+def test_test_curve_make_is_idempotent(tc, data):
+    raw = _blow_up(list(zip(tc.breakpoints, tc.values)), data)
+    made = TestCurve1D.make([x for x, _ in raw], [y for _, y in raw])
+    assert made == tc
+    assert TestCurve1D.make(made.breakpoints, made.values) == made
+
+
+@settings(max_examples=80, deadline=None)
+@given(ray=_rays(), data=st.data())
+def test_ray_make_is_idempotent(ray, data):
+    t, y = ray.knots[-1]
+    tail = [(t + 1, y + ray.final_slope)] if data.draw(st.booleans()) else []
+    raw = _blow_up(list(ray.knots) + tail, data)
+    data.draw(st.randoms()).shuffle(raw)
+    made = GeodesicRay1D.make(raw, ray.final_slope)
+    assert made == ray
+    assert GeodesicRay1D.make(made.knots, made.final_slope) == made
+
+
+def test_conflicting_duplicates_name_breakpoint_or_knot():
+    with pytest.raises(StructureError, match="conflicting duplicate breakpoint"):
+        TestCurve1D.make((F(0), F(1), F(1)), (F(0), F(-1), F(-2)))
+    with pytest.raises(StructureError, match="conflicting duplicate knot"):
+        GeodesicRay1D.make([(F(0), F(0)), (F(1), F(1)), (F(1), F(2))], F(3))
+
+
+# ---------------------------------------------------------------------------
 # speeds
 
 
@@ -247,6 +337,30 @@ def test_moment_identity_segment_sits_above_the_limit():
         assert gap > 0
         assert gap == pytest.approx(math.sqrt(float(exact_quantized))
                                     - math.sqrt(1.0 / 3.0), abs=1e-12)
+
+
+def test_moment_identity_names_the_first_decreasing_pair(monkeypatch):
+    model = builtin_model("p2")
+    val = ToricValuation(model, (1, 0))
+    monkeypatch.setattr(VolumeCurve, "h_stat_power",
+                        lambda self, q: F(1) if q < 3 else F(1, 2))
+    with pytest.raises(InvariantViolation,
+                       match="normalized speed fails to be nondecreasing") as info:
+        verify_moment_identity(model, val, 2, m_grid=(1,))
+    assert info.value.witness == {"p_low": 2, "p_high": 3}
+
+
+def test_empty_grids_raise_in_every_grid_taker():
+    model = builtin_model("p2")
+    val = ToricValuation(model, (1, 0))
+    mu = SpectralMeasure.from_atoms([(F(1), F(1))])
+    order = "the order grid must be strictly increasing, >= 1"
+    with pytest.raises(DomainError, match=order):
+        normalized_speed_table(mu, 2, ())
+    with pytest.raises(DomainError, match=order):
+        delta_family(model, (), 2)
+    with pytest.raises(DomainError, match="the level grid must"):
+        verify_moment_identity(model, val, 2, m_grid=())
 
 
 def test_moment_identity_rejects_bad_grids():

@@ -13,6 +13,7 @@ from deltap.numeric import (
     SqrtSum,
     adaptive_quadrature,
     as_fraction,
+    check_grid,
     check_positive_int,
     log_gamma,
     squarefree_decompose,
@@ -31,6 +32,17 @@ def test_check_positive_int_returns_its_argument():
 def test_check_positive_int_rejects_everything_else(bad):
     with pytest.raises(DomainError, match="order p must be a positive integer"):
         check_positive_int(bad, "order p")
+
+
+def test_check_grid_returns_a_tuple_of_ints():
+    assert check_grid([1, Fraction(3), 4], "order grid") == (1, 3, 4)
+
+
+@pytest.mark.parametrize("bad", [(), (0, 1), (2, 2), (3, 1), (-1,)])
+def test_check_grid_rejects_empty_unsorted_and_small_grids(bad):
+    with pytest.raises(DomainError,
+                       match="the level grid must be strictly increasing"):
+        check_grid(bad, "level grid")
 
 
 def _order_entry_points():

@@ -178,6 +178,35 @@ def test_pushforward_moments_converge_from_below():
     assert exact - G.pushforward(16).moment_p(2) < F(1, 8)
 
 
+def _pushforward_by_hulls(G, resolution):
+    """The atoms of ``G.pushforward(resolution)`` from one hulled slice
+    body per grid point."""
+    top, vol = G.max_value(), G.body.volume()
+    grid = [top * F(i, resolution) for i in range(resolution + 1)]
+    slices = [G.slice_volume(t) for t in grid]
+    atoms = [(grid[i], (slices[i] - slices[i + 1]) / vol)
+             for i in range(resolution)] + [(top, slices[-1] / vol)]
+    return SpectralMeasure.from_atoms(atoms).atoms
+
+
+def test_pushforward_reads_the_slice_curve(monkeypatch):
+    # min(x, y, 1/2) on the square has a plateau of area 1/4 at its top
+    transforms = [ConcaveTransform(SQUARE, [coord(0), coord(1)]),
+                  ConcaveTransform(SQUARE, [coord(0), coord(1),
+                                            ((F(0), F(0)), F(1, 2))]),
+                  ConcaveTransform(TRIANGLE, [((F(-1), F(2)), F(1))])]
+    expected = [[_pushforward_by_hulls(G, res) for res in (1, 3, 8)]
+                for G in transforms]
+    assert expected[1][0][-1] == (F(1, 2), F(1, 4))
+
+    def no_hulls(self, t):
+        raise AssertionError("pushforward hulled a slice body")
+
+    monkeypatch.setattr(ConcaveTransform, "slice_volume", no_hulls)
+    assert [[G.pushforward(res).atoms for res in (1, 3, 8)]
+            for G in transforms] == expected
+
+
 def test_pushforward_known_atoms():
     # left-endpoint histogram of x on the unit square at resolution 4
     G = ConcaveTransform(SQUARE, [coord(0)])

@@ -10,6 +10,7 @@ Frozen values used below, each computed by hand from the closed forms:
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from random import Random
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltap.errors import DomainError, InvariantViolation
+from deltap.errors import AccuracyError, DomainError, InvariantViolation
 from deltap.numeric import SqrtSum
 from deltap.piecewise import PiecewisePolynomial, Polynomial
 from deltap import volume_curve
@@ -219,6 +220,36 @@ def test_s_p_real_agrees_with_exact_at_integers():
     for p in (1, 2, 5):
         assert c.s_p_real(float(p)) == pytest.approx(float(c.s_p(p)),
                                                      rel=1e-10)
+
+
+def _decimal_s_p(c, p: float) -> Decimal:
+    """s_p of ``c`` at real order p from the termwise closed form
+    p/V * sum c_k (w**(p+k) - u**(p+k))/(p+k), in 80-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        dec = lambda q: Decimal(q.numerator) / q.denominator  # noqa: E731
+        pd, total = Decimal(repr(p)), Decimal(0)
+        for u, w, piece in c.curve.spans(0, c.tau):
+            for k, coeff in enumerate(piece.coeffs):
+                ends = [dec(x) ** (pd + k) if x else Decimal(0) for x in (u, w)]
+                total += dec(coeff) * (ends[1] - ends[0]) / (pd + k)
+        return pd * total / dec(c.V)
+
+
+@pytest.mark.parametrize("T,n", [(10 ** 3, 3), (10 ** 3, 4), (10 ** 6, 4)])
+def test_s_p_real_keeps_its_bound_where_expansion_about_zero_cancels(T, n):
+    # the piece (T - x)**(n-1)-like tail lives far from 0, so a termwise
+    # sum of its expansion about 0 cancels (relative error 4.6e-8 at
+    # T = 10**3, n = 4 and above 1 at T = 10**6, n = 4); a replacement
+    # kernel for s_p_real must stay within the docstring's bound or raise
+    c = curve_from_profile(n, [0, T - 1, T], [T, T, 0])
+    p, tol = 2.5, 1e-10
+    try:
+        got = c.s_p_real(p, tol)
+    except AccuracyError:
+        return
+    bound = p * tol * max(1.0, float(c.V) * float(c.tau) ** p / p) / float(c.V)
+    assert abs(Decimal(got) - _decimal_s_p(c, p)) <= Decimal(bound)
 
 
 def test_moment_rejects_bad_orders():
