@@ -314,8 +314,6 @@ class MonomialGradedFiltration:
     __slots__ = ("P", "v", "offset", "rounded", "_v_int", "_offset")
 
     def __init__(self, P: RationalPolytope, v: Sequence, rounded: bool = False):
-        if not P.is_full_dimensional:
-            raise StructureError("the polytope must be full-dimensional")
         self.P = P
         self.v = make_point(v)
         if len(self.v) != P.dim:

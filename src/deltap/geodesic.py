@@ -39,10 +39,12 @@ def _slopes(xs, ys):
 
 def _canonical(points, what: str) -> list[tuple[Fraction, Fraction]]:
     """``points`` in their given order without repeats and without any
-    point collinear with its neighbours; a repeated x with another y
-    raises StructureError naming ``what``."""
+    point collinear with its neighbours; an x below the one before it, or
+    a repeated x with another y, raises StructureError naming ``what``."""
     keep: list[tuple[Fraction, Fraction]] = []
     for x, y in points:
+        if keep and x < keep[-1][0]:
+            raise StructureError(f"{what} {x} is below the {what} before it")
         if keep and x == keep[-1][0]:
             if y != keep[-1][1]:
                 raise StructureError(f"conflicting duplicate {what}")

@@ -249,45 +249,22 @@ def lattice_points_in(halfspaces: Sequence[Halfspace],
 
 
 class RationalPolytope:
-    """A convex polytope with rational vertices.
+    """A full-dimensional convex polytope with rational vertices."""
 
-    Full-dimensional unless constructed with ``allow_lower_dimensional``;
-    lower-dimensional (or empty) instances exist only to report volume
-    zero.
-    """
+    __slots__ = ("dim", "vertices", "_facets", "_triangulation", "_volume")
 
-    __slots__ = ("dim", "vertices", "_facets", "_triangulation", "_volume",
-                 "lower_dimensional")
-
-    def __init__(self, vertices: Sequence[Sequence],
-                 allow_lower_dimensional: bool = False):
+    def __init__(self, vertices: Sequence[Sequence]):
         pts = sorted({make_point(v) for v in vertices})
         if not pts:
-            if not allow_lower_dimensional:
-                raise InvariantViolation("polytope has no vertices")
-            self.dim = 0
-            self.vertices = ()
-            self.lower_dimensional = True
-            self._facets = None
-            self._triangulation = None
-            self._volume = Fraction(0)
-            return
+            raise InvariantViolation("polytope has no vertices")
         dim = len(pts[0])
         if any(len(p) != dim for p in pts):
             raise StructureError("vertices have mixed dimensions")
         adim = affine_dimension(pts)
+        if adim < dim:
+            raise InvariantViolation(
+                f"polytope is {adim}-dimensional in ambient dimension {dim}")
         self.dim = dim
-        self.lower_dimensional = adim < dim
-        if self.lower_dimensional:
-            if not allow_lower_dimensional:
-                raise InvariantViolation(
-                    f"polytope is {adim}-dimensional in ambient dimension "
-                    f"{dim}; flag it lower-dimensional if that is intended")
-            self.vertices = tuple(pts)
-            self._facets = None
-            self._triangulation = None
-            self._volume = Fraction(0)
-            return
         facets = facet_enumeration(pts, dim)
         extreme = []
         for p in pts:
@@ -300,26 +277,19 @@ class RationalPolytope:
         self._volume = None
 
     @classmethod
-    def from_halfspaces(cls, halfspaces: Sequence[Halfspace], dim: int,
-                        allow_lower_dimensional: bool = True) -> "RationalPolytope":
+    def from_halfspaces(cls, halfspaces: Sequence[Halfspace],
+                        dim: int) -> "RationalPolytope | None":
+        """The bounded intersection of ``halfspaces`` in dimension ``dim``,
+        or None when it is empty or not full-dimensional."""
         hss = tuple(Halfspace(tuple(int(x) for x in hs[0]), as_fraction(hs[1]))
                     for hs in halfspaces)
         verts = vertex_enumeration(hss, dim)
-        return cls(verts, allow_lower_dimensional=allow_lower_dimensional)
-
-    @property
-    def is_full_dimensional(self) -> bool:
-        return not self.lower_dimensional
+        return cls(verts) if affine_dimension(verts) == dim else None
 
     def halfspaces(self) -> tuple[Halfspace, ...]:
-        if self._facets is None:
-            raise StructureError(
-                "no facet description for a lower-dimensional polytope")
         return self._facets
 
     def triangulation(self) -> tuple[tuple[Point, ...], ...]:
-        if self.lower_dimensional:
-            return ()
         if self._triangulation is None:
             self._triangulation = triangulate_vertices(self.vertices,
                                                        self._facets)
@@ -333,12 +303,11 @@ class RationalPolytope:
 
     def contains(self, point: Sequence) -> bool:
         p = make_point(point)
-        if self.lower_dimensional:
-            raise StructureError("membership needs a full-dimensional polytope")
         return all(dot(hs.normal, p) >= hs.offset for hs in self.halfspaces())
 
-    def intersect(self, extra: Sequence[Halfspace]) -> "RationalPolytope":
-        """Intersection with further halfspaces; may be lower-dimensional."""
+    def intersect(self, extra: Sequence[Halfspace]) -> "RationalPolytope | None":
+        """Intersection with further halfspaces, or None when it is empty
+        or not full-dimensional."""
         hss = self.halfspaces() + tuple(extra)
         return RationalPolytope.from_halfspaces(hss, self.dim)
 
@@ -370,11 +339,10 @@ class RationalPolytope:
         pts = [make_point(v) for v in verts]
         if any(len(p) != dim for p in pts):
             raise StructureError("vertex arity disagrees with dim")
-        P = cls(pts, allow_lower_dimensional=True)
-        if P.lower_dimensional:
+        if affine_dimension(pts) < dim:
             raise StructureError(f"the vertices do not span dimension {dim}: "
                                  "a polytope file must be full-dimensional")
-        return P
+        return cls(pts)
 
     def __eq__(self, other):
         return (isinstance(other, RationalPolytope)

@@ -37,10 +37,13 @@ def check_positive_int(p, what: str) -> int:
 
 
 def check_grid(grid, what: str) -> tuple[int, ...]:
-    """``grid`` as a tuple of ints when it is nonempty, >= 1 and strictly
-    increasing; else DomainError naming ``what``."""
+    """``grid`` as a tuple of ints when its entries are integral, and it is
+    nonempty, >= 1 and strictly increasing; else DomainError naming
+    ``what``."""
+    grid = tuple(grid)
     out = tuple(int(x) for x in grid)
-    if not out or out[0] < 1 or any(b <= a for a, b in zip(out, out[1:])):
+    if (out != grid or not out or out[0] < 1
+            or any(b <= a for a, b in zip(out, out[1:]))):
         raise DomainError(f"the {what} must be strictly increasing, >= 1")
     return out
 

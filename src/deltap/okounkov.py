@@ -62,20 +62,15 @@ def _halfspace_for(linear: Sequence[Fraction], rhs: Fraction):
 
 
 class ConcaveTransform:
-    """A concave piecewise-linear function min_i(forms) on a body.
+    """A concave piecewise-linear function G = min_i(forms) on a body.
 
-    ``nonneg`` asserts G >= 0 on the body; it is checked exactly at the
-    body's vertices, where a concave function attains its minimum.  The
-    moment and pushforward operations require it.
+    G >= 0 on the body; it is checked exactly at the body's vertices,
+    where a concave function attains its minimum.
     """
 
-    __slots__ = ("body", "forms", "nonneg", "_cells", "_max", "_simplices",
-                 "_curve")
+    __slots__ = ("body", "forms", "_cells", "_max", "_simplices", "_curve")
 
-    def __init__(self, body: RationalPolytope, forms: Sequence[AffineForm],
-                 nonneg: bool = True):
-        if not body.is_full_dimensional:
-            raise StructureError("the body must be full-dimensional")
+    def __init__(self, body: RationalPolytope, forms: Sequence[AffineForm]):
         coerced = []
         for f in forms:
             form = AffineForm.make(f[0], f[1])
@@ -87,17 +82,15 @@ class ConcaveTransform:
             raise StructureError("need at least one affine form")
         self.body = body
         self.forms = tuple(coerced)
-        self.nonneg = bool(nonneg)
         self._cells = None
         self._max = None
         self._simplices = None
         self._curve = None
-        if self.nonneg:
-            worst = min(self.value(v) for v in body.vertices)
-            if worst < 0:
-                raise InvariantViolation(
-                    f"transform is negative on the body (minimum {worst})",
-                    witness={"minimum": str(worst)})
+        worst = min(self.value(v) for v in body.vertices)
+        if worst < 0:
+            raise InvariantViolation(
+                f"transform is negative on the body (minimum {worst})",
+                witness={"minimum": str(worst)})
 
     def value(self, point: Sequence) -> Fraction:
         return min(f.evaluate(point) for f in self.forms)
@@ -128,7 +121,7 @@ class ConcaveTransform:
                     continue
                 cell = RationalPolytope.from_halfspaces(constraints,
                                                         self.body.dim)
-                if cell.is_full_dimensional:
+                if cell is not None:
                     cells.append((i, cell))
             self._cells = tuple(cells)
         return self._cells
@@ -152,14 +145,9 @@ class ConcaveTransform:
                 for simplex in cell.triangulation())
         return self._simplices
 
-    def _require_nonneg(self, what: str) -> None:
-        if not self.nonneg:
-            raise DomainError(f"{what} needs a transform flagged nonnegative")
-
     def moment_p(self, p: int) -> Fraction:
         """Exact (1/vol) * integral of G**p over the body."""
         check_positive_int(p, "moment order p")
-        self._require_nonneg("moment_p")
         total = Fraction(0)
         for simplex, values in self._simplex_values():
             total += integrate_affine_power_over_simplex(
@@ -179,11 +167,10 @@ class ConcaveTransform:
                 return Fraction(0)
             constraints.append(hs)
         region = RationalPolytope.from_halfspaces(constraints, self.body.dim)
-        return region.volume()
+        return Fraction(0) if region is None else region.volume()
 
     def slice_curve(self) -> PiecewisePolynomial:
         """Exact x -> vol{G >= x} on [0, max level]."""
-        self._require_nonneg("slice_curve")
         if self.max_value() == 0:
             raise DomainError("the zero transform has no slice curve")
         if self._curve is None:
@@ -194,7 +181,6 @@ class ConcaveTransform:
         """The same moment through p * integral of t**(p-1) vol{G >= t};
         an independent route used to cross-check moment_p exactly."""
         check_positive_int(p, "moment order p")
-        self._require_nonneg("moment_from_slices")
         if self.max_value() == 0:
             return Fraction(0)
         curve = self.slice_curve()
@@ -212,7 +198,6 @@ class ConcaveTransform:
         the moments converge from below as the resolution grows.
         """
         check_positive_int(resolution, "resolution")
-        self._require_nonneg("pushforward")
         top = self.max_value()
         if top == 0:
             return SpectralMeasure.from_atoms([(Fraction(0), Fraction(1))])
@@ -227,22 +212,19 @@ class ConcaveTransform:
 
     def to_json_dict(self) -> dict:
         return {"body": self.body.to_json_dict(),
-                "forms": [f.to_json_dict() for f in self.forms],
-                "nonneg": self.nonneg}
+                "forms": [f.to_json_dict() for f in self.forms]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ConcaveTransform":
         try:
             body = RationalPolytope.from_json_dict(data["body"])
             forms = [AffineForm.from_json_dict(f) for f in data["forms"]]
-            nonneg = bool(data.get("nonneg", True))
         except (KeyError, TypeError) as exc:
             raise StructureError(f"malformed transform JSON: {exc}") from None
-        return cls(body, forms, nonneg)
+        return cls(body, forms)
 
     def __repr__(self):
-        return (f"ConcaveTransform({self.body!r}, {len(self.forms)} forms, "
-                f"nonneg={self.nonneg})")
+        return f"ConcaveTransform({self.body!r}, {len(self.forms)} forms)"
 
 
 class _SpectralFields(NamedTuple):

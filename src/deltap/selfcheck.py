@@ -81,7 +81,7 @@ def _check_k_log_convex(rng, tol):
                     witness={"n": n, "s": float(grid[i]), "second": second})
 
 
-def _cmp_nonneg(x) -> bool:
+def _is_nonnegative(x) -> bool:
     if isinstance(x, SqrtSum):
         return x.sign() >= 0
     return x >= 0
@@ -93,8 +93,8 @@ def _check_rounding_sandwich(rng, tol):
                                       rng.randint(1, 4))
         for p in (1, Fraction(3, 2), 3):
             upper, mid, lower = rounding_sandwich(filt, p)
-            ok_hi = _cmp_nonneg(upper - mid)
-            ok_lo = _cmp_nonneg(mid - lower)
+            ok_hi = _is_nonnegative(upper - mid)
+            ok_lo = _is_nonnegative(mid - lower)
             if not (ok_hi and ok_lo):
                 raise InvariantViolation(
                     "rounding sandwich fails",

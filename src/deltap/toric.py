@@ -45,8 +45,6 @@ class ToricModel:
     __slots__ = ("P", "n", "_vertex_supports", "_curves")
 
     def __init__(self, P: RationalPolytope):
-        if not P.is_full_dimensional:
-            raise StructureError("the model polytope must be full-dimensional")
         if any(x.denominator != 1 for v in P.vertices for x in v):
             raise StructureError("the model polytope must have lattice vertices")
         self.P = P
@@ -96,14 +94,11 @@ class ToricModel:
         """The polytope {u : <n_F, u> >= -1} over this model's facet
         normals.  When the underlying anticanonical class is ample this
         is the polytope of the anticanonically polarized model; otherwise
-        its normal fan is a coarsening of this one."""
+        its normal fan is a coarsening of this one.  It holds 0 in its
+        interior, so it is full-dimensional."""
         hss = [Halfspace(hs.normal, Fraction(-1))
                for hs in self.P.halfspaces()]
-        Q = RationalPolytope.from_halfspaces(hss, self.n)
-        if not Q.is_full_dimensional:
-            raise UnsupportedModelError(
-                "the anticanonical polytope is not full-dimensional")
-        return Q
+        return RationalPolytope.from_halfspaces(hss, self.n)
 
     def to_json_dict(self) -> dict:
         return self.P.to_json_dict()
@@ -119,9 +114,12 @@ class ToricValuation:
     __slots__ = ("v", "offset")
 
     def __init__(self, model: ToricModel, v: Sequence):
+        v = tuple(v)
         vec = tuple(int(x) for x in v)
         if len(vec) != model.n:
             raise StructureError("valuation arity differs from the dimension")
+        if vec != v:
+            raise DomainError(f"the valuation vector must be integral: {v!r}")
         if all(x == 0 for x in vec):
             raise DomainError("the valuation vector must be nonzero")
         if math.gcd(*(abs(x) for x in vec)) != 1:
@@ -175,7 +173,7 @@ def concave_transform_of(model: ToricModel, val: ToricValuation) -> ConcaveTrans
     its moments match the volume-curve moments exactly (dual route)."""
     from .okounkov import AffineForm, ConcaveTransform
     form = AffineForm.make(val.v, val.offset)
-    return ConcaveTransform(model.P, [form], nonneg=True)
+    return ConcaveTransform(model.P, [form])
 
 
 def primitive_candidates(n: int, bound: int) -> list[tuple[int, ...]]:

@@ -74,9 +74,8 @@ class VolumeCurve:
 
     ``n`` is the dimension, ``V`` the total volume (= curve(0)), and
     ``curve`` a nonincreasing piecewise polynomial vanishing at tau whose
-    n-th root is concave (both decided exactly).  The degenerate tau = 0
-    case (a valuation the polarization never sees) carries no curve; its
-    moments are zero and its normalized statistics are undefined.
+    n-th root is concave (both decided exactly).  tau is positive, as it
+    is for every nontrivial valuation of a big class.
     """
 
     __slots__ = ("n", "V", "curve", "tau")
@@ -91,25 +90,9 @@ class VolumeCurve:
         if lo != 0:
             raise InvariantViolation("a volume curve starts at 0")
         if hi <= 0:
-            raise InvariantViolation(
-                "tau must be positive; use VolumeCurve.degenerate for tau=0")
+            raise InvariantViolation("tau must be positive")
         self.tau = hi
         self._validate()
-
-    @classmethod
-    def degenerate(cls, n: int, V) -> "VolumeCurve":
-        self = object.__new__(cls)
-        self.n = check_positive_int(n, "dimension")
-        self.V = as_fraction(V)
-        if self.V <= 0:
-            raise InvariantViolation("total volume must be positive")
-        self.curve = None
-        self.tau = Fraction(0)
-        return self
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.curve is None
 
     # -- validation ----------------------------------------------------
 
@@ -143,8 +126,6 @@ class VolumeCurve:
     def s_p(self, p: int) -> Fraction:
         """Exact p-th moment (p/V) * integral of x**(p-1) * curve(x)."""
         check_positive_int(p, "moment order p")
-        if self.is_degenerate:
-            return Fraction(0)
         return (Fraction(p) / self.V
                 * integrate_monomial_weighted(self.curve, p, 0, self.tau))
 
@@ -152,8 +133,6 @@ class VolumeCurve:
         """Same moment through the density -curve'; an independent route
         (integration by parts) used for cross-checks."""
         check_positive_int(p, "moment order p")
-        if self.is_degenerate:
-            return Fraction(0)
         density = self.curve.derivative().scale(-1)
         return (integrate_monomial_weighted(density, p + 1, 0, self.tau)
                 / self.V)
@@ -164,8 +143,6 @@ class VolumeCurve:
         p = as_fraction(p)
         if p.denominator != 2 or p < 1:
             raise DomainError("s_p_half needs a half-integer p >= 1")
-        if self.is_degenerate:
-            return SqrtSum.from_rational(0)
         m = p.numerator // 2
         at: dict[Fraction, Fraction] = {}
         for u, w, piece in self.curve.spans(0, self.tau):
@@ -181,8 +158,6 @@ class VolumeCurve:
         p = float(p)
         if p < 1.0:
             raise DomainError("moment order p must be at least 1")
-        if self.is_degenerate:
-            return 0.0
         log_size = (math.log(float(self.V)) - math.log(p)
                     + p * math.log(max(float(self.tau), 1e-300)))
         if log_size > 700.0:
@@ -207,8 +182,6 @@ class VolumeCurve:
         p = float(p)
         if p < 1.0:
             raise DomainError("moment order p must be at least 1")
-        if self.tau == 0:
-            return 0.0, 0.0
         log_tp = p * math.log(float(self.tau))
         lower = math.exp(log_gamma(p + 1.0) + log_gamma(n + 1.0)
                          - log_gamma(p + n + 1.0) + log_tp)
@@ -219,14 +192,10 @@ class VolumeCurve:
         """Exact h_stat(p)**p = (n+p)/n * s_p; use cross powers to compare
         h_stat values at integer orders without roots."""
         check_positive_int(p, "moment order p")
-        if self.is_degenerate:
-            raise DomainError("h_stat is undefined for a degenerate curve")
         return Fraction(self.n + p, self.n) * self.s_p(p)
 
     def h_stat(self, p: float, tol: float = 1e-10) -> float:
         """Normalized moment statistic ((n+p)/n * s_p)**(1/p)."""
-        if self.is_degenerate:
-            raise DomainError("h_stat is undefined for a degenerate curve")
         pf = float(p)
         if pf < 1.0:
             raise DomainError("moment order p must be at least 1")
@@ -250,8 +219,6 @@ class VolumeCurve:
         on the linear curves, the only ones of flag type in dimension
         one).
         """
-        if self.is_degenerate:
-            raise DomainError("k_stat is undefined for a degenerate curve")
         s = float(s)
         if s <= self.n - 1:
             raise DomainError(f"k_stat needs s > n - 1 = {self.n - 1}")
@@ -270,8 +237,6 @@ class VolumeCurve:
         pf = float(p)
         if pf < 1.0:
             raise DomainError("moment order p must be at least 1")
-        if self.is_degenerate:
-            raise DomainError("r_stat is undefined for a degenerate curve")
         n = self.n
         if pf.is_integer():
             pint = int(pf)
@@ -290,8 +255,6 @@ class VolumeCurve:
         primitive of exp(-x) q(x) is -exp(-x) Q(x); only the final
         exponentials are floating point.
         """
-        if self.is_degenerate:
-            return 0.0
         total = 0.0
         for a, b, piece in self.curve.spans(0, self.tau):
             q = piece
@@ -332,8 +295,6 @@ class VolumeCurve:
     # -- profile and transforms ------------------------------------------
 
     def radial_profile(self) -> "RadialProfile":
-        if self.is_degenerate:
-            raise DomainError("a degenerate curve has no radial profile")
         density = self.curve.derivative().scale(-1)
         fpow = density.scale(Fraction(1) / self.V)
         return RadialProfile(self.n, fpow)
@@ -344,8 +305,6 @@ class VolumeCurve:
         c = as_fraction(c)
         if c <= 0:
             raise DomainError("rescaling factor must be positive")
-        if self.is_degenerate:
-            return VolumeCurve.degenerate(self.n, self.V)
         breaks = [x / c for x in self.curve.breakpoints]
         pieces = [Polynomial(tuple(coef * c ** k
                                    for k, coef in enumerate(piece.coeffs)))
@@ -356,8 +315,6 @@ class VolumeCurve:
     # -- serialization and identity ---------------------------------------
 
     def to_json_dict(self) -> dict:
-        if self.is_degenerate:
-            return {"n": self.n, "V": str(self.V), "tau": "0"}
         return {"n": self.n, "V": str(self.V), "tau": str(self.tau),
                 "breakpoints": [str(x) for x in self.curve.breakpoints],
                 "pieces": [[str(c) for c in piece.coeffs]
@@ -367,8 +324,6 @@ class VolumeCurve:
     def from_json_dict(cls, data: dict) -> "VolumeCurve":
         n = int(data["n"])
         V = as_fraction(data["V"])
-        if as_fraction(data["tau"]) == 0:
-            return cls.degenerate(n, V)
         breaks = [as_fraction(x) for x in data["breakpoints"]]
         pieces = [Polynomial([as_fraction(c) for c in coeffs])
                   for coeffs in data["pieces"]]

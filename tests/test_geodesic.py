@@ -233,6 +233,13 @@ def test_ray_make_is_idempotent(ray, data):
     assert GeodesicRay1D.make(made.knots, made.final_slope) == made
 
 
+@pytest.mark.parametrize("b, v", [((0, 2, 1), (0, -2, -1)),
+                                  ((0, 1, 0, 2), (0, -1, 0, -2))])
+def test_test_curve_make_rejects_a_step_back(b, v):
+    with pytest.raises(StructureError, match="below the breakpoint before it"):
+        TestCurve1D.make(b, v)
+
+
 def test_conflicting_duplicates_name_breakpoint_or_knot():
     with pytest.raises(StructureError, match="conflicting duplicate breakpoint"):
         TestCurve1D.make((F(0), F(1), F(1)), (F(0), F(-1), F(-2)))
@@ -361,6 +368,16 @@ def test_empty_grids_raise_in_every_grid_taker():
         delta_family(model, (), 2)
     with pytest.raises(DomainError, match="the level grid must"):
         verify_moment_identity(model, val, 2, m_grid=())
+
+
+def test_non_integral_grids_raise_instead_of_truncating():
+    order = "the order grid must be strictly increasing, >= 1"
+    with pytest.raises(DomainError, match=order):
+        delta_family(builtin_model("p2-anticanonical"), (1.5, 2.9), 1)
+    with pytest.raises(DomainError, match="the level grid must"):
+        verify_moment_identity(builtin_model("p2"),
+                               ToricValuation(builtin_model("p2"), (1, 0)),
+                               2, m_grid=(2, 4.5))
 
 
 def test_moment_identity_rejects_bad_grids():

@@ -301,6 +301,16 @@ def test_polytope_intersect_halfspace():
     assert Q.volume() == F(1, 2)
 
 
+def test_empty_or_facet_cuts_are_none():
+    P = RationalPolytope(SQUARE)
+    empty = [Halfspace((1, 0), F(2))]  # x >= 2
+    facet = [Halfspace((-1, 0), F(0))]  # x <= 0 leaves the edge x = 0
+    for cut in (empty, facet):
+        assert P.intersect(cut) is None
+        assert RationalPolytope.from_halfspaces(P.halfspaces() + tuple(cut),
+                                                2) is None
+
+
 def test_polytope_lattice_points():
     P = RationalPolytope(SQUARE)
     assert len(P.lattice_points()) == 4
@@ -331,10 +341,6 @@ def test_polytope_json_rejects_lower_dimensional_vertices():
 def test_polytope_rejects_lower_dimensional_input():
     with pytest.raises(InvariantViolation):
         RationalPolytope([(F(0), F(0)), (F(1), F(1)), (F(2), F(2))])
-    # the same points are accepted when explicitly flagged
-    P = RationalPolytope([(F(0), F(0)), (F(1), F(1)), (F(2), F(2))],
-                         allow_lower_dimensional=True)
-    assert P.volume() == 0
 
 
 def _lattice_walk_with_fraction_offsets(halfspaces, vertices):

@@ -45,6 +45,13 @@ def test_check_grid_rejects_empty_unsorted_and_small_grids(bad):
         check_grid(bad, "level grid")
 
 
+@pytest.mark.parametrize("bad", [(1.5, 2.9), (1, Fraction(5, 2)), (0.5,)])
+def test_check_grid_rejects_non_integral_entries(bad):
+    with pytest.raises(DomainError,
+                       match="the order grid must be strictly increasing"):
+        check_grid(bad, "order grid")
+
+
 def _order_entry_points():
     """One callable per public entry point that takes a positive integer:
     an order p, a level, a count or a dimension."""

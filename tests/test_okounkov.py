@@ -96,6 +96,17 @@ def test_slice_volume_values():
     assert H.slice_volume(F(1, 2)) == F(1, 4)
 
 
+def test_slice_volume_is_zero_from_the_top_level_up():
+    G = ConcaveTransform(TRIANGLE, [coord(0), coord(1)])
+    top = G.max_value()
+    assert top == F(1, 2)
+    # {x, y >= t, x + y <= 1} has legs 1 - 2t
+    assert G.slice_volume(top - F(1, 4)) == F(1, 8)
+    # at the top the slice is the point (1/2, 1/2); above it, empty
+    for t in (top, top + F(1, 100), F(7)):
+        assert G.slice_volume(t) == 0
+
+
 def test_slice_curve_matches_slice_volume():
     G = ConcaveTransform(SQUARE, [coord(0), coord(1)])
     curve = G.slice_curve()
@@ -128,6 +139,15 @@ def test_transform_json_roundtrip():
     back = ConcaveTransform.from_json_dict(G.to_json_dict())
     assert back.forms == G.forms
     assert back.moment_p(2) == G.moment_p(2)
+
+
+def test_transform_json_has_no_nonneg_key():
+    G = ConcaveTransform(TRIANGLE, [coord(0), AffineForm.make([F(-1), F(0)], 1)])
+    doc = G.to_json_dict()
+    assert set(doc) == {"body", "forms"}
+    back = ConcaveTransform.from_json_dict(doc)
+    assert back.body == G.body and back.forms == G.forms
+    assert back.to_json_dict() == doc
 
 
 # ---------------------------------------------------------------------------

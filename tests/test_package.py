@@ -152,3 +152,29 @@ def test_checked_records_check_replaced_fields(records, name, field, bad):
         type(record)._make(fields)
     with pytest.raises(DeltapError):
         record._replace(**{field: bad(record)})
+
+
+def _bench_names(source: str) -> dict[str, tuple]:
+    """The literal tuples bound to TRACED and COUNTED in ``source``."""
+    import ast
+    return {target.id: ast.literal_eval(node.value)
+            for node in ast.parse(source).body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id in ("TRACED",
+                                                               "COUNTED")}
+
+
+def test_every_benchmark_traced_name_resolves():
+    """The benchmark's tracer wraps functions by (module, attribute path);
+    a renamed or deleted one would fail every traced run."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    names = _bench_names(tracer.read_text(encoding="utf-8"))
+    assert set(names) == {"TRACED", "COUNTED"}
+    missing = []
+    for module, path in names["TRACED"] + names["COUNTED"]:
+        obj = importlib.import_module(f"deltap.{module}")
+        for attr in path.split("."):
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(f"{module}.{path}")
+    assert not missing

@@ -94,6 +94,14 @@ def test_valuation_rejects_imprimitive():
         ToricValuation(model, (0, 0))
 
 
+def test_valuation_rejects_non_integral_coordinates():
+    model = builtin_model("p2")
+    for v in ((1.7, 0), (F(1, 2), 1)):
+        with pytest.raises(DomainError, match="must be integral"):
+            ToricValuation(model, v)
+    assert ToricValuation(model, (F(1), 0.0)).v == (1, 0)
+
+
 def test_q_gorenstein_flags():
     assert builtin_model("p2").is_q_gorenstein
     assert builtin_model("hirzebruch-3").is_q_gorenstein

@@ -159,14 +159,6 @@ def test_rejects_curve_vanishing_before_tau():
     assert info.value.witness == {"x": "1"}
 
 
-def test_degenerate_curve_basics():
-    d = VolumeCurve.degenerate(2, F(5))
-    assert d.is_degenerate
-    assert d.s_p(3) == 0
-    with pytest.raises(DomainError):
-        d.h_stat(2)
-
-
 # ---------------------------------------------------------------------------
 # frozen moments
 
@@ -534,13 +526,10 @@ def test_json_roundtrip():
     c = projective_curve(3)
     back = VolumeCurve.from_json_dict(c.to_json_dict())
     assert back == c
-    d = VolumeCurve.degenerate(2, F(7))
-    assert VolumeCurve.from_json_dict(d.to_json_dict()).is_degenerate
 
 
 def test_tau_of_corner_cases():
     assert linear_curve(tau=F(5, 3)).tau == F(5, 3)
-    assert VolumeCurve.degenerate(1, F(1)).tau == 0
 
 
 # ---------------------------------------------------------------------------
