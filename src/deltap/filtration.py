@@ -34,12 +34,22 @@ def _as_vector(row: Sequence, width: int) -> Vector:
 
 
 def level_moment(values: Iterable[tuple[Fraction, int]], m: int, d: int,
-                 p: int) -> Fraction:
-    """(1/d) sum c (a/m)**p over (a, c) pairs of a value and its
-    multiplicity: the values are brought to the lcm of their denominators
-    once, the powers are summed in integers, and one Fraction is built."""
-    check_positive_int(p, "moment order p")
+                 p):
+    """(1/d) sum c (a/m)**p over (a, c) pairs of a value and a positive
+    weight, its multiplicity for a moment.  For an integer p the values
+    are brought to the lcm of their denominators once, the powers are
+    summed in integers, and one Fraction is built.  For a half-integer
+    Fraction p = k + 1/2 > 0, a SqrtSum with one root per distinct value
+    in first-appearance order: sqrt(a/m) * (a/m)**k * (summed weight)."""
     pairs = list(values)
+    if isinstance(p, Fraction) and p.denominator == 2 and p > 0:
+        k, at = p.numerator // 2, {}
+        for a, c in pairs:
+            at[a] = at.get(a, 0) + c
+        return sum((SqrtSum.sqrt(a / m).scale(c * (a / m) ** k)
+                    for a, c in at.items()),
+                   SqrtSum.from_rational(0)).scale(Fraction(1, d))
+    check_positive_int(p, "moment order p")
     q = math.lcm(*(a.denominator for a, _ in pairs))
     total = sum(c * (a.numerator * (q // a.denominator)) ** p
                 for a, c in pairs)
@@ -118,7 +128,6 @@ class FlagFiltration:
         vec = _exact_row(s, self.d)
         if all(x == 0 for x in vec):
             raise DomainError("the zero vector has no order")
-        vec = primitive_integer_vector(vec)
         for v, comp in reversed(self._membership_tests()):
             if all(dot(row, vec) == 0 for row in comp):
                 return v
@@ -135,10 +144,7 @@ class FlagFiltration:
         p = as_fraction(p)
         if p.denominator != 2 or p <= 0:
             raise DomainError("s_m_p_half needs a positive half-integer p")
-        total = SqrtSum.from_rational(0)
-        for a in self.jumps:
-            total = total + SqrtSum.rational_power(a / self.m, p)
-        return total.scale(Fraction(1, self.d))
+        return level_moment(((a, 1) for a in self.jumps), self.m, self.d, p)
 
     def s_m_p_from_flag(self, p: int) -> Fraction:
         """Moment recomputed from flag dimension drops (telescoping);
@@ -184,29 +190,24 @@ def rounding_sandwich(F: FlagFiltration, p):
     Values are Fractions for integer p and exact square-root sums for
     half-integer p, so callers can compare without rounding.
     """
-    FN = round_to_integer_filtration(F)
-    m = F.m
-    if isinstance(p, int) and not isinstance(p, bool):
-        if p < 1:
-            raise DomainError("moment order p must be at least 1")
-        upper = F.s_m_p(p)
-        mid = FN.s_m_p(p)
-        if p == 1:
-            lower = upper - Fraction(1, m)
-        else:
-            lower = upper - Fraction(p, m) * F.s_m_p(p - 1)
-        return upper, mid, lower
-    p = as_fraction(p)
-    if p.denominator != 2 or p <= 1:
-        raise DomainError("non-integer orders must be half-integers > 1")
-    upper = F.s_m_p_half(p)
-    mid = FN.s_m_p_half(p)
+    if not (isinstance(p, int) and not isinstance(p, bool)):
+        p = as_fraction(p)
+        if p.denominator != 2 or p <= 1:
+            raise DomainError("non-integer orders must be half-integers > 1")
+    elif p < 1:
+        raise DomainError("moment order p must be at least 1")
+    m, d = F.m, F.d
+    upper = level_moment(((a, 1) for a in F.jumps), m, d, p)
+    mid = level_moment(((Fraction(math.floor(a)), 1) for a in F.jumps),
+                       m, d, p)
+    if p == 1:
+        return upper, mid, upper - Fraction(1, m)
+    # p/m * s_m_q(F) = (1/(d m)) sum p (a/m)**q, with q = p - 1 from 2 on
+    # and q = 1 below, where p/m**(p-1) = sqrt(m) * p/m
+    slack = level_moment(((a, p) for a in F.jumps), m, d * m, max(p - 1, 1))
     if p < 2:
-        slack = SqrtSum.rational_power(Fraction(m), 1 - p).scale(p * F.s_m_p(1))
-    else:
-        slack = F.s_m_p_half(p - 1).scale(Fraction(p, m))
-    lower = upper - slack
-    return upper, mid, lower
+        slack = SqrtSum.sqrt(m).scale(slack)
+    return upper, mid, upper - slack
 
 
 def compatible_basis(chain: Sequence[Sequence[Sequence]], d: int):

@@ -239,27 +239,6 @@ class SqrtSum:
         s, r = squarefree_decompose(q.numerator * q.denominator)
         return cls({r: Fraction(s, q.denominator)})
 
-    @classmethod
-    def rational_power(cls, q, p) -> "SqrtSum":
-        """q**p for rational q >= 0 and p an integer or half-integer."""
-        q = Fraction(q)
-        p = Fraction(p)
-        if p.denominator not in (1, 2):
-            raise DomainError(
-                "rational_power supports integer and half-integer exponents")
-        if q < 0:
-            raise DomainError("rational_power needs a nonnegative base")
-        if q == 0:
-            if p <= 0:
-                raise DomainError("0 cannot be raised to a nonpositive power")
-            return cls({})
-        a = p.numerator
-        if p.denominator == 1:
-            return cls.from_rational(q ** a)
-        # q^(a/2) = q^(a//2) * sqrt(q) for odd a (floor division also
-        # handles negative a because sqrt(q) * q^(-1) = q^(-1/2)).
-        return cls.sqrt(q).scale(q ** (a // 2))
-
     def scale(self, c) -> "SqrtSum":
         c = Fraction(c)
         return SqrtSum({r: v * c for r, v in self.terms.items()})

@@ -11,7 +11,8 @@ float in gives a float out.  Instances are immutable and safe to share.
 Every moment of a piecewise polynomial goes through one kernel:
 ``PiecewisePolynomial.spans`` checks the bounds and clips the pieces to
 [a, b], and ``power_integral`` sums c (w**(e+k) - u**(e+k)) / (e+k) over
-the clipped pieces and their terms, exactly for an integer exponent.
+the clipped pieces and their terms, exactly for an integer or a
+half-integer exponent.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InvariantViolation, RangeError, StructureError
-from .numeric import adaptive_quadrature, as_fraction, check_positive_int
+from .numeric import (SqrtSum, adaptive_quadrature, as_fraction,
+                      check_positive_int)
 
 # High-order exact moments shift a curve up by p - 1, so the guard has to
 # admit orders in the hundreds; it only exists to catch runaway degree
@@ -380,8 +382,19 @@ def power_integral(f: PiecewisePolynomial, e, a, b):
     L = lcm(e, ..., e + deg), a piece contributes
     x**e * sum_k M_k x**k / (D L) at each end, M_k = N_k L / (e+k), so
     one Horner sum per end and one Fraction for the whole integral.  A
-    float for a float e, which needs e + k > 0 on every term and a >= 0.
+    SqrtSum for a half-integer Fraction e = m + 1/2 > 0 and a >= 0, with
+    one root per distinct span end x: sqrt(x) * x**m * sum_k c_k x**k/(e+k)
+    netted over the spans that end at x.  A float for a float e, which
+    needs e + k > 0 on every term and a >= 0.
     """
+    if isinstance(e, Fraction) and e.denominator == 2 and e > 0:
+        m, at = e.numerator // 2, {}
+        for u, w, piece in f.spans(a, b):
+            q = Polynomial([c / (e + k) for k, c in enumerate(piece.coeffs)])
+            for x, sign in ((w, 1), (u, -1)):
+                at[x] = at.get(x, 0) + sign * x ** m * q(x)
+        return sum((SqrtSum.sqrt(x).scale(r) for x, r in at.items()),
+                   SqrtSum.from_rational(0))
     if isinstance(e, float):
         total = 0.0
         for u, w, piece in f.spans(a, b):

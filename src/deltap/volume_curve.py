@@ -9,11 +9,10 @@ radial profile of the curve, and an entropy-style candidate functional.
 
 Rational quantities are exact.  Every moment reads the pieces of the
 curve or of its density from ``PiecewisePolynomial.spans``: integer
-orders and k_stat go through the termwise kernel
-``piecewise.power_integral``, half-integer orders through the same terms
-as sums of square roots, and other real orders through
-tolerance-controlled quadrature; nothing exact is ever recomputed from
-floats.
+orders, half-integer orders (as sums of square roots) and k_stat go
+through the termwise kernel ``piecewise.power_integral``, and other real
+orders through tolerance-controlled quadrature; nothing exact is ever
+recomputed from floats.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from fractions import Fraction
 from random import Random
 from typing import NamedTuple
 
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, StructureError
 from .numeric import SqrtSum, as_fraction, check_positive_int, log_gamma
 from .piecewise import (PiecewisePolynomial, Polynomial, first_negative,
                         integrate_monomial_weighted, integrate_real_power,
@@ -138,19 +137,11 @@ class VolumeCurve:
                 / self.V)
 
     def s_p_half(self, p) -> SqrtSum:
-        """Exact moment for half-integer p = m + 1/2 >= 1, as one root per
-        breakpoint x: sqrt(x) * x**m * sum_k c_k x**k/(p+k), ends netted."""
+        """Exact moment for half-integer p >= 1, one root per breakpoint."""
         p = as_fraction(p)
         if p.denominator != 2 or p < 1:
             raise DomainError("s_p_half needs a half-integer p >= 1")
-        m = p.numerator // 2
-        at: dict[Fraction, Fraction] = {}
-        for u, w, piece in self.curve.spans(0, self.tau):
-            q = Polynomial([c / (p + k) for k, c in enumerate(piece.coeffs)])
-            for x, sign in ((w, 1), (u, -1)):
-                at[x] = at.get(x, 0) + sign * x ** m * q(x)
-        return sum((SqrtSum.sqrt(x).scale(r) for x, r in at.items()),
-                   SqrtSum.from_rational(0)).scale(p / self.V)
+        return power_integral(self.curve, p, 0, self.tau).scale(p / self.V)
 
     def s_p_real(self, p: float, tol: float = 1e-10) -> float:
         """Moment for real p >= 1 within +-p*tol*max(1, V*tau**p/p)/V:
@@ -158,15 +149,17 @@ class VolumeCurve:
         p = float(p)
         if p < 1.0:
             raise DomainError("moment order p must be at least 1")
-        log_size = (math.log(float(self.V)) - math.log(p)
-                    + p * math.log(max(float(self.tau), 1e-300)))
+        V, tau = float(self.V), float(self.tau)
+        if not (V and tau):
+            raise DomainError("V or tau underflows doubles; rescale first")
+        log_size = math.log(V) - math.log(p) + p * math.log(max(tau, 1e-300))
         if log_size > 700.0:
             raise DomainError(
                 "x**p overflows doubles for this tau and p; rescale first")
         scale = max(1.0, math.exp(min(log_size, 700.0)))
         raw = integrate_real_power(self.curve, p, 0, self.tau,
                                    tol=tol * scale)
-        return p * raw / float(self.V)
+        return p * raw / V
 
     # -- derived statistics ---------------------------------------------
 
@@ -182,7 +175,10 @@ class VolumeCurve:
         p = float(p)
         if p < 1.0:
             raise DomainError("moment order p must be at least 1")
-        log_tp = p * math.log(float(self.tau))
+        tau = float(self.tau)
+        if not tau:
+            raise DomainError("tau underflows doubles; rescale first")
+        log_tp = p * math.log(tau)
         lower = math.exp(log_gamma(p + 1.0) + log_gamma(n + 1.0)
                          - log_gamma(p + n + 1.0) + log_tp)
         upper = n / (n + p) * math.exp(log_tp)
@@ -322,12 +318,20 @@ class VolumeCurve:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "VolumeCurve":
-        n = int(data["n"])
-        V = as_fraction(data["V"])
-        breaks = [as_fraction(x) for x in data["breakpoints"]]
-        pieces = [Polynomial([as_fraction(c) for c in coeffs])
-                  for coeffs in data["pieces"]]
-        return cls(n, V, PiecewisePolynomial(breaks, pieces, continuous=True))
+        try:
+            n, V, tau = data["n"], data["V"], as_fraction(data["tau"])
+            breaks, pieces = data["breakpoints"], data["pieces"]
+        except (KeyError, TypeError) as exc:
+            raise StructureError(f"malformed volume curve JSON: {exc}") from None
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise StructureError(f"curve n must be an integer: {n!r}")
+        if not (isinstance(breaks, list) and isinstance(pieces, list)
+                and all(isinstance(cs, list) for cs in pieces)):
+            raise StructureError("curve breakpoints and pieces must be lists")
+        curve = PiecewisePolynomial(breaks, [Polynomial(cs) for cs in pieces])
+        if curve.domain[1] != tau:
+            raise StructureError(f"tau {tau} is not the last breakpoint")
+        return cls(n, V, curve)
 
     def __eq__(self, other):
         return (isinstance(other, VolumeCurve) and self.n == other.n

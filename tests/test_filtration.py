@@ -137,6 +137,58 @@ def test_rounding_sandwich_is_tight_for_integer_jumps():
     assert upper == mid  # nothing to round
 
 
+def _half_moment_per_jump(filt, p):
+    """The half-integer moment as one root per jump, added in jump order;
+    an oracle for the kernel, which nets each distinct value first."""
+    total = SqrtSum.from_rational(0)
+    for a in filt.jumps:
+        x = a / filt.m
+        total = total + SqrtSum.sqrt(x).scale(x ** (p - F(1, 2)))
+    return total.scale(F(1, filt.d))
+
+
+def _sandwich_per_case(filt, p):
+    """rounding_sandwich with a branch per order kind, through the floored
+    filtration and the per-jump oracle above."""
+    rounded, m = round_to_integer_filtration(filt), filt.m
+    if isinstance(p, int):
+        upper, mid = filt.s_m_p(p), rounded.s_m_p(p)
+        slack = F(1, m) if p == 1 else F(p, m) * filt.s_m_p(p - 1)
+        return upper, mid, upper - slack
+    upper = _half_moment_per_jump(filt, p)
+    mid = _half_moment_per_jump(rounded, p)
+    if p < 2:  # p/m**(p-1) s_1 = m**(-1/2) p s_1
+        slack = SqrtSum.sqrt(F(m)).scale(F(1, m)).scale(p * filt.s_m_p(1))
+    else:
+        slack = _half_moment_per_jump(filt, p - 1).scale(F(p, m))
+    return upper, mid, upper - slack
+
+
+def _assert_identical(got, want):
+    """Equal values, and for a SqrtSum the same roots in the same order
+    and the same float bits."""
+    assert type(got) is type(want) and got == want
+    if isinstance(want, SqrtSum):
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert float(got).hex() == float(want).hex()
+
+
+def test_half_integer_moments_and_sandwich_equal_their_per_jump_forms():
+    rng = Random("per-jump")
+    for _ in range(60):
+        filt = random_flag_filtration(rng, rng.randint(1, 6),
+                                      rng.randint(1, 7))
+        counts = [(a, filt.jumps.count(a)) for a in sorted(set(filt.jumps))]
+        for p in (F(1, 2), F(3, 2), F(5, 2), F(7, 2)):
+            want = _half_moment_per_jump(filt, p)
+            _assert_identical(filt.s_m_p_half(p), want)
+            _assert_identical(level_moment(counts, filt.m, filt.d, p), want)
+        for p in (1, F(3, 2), 2, F(5, 2), 3, F(7, 2)):
+            for got, want in zip(rounding_sandwich(filt, p),
+                                 _sandwich_per_case(filt, p)):
+                _assert_identical(got, want)
+
+
 # ---------------------------------------------------------------------------
 # compatible bases
 

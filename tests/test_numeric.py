@@ -205,19 +205,6 @@ def test_sqrtsum_sign_of_close_values():
     assert (lhs - rhs).sign() == -1
 
 
-def test_sqrtsum_rational_power_half():
-    # (9/4)^(1/2) = 3/2 exactly
-    x = SqrtSum.rational_power(Fraction(9, 4), Fraction(1, 2))
-    assert (x - SqrtSum.from_rational(Fraction(3, 2))).is_zero()
-
-
-def test_sqrtsum_rational_power_three_halves():
-    # 2^(3/2) = 2 * sqrt(2)
-    x = SqrtSum.rational_power(Fraction(2), Fraction(3, 2))
-    y = SqrtSum.sqrt(Fraction(2)).scale(Fraction(2))
-    assert (x - y).is_zero()
-
-
 @settings(max_examples=60)
 @given(
     a=st.fractions(min_value=Fraction(-5), max_value=Fraction(5)),

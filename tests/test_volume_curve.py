@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltap.errors import AccuracyError, DomainError, InvariantViolation
+from deltap.errors import (AccuracyError, DomainError, InvariantViolation,
+                           StructureError)
 from deltap.numeric import SqrtSum
 from deltap.piecewise import PiecewisePolynomial, Polynomial
 from deltap import volume_curve
@@ -195,7 +196,7 @@ def test_half_integer_moment_linear_tau_two():
     # linear curve with tau = 2: s_p = 2^p/(p+1), so s_{3/2} = 2^(5/2)/5
     c = linear_curve(tau=F(2))
     got = c.s_p_half(F(3, 2))
-    expected = SqrtSum.rational_power(F(2), F(5, 2)).scale(F(1, 5))
+    expected = SqrtSum.sqrt(F(2)).scale(F(2) ** 2 / 5)
     assert (got - expected).is_zero()
 
 
@@ -395,8 +396,8 @@ def _s_p_half_loop(c, p):
             if coef == 0:
                 continue
             e = p + k
-            term = (SqrtSum.rational_power(hi, e)
-                    - SqrtSum.rational_power(lo, e))
+            term = (SqrtSum.sqrt(hi).scale(hi ** (e - F(1, 2)))
+                    - SqrtSum.sqrt(lo).scale(lo ** (e - F(1, 2))))
             total = total + term.scale(coef / e)
     return total.scale(p / c.V)
 
@@ -410,8 +411,9 @@ def test_k_stat_and_s_p_half_equal_their_loop_oracles():
                 assert c.k_stat(s) == _k_stat_loop(c, s)
             for p in (F(3, 2), F(5, 2), F(9, 2)):
                 got, want = c.s_p_half(p), _s_p_half_loop(c, p)
-                # the float sums the roots in order, so the order matches too
-                assert got == want and float(got) == float(want)
+                # the float sums the roots in order, so the order matters
+                assert list(got.terms.items()) == list(want.terms.items())
+                assert float(got).hex() == float(want).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +528,38 @@ def test_json_roundtrip():
     c = projective_curve(3)
     back = VolumeCurve.from_json_dict(c.to_json_dict())
     assert back == c
+
+
+@pytest.mark.parametrize("change", [
+    {"breakpoints": None}, {"breakpoints": "03"}, {"pieces": 3},
+    {"pieces": [None]}, {"pieces": ["3-"]},
+    {"n": "3"}, {"n": True}, {"tau": "5"}, {"tau": "0"}])
+def test_json_malformed_curve_is_a_structure_error(change):
+    doc = {**projective_curve(3).to_json_dict(), **change}
+    with pytest.raises(StructureError):
+        VolumeCurve.from_json_dict(doc)
+
+
+def test_json_missing_keys_are_a_structure_error():
+    # the old degenerate form, which has no breakpoints or pieces
+    with pytest.raises(StructureError, match="breakpoints"):
+        VolumeCurve.from_json_dict({"n": 2, "V": "7", "tau": "0"})
+    doc = projective_curve(3).to_json_dict()
+    del doc["tau"]
+    with pytest.raises(StructureError, match="tau"):
+        VolumeCurve.from_json_dict(doc)
+    with pytest.raises(StructureError):
+        VolumeCurve.from_json_dict([2, "7", "0"])
+
+
+def test_real_orders_refuse_values_that_underflow_doubles():
+    c = curve_from_profile(1, [0, F(1, 10 ** 400)], [1, 1])
+    assert float(c.V) == float(c.tau) == 0.0
+    with pytest.raises(DomainError, match="underflows"):
+        c.s_p_real(1.5)
+    with pytest.raises(DomainError, match="underflows"):
+        c.barycenter_bounds(1.5)
+    assert c.s_p(2) == c.tau ** 2 / 3  # the exact orders are unaffected
 
 
 def test_tau_of_corner_cases():
