@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 from .errors import InvariantViolation, SemanticError
 from .numeric import check_grid, check_positive_int
-from .toric import (CandidateTable, DeltaSearchResult, ToricModel,
-                    ToricValuation, delta_p_search, log_discrepancy,
-                    volume_curve_of)
+from .toric import (DEFAULT_SEARCH_BOUND, CandidateTable, DeltaSearchResult,
+                    ToricModel, ToricValuation, delta_p_search,
+                    log_discrepancy, volume_curve_of)
 from .volume_curve import barycenter_bounds
 
 
@@ -100,7 +100,7 @@ class KStabilityVerdict(NamedTuple):
 
 
 def kstability_verdict(model: ToricModel, p: int,
-                       bound: int = 5) -> KStabilityVerdict:
+                       bound: int = DEFAULT_SEARCH_BOUND) -> KStabilityVerdict:
     """Exact threshold comparison for an anticanonical polarization.
 
     The polarization must be proportional to the anticanonical class of

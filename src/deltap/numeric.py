@@ -146,8 +146,7 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     return resk * h, abs(resk - resg) * abs(h)
 
 
-def adaptive_quadrature(f, a: float, b: float, tol: float,
-                        max_evals: int = MAX_QUADRATURE_EVALS) -> float:
+def adaptive_quadrature(f, a: float, b: float, tol: float) -> float:
     """Integrate ``f`` over [a, b] to absolute accuracy ``tol``.
 
     Gauss-Kronrod 7-15 panels with bisection of the worst panel.  Raises
@@ -167,7 +166,7 @@ def adaptive_quadrature(f, a: float, b: float, tol: float,
     total_val = val
     total_err = err
     while total_err > tol:
-        if evals + 30 > max_evals:
+        if evals + 30 > MAX_QUADRATURE_EVALS:
             raise AccuracyError(
                 f"quadrature on [{a}, {b}] stalled at error {total_err:.3e} "
                 f"> tol {tol:.3e} after {evals} evaluations")

@@ -384,10 +384,12 @@ def power_integral(f: PiecewisePolynomial, e, a, b):
     one Horner sum per end and one Fraction for the whole integral.  A
     SqrtSum for a half-integer Fraction e = m + 1/2 > 0 and a >= 0, with
     one root per distinct span end x: sqrt(x) * x**m * sum_k c_k x**k/(e+k)
-    netted over the spans that end at x.  A float for a float e, which
-    needs e + k > 0 on every term and a >= 0.
+    netted over the spans that end at x.  A float for a float e > 0,
+    which needs a >= 0.  Any other e raises DomainError.
     """
-    if isinstance(e, Fraction) and e.denominator == 2 and e > 0:
+    if isinstance(e, Fraction):
+        if e.denominator != 2 or e < 0:
+            raise DomainError(f"exponent {e} is not a positive half-integer")
         m, at = e.numerator // 2, {}
         for u, w, piece in f.spans(a, b):
             q = Polynomial([c / (e + k) for k, c in enumerate(piece.coeffs)])
@@ -396,6 +398,8 @@ def power_integral(f: PiecewisePolynomial, e, a, b):
         return sum((SqrtSum.sqrt(x).scale(r) for x, r in at.items()),
                    SqrtSum.from_rational(0))
     if isinstance(e, float):
+        if not e > 0:
+            raise DomainError(f"exponent {e} is not positive")
         total = 0.0
         for u, w, piece in f.spans(a, b):
             u, w = float(u), float(w)
@@ -404,6 +408,7 @@ def power_integral(f: PiecewisePolynomial, e, a, b):
                     total += (c / piece.den * (w ** (e + k) - u ** (e + k))
                               / (e + k))
         return total
+    check_positive_int(e, "exponent e")
     num, den = 0, 1
     for u, w, piece in f.spans(a, b):
         if not piece.nums:

@@ -9,6 +9,7 @@ tests only pin the formatting and plumbing on top of them.
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -388,12 +389,34 @@ def test_malformed_model_document_exits_3(tmp_path, capsys, doc):
     assert err["error"] == "StructureError"
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-def test_unusable_tol_exits_3(capsys, tol):
-    # NaN would make every "x < -tol" check pass silently.
-    assert cli.main(["verify", "--seed", "0", f"--tol={tol}"]) == 3
-    err = json.loads(capsys.readouterr().err)
+@pytest.mark.parametrize("argv", [
+    ["verify", "--tol", "1e-9"], ["verify", "--model", "p2"],
+    ["verify", "--bound", "2"], ["invariants", "--m", "4"],
+    ["invariants", "--seed", "3"], ["scan", "--seed", "3"],
+    ["scan", "--inject-mutant"]], ids=" ".join)
+def test_option_the_subcommand_does_not_take_exits_3(capsys, argv):
+    # "--m" must not be read as an abbreviation of "--model" either.
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
     assert err["error"] == "DomainError"
+    assert "unrecognized arguments: " + " ".join(argv[1:]) == err["message"]
+
+
+_MODEL_OPTIONS = {"--model", "--anticanonical", "--p", "--bound"}
+_SUBCOMMAND_OPTIONS = {
+    "invariants": _MODEL_OPTIONS | {"--format", "--out"},
+    "scan": _MODEL_OPTIONS | {"--m", "--format", "--out"},
+    "verify": {"--seed", "--inject-mutant", "--format", "--out"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_OPTIONS))
+def test_each_subcommand_help_lists_exactly_its_options(capsys, command):
+    assert cli.main([command, "--help"]) == 0
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert listed == _SUBCOMMAND_OPTIONS[command] | {"--help"}
 
 
 def test_argparse_failures(capsys):
@@ -474,8 +497,11 @@ _OPTIONS = {
 def _argv(draw):
     command = draw(st.sampled_from(["invariants", "scan", "invariants", "scan",
                                     "verify", "frobnicate"]))
-    # Most runs read the fuzzed model file, and scan needs an order grid.
-    argv = [command, "--model", "FILE", "--p", "1,2"]
+    # Most runs read the fuzzed model file, and scan needs an order grid;
+    # verify takes neither option, so it starts bare.
+    argv = [command]
+    if command != "verify":
+        argv += ["--model", "FILE", "--p", "1,2"]
     for opt in draw(st.lists(st.sampled_from(sorted(_OPTIONS)), max_size=4)):
         value = draw(_OPTIONS[opt])
         argv += [opt] if value is None else [opt, value]

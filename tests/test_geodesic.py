@@ -321,17 +321,6 @@ def test_moment_identity_second_order_gap_shrinks():
     assert gaps[-1] <= gaps[1] <= gaps[0]
 
 
-def test_moment_identity_gap_bound_enforced():
-    model = builtin_model("p2")
-    val = ToricValuation(model, (1, 0))
-    with pytest.raises(InvariantViolation):
-        verify_moment_identity(model, val, 2, m_grid=(1, 2),
-                               gap_bound=1e-6)
-    report = verify_moment_identity(model, val, 2, m_grid=(1, 2),
-                                    gap_bound=0.2)
-    assert abs(report.final_gap) <= 0.2
-
-
 def test_moment_identity_segment_sits_above_the_limit():
     # the level-m second moment on a segment is 1/3 + 1/(6m): the
     # quantized value exceeds the continuous one at every level, which

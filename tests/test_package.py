@@ -109,8 +109,7 @@ def records():
     report = invariants.delta_family(model, (1,), 1)
     curve = geodesic.TestCurve1D.make([0, 1], [0, -1])
     built = [
-        cli.RunConfig("invariants", "p2", False, (1,), 1, (), 1e-9, "csv", 0,
-                      None),
+        cli.RunConfig("invariants", "p2", False, (1,), 1, (), "csv", 0, None),
         toric.delta_p_search(model, 1, 1),
         invariants.kstability_verdict(model, 1, 1),
         report.rows[0],

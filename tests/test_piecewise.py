@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltap.errors import InvariantViolation, RangeError
+from deltap.errors import DomainError, InvariantViolation, RangeError
 from deltap.piecewise import (
     PiecewisePolynomial,
     Polynomial,
@@ -214,6 +214,14 @@ def test_float_order_is_the_termwise_float_sum():
     got = power_integral(f, 1.5, 0, 1)
     assert isinstance(got, float)
     assert got == 1.0 / 1.5 - 1.0 / 2.5
+
+
+@pytest.mark.parametrize("e", [F(2), F(3, 4), F(-1, 2), 0, -1, True, 0.0],
+                         ids=repr)
+def test_power_integral_refuses_an_exponent_it_cannot_take(e):
+    f = PiecewisePolynomial([0, 1], [Polynomial([1, -1])])
+    with pytest.raises(DomainError, match="exponent"):
+        power_integral(f, e, 0, 1)
 
 
 # ---------------------------------------------------------------------------
