@@ -404,6 +404,17 @@ def test_option_the_subcommand_does_not_take_exits_3(capsys, argv):
     assert "unrecognized arguments: " + " ".join(argv[1:]) == err["message"]
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_unusable_tol_exits_3(capsys, tol):
+    # verify no longer takes a tolerance, so no value of one is run silently.
+    assert cli.main(["verify", "--seed", "0", f"--tol={tol}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "DomainError"
+    assert err["message"] == f"unrecognized arguments: --tol={tol}"
+
+
 _MODEL_OPTIONS = {"--model", "--anticanonical", "--p", "--bound"}
 _SUBCOMMAND_OPTIONS = {
     "invariants": _MODEL_OPTIONS | {"--format", "--out"},
