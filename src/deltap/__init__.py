@@ -24,8 +24,7 @@ _EXPORTS = {
     "filtration": ("FlagFiltration", "MonomialGradedFiltration",
                    "basis_moment", "compatible_basis", "generated_filtration",
                    "generated_flag_filtration", "random_flag_filtration",
-                   "round_to_integer_filtration", "rounding_sandwich",
-                   "sup_over_bases_oracle"),
+                   "rounding_sandwich", "sup_over_bases_oracle"),
     "geodesic": ("GeodesicRay1D", "MomentIdentityReport", "TestCurve1D",
                  "dp_speed", "inverse_legendre", "legendre",
                  "normalized_speed_table", "random_test_curve",

@@ -146,37 +146,9 @@ class FlagFiltration:
             raise DomainError("s_m_p_half needs a positive half-integer p")
         return level_moment(((a, 1) for a in self.jumps), self.m, self.d, p)
 
-    def s_m_p_from_flag(self, p: int) -> Fraction:
-        """Moment recomputed from flag dimension drops (telescoping);
-        equals s_m_p exactly and cross-checks the flag bookkeeping."""
-        if self.flag is None:
-            raise StructureError("needs the flag")
-        sizes = [len(rows) for _, rows in self.flag] + [0]
-        return level_moment(((v, size - nxt) for (v, _), size, nxt
-                             in zip(self.flag, sizes, sizes[1:])),
-                            self.m, self.d, p)
-
     def t_m(self) -> Fraction:
         """Largest jump, normalized by the level."""
         return self.jumps[-1] / self.m
-
-
-def round_to_integer_filtration(F: FlagFiltration) -> FlagFiltration:
-    """Floor every jumping number (the integer-height refiltration).
-
-    The subspaces do not move: the subspace at integer height v is the
-    original subspace at the smallest jump value >= v.
-    """
-    floored = tuple(Fraction(math.floor(a)) for a in F.jumps)
-    flag = None
-    if F.flag is not None:
-        new_values = sorted({Fraction(math.floor(a)) for a in F.jumps})
-        pairs = []
-        for v in new_values:
-            rows = next(rows for value, rows in F.flag if value >= v)
-            pairs.append((v, rows))
-        flag = pairs
-    return FlagFiltration(F.m, floored, flag)
 
 
 def rounding_sandwich(F: FlagFiltration, p):
@@ -343,21 +315,10 @@ class MonomialGradedFiltration:
     def weights(self, m: int) -> dict[tuple[int, ...], Fraction]:
         return {u: self.weight(u, m) for u in self.level_points(m)}
 
-    def flag_filtration(self, m: int, with_flag: bool = False) -> FlagFiltration:
-        """Level-m filtration data; with_flag builds the coordinate flag
-        on the section space indexed by lattice points."""
-        wts = self.weights(m)
-        order = sorted(wts, key=lambda u: (wts[u], u))
-        jumps = [wts[u] for u in order]
-        flag = None
-        if with_flag:
-            d = len(order)
-            flag = []
-            for v in sorted(set(jumps)):
-                rows = [tuple(Fraction(1 if j == i else 0) for j in range(d))
-                        for i, u in enumerate(order) if wts[u] >= v]
-                flag.append((v, rows))
-        return FlagFiltration(m, jumps, flag)
+    def flag_filtration(self, m: int) -> FlagFiltration:
+        """Level-m filtration data: the weights of the lattice points of
+        mP are its jumping numbers."""
+        return FlagFiltration(m, sorted(self.weights(m).values()))
 
 
 def generated_filtration(base: MonomialGradedFiltration, m: int,

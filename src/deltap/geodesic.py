@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, InvariantViolation, StructureError
-from .numeric import as_fraction, check_grid, check_positive_int
+from .numeric import as_fraction, check_grid, check_positive_int, float_root
 from .okounkov import ConcaveTransform, SpectralMeasure
 from .toric import (ToricModel, ToricValuation, section_filtration,
                     volume_curve_of)
@@ -255,7 +255,7 @@ def dp_speed(source, p: int) -> float:
     else:
         raise StructureError(
             "dp_speed expects a SpectralMeasure or ConcaveTransform")
-    return float(moment) ** (1.0 / p)
+    return float_root(moment, p)
 
 
 def _first_decrease(powers):
@@ -278,7 +278,7 @@ def normalized_speed_table(measure: SpectralMeasure, n: int, p_grid):
     """
     powers = [(p, Fraction(n + p, n) * measure.moment_p(p))
               for p in check_grid(p_grid, "order grid")]
-    rows = [(p, float(x) ** (1.0 / p)) for p, x in powers]
+    rows = [(p, float_root(x, p)) for p, x in powers]
     return rows, _first_decrease(powers) is None
 
 
@@ -320,12 +320,12 @@ def verify_moment_identity(model: ToricModel, val: ToricValuation, p: int,
     grid = check_grid(m_grid, "level grid")
     curve = volume_curve_of(model, val)
     s_cont = curve.s_p(p)
-    c_root = float(s_cont) ** (1.0 / p)
+    c_root = float_root(s_cont, p)
     rows = []
     for m in grid:
         filt = section_filtration(model, val, m)
         s_m = filt.s_m_p(p)
-        q_root = float(s_m) ** (1.0 / p)
+        q_root = float_root(s_m, p)
         rows.append((m, q_root, c_root, q_root - c_root))
     drop = _first_decrease([(q, curve.h_stat_power(q))
                             for q in range(1, max(8, p) + 1)])

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvariantViolation, SemanticError
-from .numeric import check_grid, check_positive_int
+from .numeric import check_grid, check_positive_int, float_root
 from .toric import (DEFAULT_SEARCH_BOUND, CandidateTable, DeltaSearchResult,
                     ToricModel, ToricValuation, delta_p_search,
                     log_discrepancy, volume_curve_of)
@@ -135,8 +135,8 @@ def _verdict(n: int, scale: Fraction,
     return KStabilityVerdict(
         p=p, n=n, relation=relation,
         delta_upper=float(scale) * search.value,
-        threshold=float(rhs) ** (1.0 / p),
-        boundary_value=float(projective_space_delta_power(n, p)) ** (1.0 / p),
+        threshold=float_root(rhs, p),
+        boundary_value=float_root(projective_space_delta_power(n, p), p),
         h_sign=sign, h_value=value, search=search)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from fractions import Fraction
 
 from .errors import AccuracyError, DomainError
@@ -52,11 +53,12 @@ def as_fraction(x) -> Fraction:
     """Coerce an int, a string like ``"3/4"`` or a Fraction to Fraction.
 
     Floats are rejected on purpose: silently converting a float would
-    launder rounding error into the exact layer.
+    launder rounding error into the exact layer.  So are bools, which
+    are ints to Python but no coordinate or value.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -64,6 +66,19 @@ def as_fraction(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"cannot parse {x!r} as an exact rational") from exc
     raise DomainError(f"cannot interpret {x!r} as an exact rational")
+
+
+def float_root(x, p) -> float:
+    """The p-th root of a positive exact rational x as a float:
+    ``float(x) ** (1.0 / p)`` when x is 0 or a normal float, else from the
+    logs of its numerator and denominator, which take ints of any size."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if sys.float_info.min <= f < math.inf or not x:
+        return f ** (1.0 / p)
+    return math.exp((math.log(x.numerator) - math.log(x.denominator)) / p)
 
 
 def log_gamma(x) -> float:

@@ -154,21 +154,6 @@ class ConcaveTransform:
                 simplex_volume(simplex), values, p)
         return total / self.body.volume()
 
-    def slice_volume(self, t) -> Fraction:
-        """Volume of the slice body {G >= t}, from a hull of that body:
-        the reference that the tests hold :meth:`slice_curve` to."""
-        t = as_fraction(t)
-        constraints = list(self.body.halfspaces())
-        for form in self.forms:
-            hs = _halfspace_for(form.linear, t - form.constant)
-            if hs is True:
-                continue
-            if hs is False:
-                return Fraction(0)
-            constraints.append(hs)
-        region = RationalPolytope.from_halfspaces(constraints, self.body.dim)
-        return Fraction(0) if region is None else region.volume()
-
     def slice_curve(self) -> PiecewisePolynomial:
         """Exact x -> vol{G >= x} on [0, max level]."""
         if self.max_value() == 0:

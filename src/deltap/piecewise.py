@@ -4,9 +4,9 @@ rational coefficients, held as integer numerators over one denominator.
 A :class:`Polynomial` stores ``nums`` and ``den`` with coefficient k
 equal to nums[k]/den, in lowest terms (den > 0 and gcd(den, *nums) = 1),
 so arithmetic, evaluation and Sturm chains run on ints and build one
-Fraction at the end; ``coeffs`` gives the Fraction tuple.  Evaluation
-keeps the type of the argument: a Fraction in gives a Fraction out, a
-float in gives a float out.  Instances are immutable and safe to share.
+Fraction at the end; ``coeffs`` gives the Fraction tuple.  Evaluation is
+exact: an int or a Fraction in gives a Fraction out, and a float raises
+DomainError.  Instances are immutable and safe to share.
 
 Every moment of a piecewise polynomial goes through one kernel:
 ``PiecewisePolynomial.spans`` checks the bounds and clips the pieces to
@@ -87,11 +87,7 @@ class Polynomial:
         return not self.nums
 
     def __call__(self, x):
-        if isinstance(x, float):
-            acc = 0.0
-            for c in reversed(self.nums):
-                acc = acc * x + c / self.den
-            return acc
+        x = as_fraction(x)
         if not self.nums:
             return 0
         xd = x.denominator
@@ -124,12 +120,6 @@ class Polynomial:
         c = as_fraction(c)
         return _make([v * c.numerator for v in self.nums],
                      self.den * c.denominator)
-
-    def shift_up(self, k: int) -> "Polynomial":
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return _make([0] * k + list(self.nums), self.den)
 
     def derivative(self) -> "Polynomial":
         return _make([i * c for i, c in enumerate(self.nums) if i > 0],
@@ -303,9 +293,6 @@ class PiecewisePolynomial:
         return bisect.bisect_right(self.breakpoints, x) - 1
 
     def __call__(self, x):
-        if isinstance(x, float):
-            xf = as_fraction_from_float(x, self)
-            return float(self.pieces[self.piece_index(xf)](x))
         x = as_fraction(x)
         return self.pieces[self.piece_index(x)](x)
 
@@ -351,26 +338,6 @@ class PiecewisePolynomial:
     def __repr__(self):
         return (f"PiecewisePolynomial({[str(b) for b in self.breakpoints]}, "
                 f"{len(self.pieces)} pieces)")
-
-
-def as_fraction_from_float(x: float, f: PiecewisePolynomial) -> Fraction:
-    """Clamp a float evaluation point into the exact domain.
-
-    Floats that round barely outside the domain (from upstream float
-    arithmetic) are snapped to the nearest endpoint; anything further out
-    is a genuine range error.
-    """
-    q = Fraction(x)
-    lo, hi = f.domain
-    if q < lo:
-        if float(lo) - x > 1e-9 * max(1.0, abs(float(lo))):
-            raise RangeError(f"{x} outside domain [{lo}, {hi}]")
-        return lo
-    if q > hi:
-        if x - float(hi) > 1e-9 * max(1.0, abs(float(hi))):
-            raise RangeError(f"{x} outside domain [{lo}, {hi}]")
-        return hi
-    return q
 
 
 def power_integral(f: PiecewisePolynomial, e, a, b):

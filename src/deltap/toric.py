@@ -26,7 +26,7 @@ from .geometry import (Halfspace, RationalPolytope, dot,
                        integrate_affine_power_over_simplex, simplex_volume,
                        survival_curve)
 from .linalg import solve_linear_system
-from .numeric import check_positive_int
+from .numeric import check_positive_int, float_root
 from .volume_curve import VolumeCurve
 
 if TYPE_CHECKING:  # loaded on first use by the functions that return them
@@ -160,12 +160,12 @@ def log_discrepancy(model: ToricModel, val: ToricValuation) -> Fraction:
     return a
 
 
-def section_filtration(model: ToricModel, val: ToricValuation, m: int,
-                       with_flag: bool = False) -> FlagFiltration:
+def section_filtration(model: ToricModel, val: ToricValuation,
+                       m: int) -> FlagFiltration:
     """Level-m filtration of the lattice-point section space of mP."""
     from .filtration import MonomialGradedFiltration
     graded = MonomialGradedFiltration(model.P, val.v)
-    return graded.flag_filtration(m, with_flag=with_flag)
+    return graded.flag_filtration(m)
 
 
 def concave_transform_of(model: ToricModel, val: ToricValuation) -> ConcaveTransform:
@@ -212,7 +212,7 @@ class DeltaSearchResult(NamedTuple):
 
     @property
     def value(self) -> float:
-        return float(self.a) / float(self.moment) ** (1.0 / self.p)
+        return float(self.a) / float_root(self.moment, self.p)
 
     def ratio_power(self) -> Fraction:
         """Exact value**p = a**p / moment, for rounding-free comparisons."""
@@ -229,7 +229,7 @@ class DeltaSearchResult(NamedTuple):
             "a": str(self.a),
             "moment": str(self.moment),
             "table": [{"v": list(v), "a": str(a), "moment": str(s),
-                       "ratio": float(a) / float(s) ** (1.0 / self.p)}
+                       "ratio": float(a) / float_root(s, self.p)}
                       for v, a, s in self.table],
         }
 

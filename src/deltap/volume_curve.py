@@ -18,12 +18,14 @@ recomputed from floats.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from random import Random
 from typing import NamedTuple
 
 from .errors import DomainError, InvariantViolation, StructureError
-from .numeric import SqrtSum, as_fraction, check_positive_int, log_gamma
+from .numeric import (SqrtSum, as_fraction, check_positive_int, float_root,
+                      log_gamma)
 from .piecewise import (PiecewisePolynomial, Polynomial, first_negative,
                         integrate_monomial_weighted, integrate_real_power,
                         power_integral, root_counter)
@@ -196,7 +198,12 @@ class VolumeCurve:
         if pf < 1.0:
             raise DomainError("moment order p must be at least 1")
         if pf.is_integer():
-            s = float(self.s_p(int(pf)))
+            try:
+                s = float(self.s_p(int(pf)))
+            except OverflowError:
+                s = math.inf
+            if not sys.float_info.min <= s < math.inf:
+                return float_root(self.h_stat_power(int(pf)), pf)
         else:
             s = self.s_p_real(pf, tol)
         return ((self.n + pf) / self.n * s) ** (1.0 / pf)
@@ -238,7 +245,7 @@ class VolumeCurve:
             pint = int(pf)
             coef = Fraction(math.factorial(n + pint),
                             math.factorial(n) * math.factorial(pint))
-            return float(coef * self.s_p(pint)) ** (1.0 / pf)
+            return float_root(coef * self.s_p(pint), pf)
         logc = log_gamma(n + pf + 1.0) - log_gamma(n + 1.0) - log_gamma(pf + 1.0)
         return math.exp((logc + math.log(self.s_p_real(pf, tol))) / pf)
 

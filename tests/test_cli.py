@@ -361,6 +361,32 @@ def test_coordinate_too_large_for_a_float_exits_3(tmp_path, capsys):
     assert json.loads(captured.err)["error"] == "OverflowError"
 
 
+@pytest.mark.parametrize("argv, row", [
+    (["invariants", "--model", "p2-anticanonical", "--p", "700",
+      "--bound", "1"],
+     "700,0.339297148475,-1 -1,1/3,0.672271799722,below"),
+    (["scan", "--model", "p2", "--p", "1,1100", "--m", "1"],
+     "order,1100,h_stat,2.98205793413,proven-monotone"),
+], ids=["invariants-p700", "scan-p1100"])
+def test_orders_whose_moments_overflow_a_float_exit_0(capsys, argv, row):
+    # the moments pass 10**308, but their p-th roots are about 0.3 to 3
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert row in captured.out.splitlines()
+
+
+def test_bool_coordinate_exits_3(tmp_path, capsys):
+    model = tmp_path / "bool.json"
+    model.write_text('{"dim": 2, "vertices": [[true, 0], [0, 1], [0, 0]]}')
+    assert cli.main(["invariants", "--model", str(model)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "DomainError"
+    assert "True" in err["message"]
+
+
 def test_non_utf8_model_file_exits_3(tmp_path, capsys):
     bad = tmp_path / "utf16.json"
     bad.write_bytes(b"\xff\xfe{\x00}\x00")

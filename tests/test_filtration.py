@@ -28,7 +28,6 @@ from deltap.filtration import (
     generated_flag_filtration,
     level_moment,
     random_flag_filtration,
-    round_to_integer_filtration,
     rounding_sandwich,
     sup_over_bases_oracle,
 )
@@ -46,6 +45,36 @@ def _sign_nonneg(x):
     if isinstance(x, SqrtSum):
         return x.sign() >= 0
     return x >= 0
+
+
+def s_m_p_from_flag(filt, p):
+    """The moment recomputed from the flag's dimension drops (telescoping);
+    the oracle for ``FlagFiltration.s_m_p`` and the flag bookkeeping."""
+    sizes = [len(rows) for _, rows in filt.flag] + [0]
+    return level_moment(((v, size - nxt) for (v, _), size, nxt
+                         in zip(filt.flag, sizes, sizes[1:])),
+                        filt.m, filt.d, p)
+
+
+def with_coordinate_flag(filt):
+    """filt with the coordinate flag of its jumps: at height v, the unit
+    vectors of the coordinates whose jump is >= v."""
+    units = [tuple(int(i == j) for j in range(filt.d)) for i in range(filt.d)]
+    return FlagFiltration(filt.m, filt.jumps, [
+        (v, [e for e, a in zip(units, filt.jumps) if a >= v])
+        for v in sorted(set(filt.jumps))])
+
+
+def round_to_integer_filtration(filt):
+    """Every jumping number floored, as a validated filtration: the
+    oracle for the rounded moment of ``rounding_sandwich``.  The subspace
+    at integer height v is the original one at the smallest jump >= v."""
+    floored = [F(math.floor(a)) for a in filt.jumps]
+    flag = None
+    if filt.flag is not None:
+        flag = [(v, next(rows for value, rows in filt.flag if value >= v))
+                for v in sorted(set(floored))]
+    return FlagFiltration(filt.m, floored, flag)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +126,7 @@ def test_ord_of_and_flag_moment_route():
     with pytest.raises(DomainError):
         filt.ord_of((0, 0))
     for p in (1, 2, 3):
-        assert filt.s_m_p_from_flag(p) == filt.s_m_p(p)
+        assert s_m_p_from_flag(filt, p) == filt.s_m_p(p)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +138,11 @@ def test_round_to_integer_filtration_floors_jumps():
     rounded = round_to_integer_filtration(filt)
     assert rounded.jumps == (F(0), F(1), F(3))
     assert rounded.m == 3
+    flagged = round_to_integer_filtration(FlagFiltration(
+        1, [F(1, 2), F(3, 2)], [(F(1, 2), [(1, 0), (0, 1)]),
+                                (F(3, 2), [(1, 1)])]))
+    assert flagged.jumps == (F(0), F(1))
+    assert flagged.ord_of((1, 1)) == 1 and flagged.ord_of((1, 0)) == 0
 
 
 def test_rounding_sandwich_integer_orders():
@@ -309,8 +343,9 @@ def test_monomial_flag_filtration_first_moment_is_one_on_segment():
 
 def test_monomial_flag_filtration_with_flag_routes_agree():
     base = MonomialGradedFiltration(SEGMENT2, (1,))
-    filt = base.flag_filtration(2, with_flag=True)
-    assert filt.s_m_p_from_flag(2) == filt.s_m_p(2)
+    filt = with_coordinate_flag(base.flag_filtration(2))
+    assert filt.flag[-1] == (F(4), ((F(0),) * 4 + (F(1),),))
+    assert s_m_p_from_flag(filt, 2) == filt.s_m_p(2)
 
 
 def test_generated_filtration_segment_frozen_value():
@@ -378,7 +413,7 @@ def test_property_rounding_sandwich(seed, d, m):
 def test_property_moment_routes_agree(seed, d):
     filt = random_flag_filtration(Random(seed), d, 3)
     for p in (1, 2, 3):
-        assert filt.s_m_p_from_flag(p) == filt.s_m_p(p)
+        assert s_m_p_from_flag(filt, p) == filt.s_m_p(p)
 
 
 JUMPS = st.lists(st.fractions(min_value=0, max_value=40, max_denominator=30),

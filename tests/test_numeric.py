@@ -1,7 +1,9 @@
 """Tests for exact-arithmetic helpers: rational coercion, log-gamma,
 adaptive quadrature, and square-root sums."""
 
+import contextlib
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from deltap.numeric import (
     as_fraction,
     check_grid,
     check_positive_int,
+    float_root,
     log_gamma,
     squarefree_decompose,
 )
@@ -75,7 +78,6 @@ def _order_entry_points():
         transform.moment_p,
         transform.moment_from_slices,
         flag.s_m_p,
-        flag.s_m_p_from_flag,
         lambda p: piecewise.integrate_monomial_weighted(curve, p, 0, 1),
         lambda m: filtration.FlagFiltration(m, [Fraction(0)]),
         section.level_points,
@@ -113,6 +115,41 @@ def test_as_fraction_rejects_floats():
 def test_as_fraction_rejects_junk_strings():
     with pytest.raises(DomainError):
         as_fraction("1.5e3/2x")
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_as_fraction_rejects_bools(flag):
+    with pytest.raises(DomainError, match="exact rational"):
+        as_fraction(flag)
+
+
+# ---------------------------------------------------------------------------
+# float_root
+
+
+@pytest.mark.parametrize("x, p", [(Fraction(2), 2), (Fraction(27, 8), 3),
+                                  (Fraction(1, 7), 5), (Fraction(0), 4),
+                                  (Fraction(10) ** 300, 7)])
+def test_float_root_is_the_float_power_when_x_fits(x, p):
+    assert float_root(x, p) == float(x) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("x, p, root", [
+    (Fraction(10) ** 400, 100, 1e4),
+    (Fraction(1, 10 ** 400), 100, 1e-4),
+    (Fraction(3) ** 1400 / 7, 700, 9 * 7 ** (-1 / 700)),
+    (Fraction(2) ** 5000 / 3 ** 1000, 1000, 32 / 3),
+    (Fraction(1, 3 * 10 ** 310), 2, 3 ** -0.5 * 1e-155),
+])
+def test_float_root_takes_logs_past_the_float_range(x, p, root):
+    with contextlib.suppress(OverflowError):
+        assert float(x) < sys.float_info.min
+    assert float_root(x, p) == pytest.approx(root, rel=1e-13)
+
+
+def test_float_root_overflows_when_the_root_does():
+    with pytest.raises(OverflowError):
+        float_root(Fraction(10) ** 400, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,16 @@ def test_h_stat_limit_on_flat_profile_curve():
     assert abs(h - 1.0) < 0.02 * 1.0
 
 
+@pytest.mark.parametrize("tau", [F(1, 2), F(2)])
+def test_h_stat_past_the_float_range(tau):
+    # the same curve on [0, tau]: h_stat(p) = tau ((p+2)/(2p+2))^(1/p),
+    # while s_p = tau^p/(p+1) underflows or overflows a float at p = 1100
+    c = VolumeCurve(2, F(1), PiecewisePolynomial(
+        (F(0), tau), (Polynomial((F(1), -1 / tau)),)))
+    assert c.h_stat(1100) == pytest.approx(
+        float(tau) * (1102.0 / 2202.0) ** (1.0 / 1100.0), rel=1e-12)
+
+
 def test_h_stat_fractional_orders_monotone_float():
     c = projective_curve(2)
     grid = [1.0 + 0.5 * j for j in range(19)]
