@@ -7,13 +7,11 @@ functionals over simplices.  Coordinates are Fractions, facet normals
 are primitive integer vectors, determinants come from the integer
 kernel in ``linalg``, and floats never enter.
 
-Facets and vertices come from deliberately brute-force subset
-enumeration, because the library targets desk-scale inputs: ambient
-dimension up to about four and a few dozen vertices.  At that scale
-exhaustive enumeration is fast and has no degenerate-position failure
-modes; ``MAX_HULL_SUBSETS`` refuses larger inputs.  A polytope's facets
-are enumerated once, and its triangulation is a pulling triangulation
-read off the facet-vertex incidence, with no further hull.
+Facets and vertices are read off one double-description kernel,
+``extreme_rays``, which needs no special case for degenerate position;
+``MAX_HULL_RAYS`` refuses inputs whose rays outgrow it.  A polytope's
+facets and vertices are enumerated once, and its triangulation is a
+pulling triangulation read off the facet-vertex incidence.
 
 All objects are immutable after construction; sharing them across
 threads is safe.
@@ -23,21 +21,20 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import ceil, comb, factorial, floor, prod
+from math import ceil, comb, factorial, floor, gcd, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, InvariantViolation, StructureError
-from .linalg import (det, nullspace, primitive_integer_vector, rank,
-                     solve_square)
+from .linalg import det, primitive_integer_vector, rank, rref
 from .numeric import as_fraction
 from .piecewise import PiecewisePolynomial, Polynomial
 
 Point = tuple[Fraction, ...]
 
-# Most dim-subsets one hull enumeration may walk: each subset costs an
-# exact solve, so an input over budget is refused before the walk.
-MAX_HULL_SUBSETS = 10_000
+# Most rays one double description may hold after a step: a step makes
+# up to (rays held)^3 bit-mask tests, so the step that crosses it raises.
+MAX_HULL_RAYS = 1_000
 # Most integer points of a bounding box one lattice-point walk may test:
 # the walk visits every one, so a larger box is refused before the walk.
 MAX_LATTICE_BOX = 100_000
@@ -67,54 +64,62 @@ def affine_dimension(points: Sequence[Point]) -> int:
     return rank(diffs) if diffs else 0
 
 
-def _subsets(items: Sequence, dim: int):
-    """The ``dim``-subsets of ``items``, within ``MAX_HULL_SUBSETS``."""
-    count = comb(len(items), dim)
-    if count > MAX_HULL_SUBSETS:
-        raise DomainError(f"a hull of {len(items)} inputs in dimension {dim} "
-                          f"needs {count} subsets, over the budget of "
-                          f"{MAX_HULL_SUBSETS}")
-    return itertools.combinations(items, dim)
+def extreme_rays(rows: Sequence[Sequence], width: int) -> tuple[tuple[int, ...], ...]:
+    """Primitive integer extreme rays of {y : <r, y> >= 0 for r in rows};
+    () when the rows do not span ``width`` dimensions, as the cone then
+    holds a line.  Double description (Motzkin, Raiffa, Thompson & Thrall
+    1953; Fukuda & Prodon 1996): the columns of the inverse of ``width``
+    independent rows are the first rays; each further row keeps the rays
+    on its nonnegative side and joins every adjacent pair across it.  Two
+    rays are adjacent when no third ray is tight on every row where both
+    are tight; a ray's tight rows are a bit mask.
+    """
+    rows = [primitive_integer_vector(r) for r in rows if any(r)]
+    basis = rref(list(zip(*rows)))[1]
+    if len(basis) < width:
+        return ()
+    inverse = rref([[*rows[i], *(int(i == j) for j in basis)] for i in basis])[0]
+    rays = [(primitive_integer_vector(col), sum(1 << j for j in basis if j != i))
+            for col, i in zip(zip(*(row[width:] for row in inverse)), basis)]
+    for i, row in enumerate(rows):
+        if i in basis:
+            continue
+        signed = [(dot(row, y), y, z) for y, z in rays]
+        masks = [z for _, z in rays]
+        negative = [(s, y, z) for s, y, z in signed if s < 0]
+        rays = [(y, z | 1 << i if s == 0 else z) for s, y, z in signed if s >= 0]
+        for sp, yp, zp in (t for t in signed if t[0] > 0):
+            for sn, yn, zn in negative:
+                z = zp & zn
+                if (z.bit_count() >= width - 2
+                        and sum(m & z == z for m in masks) == 2):
+                    rays.append((primitive_integer_vector(
+                        [sp * b - sn * a for a, b in zip(yp, yn)]), z | 1 << i))
+        if len(rays) > MAX_HULL_RAYS:
+            raise DomainError(f"a hull of {len(rows)} rows in width {width} "
+                              f"holds {len(rays)} rays, over the budget of "
+                              f"{MAX_HULL_RAYS}")
+    return tuple(y for y, _ in rays)
 
 
 def facet_enumeration(points: Sequence[Point], dim: int) -> tuple[Halfspace, ...]:
-    """Facet halfspaces of the full-dimensional hull of ``points``.
-
-    Brute force: every ``dim``-subset spanning a hyperplane with all
-    points on one (weak) side contributes a supporting halfspace.  Its
-    ``dim`` points are affinely independent on the hyperplane, so the
-    hyperplane meets the hull in a facet.
-    """
-    seen: set[Halfspace] = set()
-    for subset in _subsets(range(len(points)), dim):
-        base = points[subset[0]]
-        diffs = [[points[i][k] - base[k] for k in range(dim)]
-                 for i in subset[1:]]
-        kernel = nullspace(diffs, width=dim)
-        if len(kernel) != 1:
-            continue
-        normal = primitive_integer_vector(kernel[0])
-        c = dot(normal, base)
-        vals = [dot(normal, p) for p in points]
-        if all(v >= c for v in vals):
-            seen.add(Halfspace(normal, c))
-        elif all(v <= c for v in vals):
-            seen.add(Halfspace(tuple(-x for x in normal), -c))
-    return tuple(sorted(seen))
+    """Facet halfspaces of the full-dimensional hull of ``points``: the
+    extreme rays (a, b) of {(a, b) : <a, p> - b >= 0 for every p}.  Each
+    is tight on some p, so a != 0."""
+    facets = []
+    for *a, b in extreme_rays([(*p, -1) for p in points], dim + 1):
+        g = gcd(*a)
+        facets.append(Halfspace(tuple(x // g for x in a), Fraction(b, g)))
+    return tuple(sorted(facets))
 
 
 def vertex_enumeration(halfspaces: Sequence[Halfspace], dim: int) -> tuple[Point, ...]:
-    """Vertices of a bounded intersection of halfspaces (basic feasible
-    solutions of every ``dim``-subset)."""
-    verts: set[Point] = set()
-    for subset in _subsets(halfspaces, dim):
-        sol = solve_square([hs.normal for hs in subset],
-                           [hs.offset for hs in subset])
-        if sol is None:
-            continue
-        if all(dot(hs.normal, sol) >= hs.offset for hs in halfspaces):
-            verts.add(sol)
-    return tuple(sorted(verts))
+    """Vertices of an intersection of halfspaces: the extreme rays (x, t)
+    with t > 0 of {(x, t) : <n, x> - o t >= 0, t >= 0}, read as x / t.
+    Empty when the intersection is empty or holds a line."""
+    rows = [(*hs.normal, -hs.offset) for hs in halfspaces] + [(0,) * dim + (1,)]
+    return tuple(sorted(tuple(Fraction(x, t) for x in y)
+                        for *y, t in extreme_rays(rows, dim + 1) if t > 0))
 
 
 def simplex_volume(pts: Sequence[Point]) -> Fraction:
@@ -265,14 +270,8 @@ class RationalPolytope:
             raise InvariantViolation(
                 f"polytope is {adim}-dimensional in ambient dimension {dim}")
         self.dim = dim
-        facets = facet_enumeration(pts, dim)
-        extreme = []
-        for p in pts:
-            active = [hs.normal for hs in facets if dot(hs.normal, p) == hs.offset]
-            if len(active) >= dim and rank(active) == dim:
-                extreme.append(p)
-        self.vertices = tuple(extreme)
-        self._facets = facets
+        self._facets = facet_enumeration(pts, dim)
+        self.vertices = vertex_enumeration(self._facets, dim)
         self._triangulation = None
         self._volume = None
 

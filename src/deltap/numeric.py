@@ -272,15 +272,9 @@ class SqrtSum:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sign(self) -> int:
-        """Exact sign: -1, 0 or +1.
-
-        Nonzero coefficient vectors give a nonzero value (linear
-        independence of square roots of distinct squarefree integers), so
-        interval refinement always terminates.
-        """
-        if not self.terms:
-            return 0
+    def _enclosures(self):
+        """Nested intervals [lo, hi] around the value, from every square
+        root rounded down and up to 16, 32, ..., 4096 fractional bits."""
         bits = 16
         while bits <= 4096:
             lo = Fraction(0)
@@ -295,15 +289,37 @@ class SqrtSum:
                 else:
                     lo += c * root_hi
                     hi += c * root_lo
+            yield lo, hi
+            bits *= 2
+        raise AccuracyError("sign refinement failed to separate from zero")
+
+    def sign(self) -> int:
+        """Exact sign: -1, 0 or +1.
+
+        Nonzero coefficient vectors give a nonzero value (linear
+        independence of square roots of distinct squarefree integers), so
+        interval refinement always terminates.
+        """
+        if not self.terms:
+            return 0
+        for lo, hi in self._enclosures():
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            bits *= 2
-        raise AccuracyError("sign refinement failed to separate from zero")
 
     def __float__(self) -> float:
-        return float(sum(float(c) * math.sqrt(r) for r, c in self.terms.items()))
+        """The value to within about 2^-41 relative: the float sum of the
+        terms when it does not cancel by more than 2^12, else the midpoint
+        of an enclosure narrower than 2^-54 of it, rounded once."""
+        terms = [float(c) * math.sqrt(r) for r, c in self.terms.items()]
+        total = math.fsum(terms)
+        if math.fsum(map(abs, terms)) <= 4096 * abs(total):
+            return total
+        for lo, hi in self._enclosures():
+            mid = (lo + hi) / 2
+            if (hi - lo) * 2 ** 54 < abs(mid):
+                return float(mid)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SqrtSum):

@@ -279,6 +279,21 @@ def test_non_q_gorenstein_model_exits_4(tmp_path, capsys):
     assert err["error"] == "UnsupportedModelError"
 
 
+def test_hexagon_times_square_runs(tmp_path):
+    # dP6 x P1 x P1, 24 vertices in dimension 4: a Kahler-Einstein toric
+    # Fano, so delta_1 = 1 exactly
+    hexagon = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+    doc = {"dim": 4, "vertices": [[str(x) for x in (*a, b, c)]
+                                  for a in hexagon
+                                  for b in (-1, 1) for c in (-1, 1)]}
+    model_file = tmp_path / "hexagon-square.json"
+    model_file.write_text(json.dumps(doc))
+    code, text = run_cli(["invariants", "--model", str(model_file), "--p", "1",
+                          "--bound", "1"], tmp_path)
+    assert code == 0
+    assert text.splitlines()[1] == "1,1,-1 -1 -1 -1,1/2,1,borderline"
+
+
 def test_bad_grid_exits_3(capsys):
     assert cli.main(["invariants", "--model", "p2", "--p", "1,x"]) == 3
     err = json.loads(capsys.readouterr().err)
@@ -296,10 +311,11 @@ def test_candidate_box_over_budget_exits_3(capsys):
 
 
 def test_hull_subsets_over_budget_exit_3(tmp_path, capsys):
-    # 25 points on the moment curve in dimension 4: C(25, 4) = 12650
-    # facet subsets, refused before any is tried
+    # 50 points on the moment curve in dimension 4 span a cyclic polytope
+    # with 50 * 47 / 2 = 1175 facets; the facet hull is refused at the
+    # 47th point, where its rays first pass MAX_HULL_RAYS = 1000
     doc = {"dim": 4, "vertices": [[str(t ** k) for k in range(1, 5)]
-                                  for t in range(25)]}
+                                  for t in range(50)]}
     model_file = tmp_path / "cyclic.json"
     model_file.write_text(json.dumps(doc))
     code = cli.main(["invariants", "--model", str(model_file), "--p", "1",
@@ -307,7 +323,7 @@ def test_hull_subsets_over_budget_exit_3(tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DomainError"
-    assert "12650 subsets" in err["message"]
+    assert "holds 1034 rays, over the budget of 1000" in err["message"]
 
 
 @pytest.mark.parametrize("width, argv, message", [

@@ -1,6 +1,9 @@
 """Tests for exact polytope geometry: facet/vertex enumeration,
 triangulation, slice volumes, survival curves, and affine-power moments.
 
+Facet and vertex enumeration are checked against brute-force walks over
+every ``dim``-subset of the points or halfspaces, kept here as oracles.
+
 The affine-power integrator is checked against an independent oracle:
 the divided-difference identity
 
@@ -25,6 +28,7 @@ from deltap.geometry import (
     Halfspace,
     RationalPolytope,
     complete_homogeneous,
+    extreme_rays,
     facet_enumeration,
     integrate_affine_power_over_simplex,
     lattice_points_in,
@@ -33,6 +37,7 @@ from deltap.geometry import (
     triangulate_vertices,
     vertex_enumeration,
 )
+from deltap.linalg import nullspace, primitive_integer_vector, solve_square
 from deltap.okounkov import ConcaveTransform
 from deltap.piecewise import lagrange_interpolate
 from oracles import slice_volume
@@ -41,6 +46,8 @@ F = Fraction
 
 SQUARE = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
 TRIANGLE = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
+HEXAGON = [(F(x), F(y)) for x, y in
+           ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))]
 
 
 def _moment_oracle(vol, values, p):
@@ -77,13 +84,99 @@ def test_vertex_enumeration_roundtrip():
 
 
 def test_hull_enumerations_refuse_subsets_over_budget(monkeypatch):
-    monkeypatch.setattr(geometry, "MAX_HULL_SUBSETS", 3)
-    facets = facet_enumeration(TRIANGLE, 2)  # C(3, 2) = 3 subsets
-    assert vertex_enumeration(facets, 2) == tuple(sorted(TRIANGLE))
-    with pytest.raises(DomainError):
-        facet_enumeration(SQUARE, 2)  # C(4, 2) = 6
-    with pytest.raises(DomainError):
-        vertex_enumeration(facets + facets[:1], 2)
+    # The budget is on the rays a double description holds after a step.
+    hexagon = facet_enumeration(HEXAGON, 2)
+    monkeypatch.setattr(geometry, "MAX_HULL_RAYS", 4)
+    facets = facet_enumeration(SQUARE, 2)  # 4 rays
+    assert vertex_enumeration(facets, 2) == tuple(sorted(SQUARE))
+    with pytest.raises(DomainError, match="holds 5 rays"):
+        facet_enumeration(HEXAGON, 2)
+    with pytest.raises(DomainError, match="over the budget of 4"):
+        vertex_enumeration(hexagon, 2)
+
+
+def test_extreme_rays_of_the_positive_orthant_and_a_wedge():
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert sorted(extreme_rays(unit, 3)) == sorted(unit)
+    # x >= 0 and y >= x in the plane: the rays (0, 1) and (1, 1)
+    assert sorted(extreme_rays([(F(1), F(0)), (F(-2), F(2))], 2)) == \
+        [(0, 1), (1, 1)]
+    assert extreme_rays([(1, 0), (2, 0)], 2) == ()  # the cone holds a line
+
+
+def test_halfspaces_whose_normals_do_not_span_have_no_vertices():
+    slab = [Halfspace((1, 0), F(0)), Halfspace((-1, 0), F(-1))]  # 0 <= x <= 1
+    assert vertex_enumeration(slab, 2) == ()
+    assert RationalPolytope.from_halfspaces(slab, 2) is None
+
+
+def _facets_by_subsets(points, dim):
+    """Oracle: every ``dim``-subset spanning a hyperplane with all points
+    on one (weak) side contributes a supporting halfspace.  Its ``dim``
+    points are affinely independent on the hyperplane, so the hyperplane
+    meets the hull in a facet."""
+    seen = set()
+    for subset in itertools.combinations(range(len(points)), dim):
+        base = points[subset[0]]
+        diffs = [[points[i][k] - base[k] for k in range(dim)]
+                 for i in subset[1:]]
+        kernel = nullspace(diffs, width=dim)
+        if len(kernel) != 1:
+            continue
+        normal = primitive_integer_vector(kernel[0])
+        c = geometry.dot(normal, base)
+        vals = [geometry.dot(normal, p) for p in points]
+        if all(v >= c for v in vals):
+            seen.add(Halfspace(normal, c))
+        elif all(v <= c for v in vals):
+            seen.add(Halfspace(tuple(-x for x in normal), -c))
+    return tuple(sorted(seen))
+
+
+def _vertices_by_subsets(halfspaces, dim):
+    """Oracle: the basic feasible solutions of every ``dim``-subset."""
+    verts = set()
+    for subset in itertools.combinations(halfspaces, dim):
+        sol = solve_square([hs.normal for hs in subset],
+                           [hs.offset for hs in subset])
+        if sol is not None and all(geometry.dot(hs.normal, sol) >= hs.offset
+                                   for hs in halfspaces):
+            verts.add(sol)
+    return tuple(sorted(verts))
+
+
+@st.composite
+def _points_and_cut(draw):
+    n = draw(st.integers(min_value=2, max_value=4))
+    coord = st.integers(min_value=-2, max_value=2)
+    corners = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1,
+                            max_size=n + 5))
+    # Midpoints of pairs repeat a point or lie on a face or inside.
+    pairs = draw(st.lists(st.tuples(st.sampled_from(corners),
+                                    st.sampled_from(corners)), max_size=3))
+    pts = [tuple(F(c) for c in p) for p in corners]
+    pts += [tuple((F(a) + b) / 2 for a, b in zip(p, q)) for p, q in pairs]
+    normal = draw(st.lists(st.integers(min_value=-2, max_value=2),
+                           min_size=n, max_size=n).filter(any))
+    # At the top value the cut leaves a face, above it nothing.
+    values = sorted({geometry.dot(normal, p) for p in pts})
+    offset = draw(st.sampled_from([*values, values[-1] + 1]))
+    return n, pts, Halfspace(tuple(normal), offset)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_points_and_cut())
+def test_extreme_rays_match_the_subset_oracles(case):
+    n, pts, cut = case
+    assume(geometry.affine_dimension(pts) == n)
+    facets = facet_enumeration(pts, n)
+    assert facets == _facets_by_subsets(pts, n)
+    # The polar {x : <p, x> >= -1} has a vertex on many halfspaces where
+    # many points share a facet; it may be unbounded or hold a line.
+    for hss in (facets + (cut,),
+                tuple(Halfspace(tuple(2 * c for c in p), F(-2))
+                      for p in pts if any(p)) + (cut,)):
+        assert vertex_enumeration(hss, n) == _vertices_by_subsets(hss, n)
 
 
 def test_simplex_volume_standard():

@@ -245,6 +245,18 @@ def test_s_p_real_keeps_its_bound_where_expansion_about_zero_cancels(T, n):
     assert abs(Decimal(got) - _decimal_s_p(c, p)) <= Decimal(bound)
 
 
+@pytest.mark.parametrize("T", [10 ** 3, 10 ** 6, 10 ** 9])
+def test_float_of_a_half_integer_moment_where_its_terms_cancel(T):
+    # summed as floats, the terms of this s_{3/2} are off by 3.0e-9, 1.0
+    # and 1.2e10 relative at T = 10**3, 10**6 and 10**9
+    exact = curve_from_profile(4, [0, T - 1, T], [T, T, 0]).s_p_half(F(3, 2))
+    with localcontext() as ctx:
+        ctx.prec = 200
+        ref = sum(Decimal(c.numerator) / c.denominator * Decimal(r).sqrt()
+                  for r, c in exact.terms.items())
+        assert abs(Decimal(float(exact)) - ref) <= abs(ref) * Decimal(2) ** -52
+
+
 def test_moment_rejects_bad_orders():
     c = linear_curve()
     with pytest.raises(DomainError):
