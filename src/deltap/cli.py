@@ -121,7 +121,13 @@ def cmd_invariants(cfg: RunConfig) -> int:
     p_grid = cfg.p_grid or (1, 2, 3, 4)
     report = delta_family(model, p_grid, cfg.bound)
     if cfg.fmt == "json":
-        _emit(cfg, json.dumps(report.to_json_dict(), indent=2) + "\n")
+        try:
+            doc = report.to_json_dict()
+        except ValueError:  # str() of an int past the digit limit
+            raise DomainError("an exact value exceeds Python's limit of "
+                              f"{sys.get_int_max_str_digits()} digits for "
+                              "integer string conversion") from None
+        _emit(cfg, json.dumps(doc, indent=2) + "\n")
     else:
         header = ["p", "delta_upper", "argmin", "alpha_upper",
                   "threshold", "verdict"]

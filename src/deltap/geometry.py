@@ -2,16 +2,16 @@
 
 Convex hull facets, vertex enumeration, deterministic triangulation,
 volumes, lattice points, survival curves by the B-spline divided-
-difference identity, and exact integration of powers of affine
-functionals over simplices.  Coordinates are Fractions, facet normals
-are primitive integer vectors, determinants come from the integer
-kernel in ``linalg``, and floats never enter.
+difference identity, and exact mean powers of affine functionals over
+weighted simplices.  Coordinates are Fractions, facet normals are
+primitive integer vectors, determinants come from the integer kernel in
+``linalg``, and floats never enter.
 
-Facets and vertices are read off one double-description kernel,
-``extreme_rays``, which needs no special case for degenerate position;
-``MAX_HULL_RAYS`` refuses inputs whose rays outgrow it.  A polytope's
-facets and vertices are enumerated once, and its triangulation is a
-pulling triangulation read off the facet-vertex incidence.
+Facets are read off one double-description kernel, ``extreme_rays``,
+which needs no special case for degenerate position; ``MAX_HULL_RAYS``
+refuses inputs whose rays outgrow it.  A polytope's facets are
+enumerated once; its vertices and its pulling triangulation are read
+off the facet incidence.
 
 All objects are immutable after construction; sharing them across
 threads is safe.
@@ -180,56 +180,56 @@ def _truncated_power_difference(knots: Sequence[Fraction], hi: Fraction,
     return row[0]
 
 
-def survival_curve(simplices: Sequence[tuple[Sequence[Point], Sequence[Fraction]]],
+def survival_curve(simplices: Sequence[tuple[Fraction, Sequence[Fraction]]],
                    dim: int) -> PiecewisePolynomial:
-    """Exact piecewise polynomial x -> vol{g >= x} summed over simplices.
+    """Exact piecewise polynomial x -> sum_S w_S vol{g >= x on S}/vol(S).
 
-    ``simplices`` holds (vertex tuple, vertex values of the affine
-    functional) pairs; values must be nonnegative and not all zero.  A
-    simplex S with vertex values a_0..a_n contributes the B-spline
-    identity vol{g >= t} = vol(S) [a_0, ..., a_n](. - t)_+^n (Curry and
-    Schoenberg 1966), a divided difference in the first argument that is
-    a polynomial in t between consecutive distinct vertex values.
+    ``simplices`` holds (w_S, vertex values of the affine functional)
+    pairs; values must be nonnegative and not all zero, and w_S = vol(S)
+    gives x -> vol{g >= x}.  A simplex S with vertex values a_0..a_n
+    contributes the B-spline identity vol{g >= t} = vol(S) [a_0, ...,
+    a_n](. - t)_+^n (Curry and Schoenberg 1966), a divided difference in
+    the first argument, a polynomial in t between consecutive values.
     """
-    if any(len(pts) != dim + 1 or len(vals) != dim + 1
-           for pts, vals in simplices):
-        raise StructureError(f"each simplex needs {dim + 1} vertices and values")
+    if any(len(vals) != dim + 1 for _, vals in simplices):
+        raise StructureError(f"each simplex needs {dim + 1} vertex values")
     values_all = sorted({v for _, vals in simplices for v in vals})
     if not values_all or values_all[0] < 0:
         raise InvariantViolation("survival_curve needs nonnegative values")
     if values_all[-1] == 0:
         raise InvariantViolation("survival_curve needs a positive maximum")
     breaks = sorted({Fraction(0), *values_all})
-    weighted = [(simplex_volume(pts), sorted(vals)) for pts, vals in simplices]
-    pieces = [sum((_truncated_power_difference(knots, hi, dim).scale(vol)
-                   for vol, knots in weighted), Polynomial(()))
+    weighted = [(w, sorted(vals)) for w, vals in simplices]
+    pieces = [sum((_truncated_power_difference(knots, hi, dim).scale(w)
+                   for w, knots in weighted), Polynomial(()))
               for hi in breaks[1:]]
     return PiecewisePolynomial(breaks, pieces, continuous=True)
 
 
-def complete_homogeneous(values: Sequence[Fraction], p: int) -> Fraction:
-    """Complete homogeneous symmetric polynomial h_p of the values."""
-    h = [Fraction(0)] * (p + 1)
-    h[0] = Fraction(1)
+def complete_homogeneous(values: Sequence, p: int):
+    """Complete homogeneous symmetric polynomial h_p of the values; an
+    int for int values."""
+    h = [1] + [0] * p
     for a in values:
         for k in range(1, p + 1):
             h[k] += a * h[k - 1]
     return h[p]
 
 
-def integrate_affine_power_over_simplex(volume: Fraction,
-                                        values: Sequence[Fraction],
-                                        p: int) -> Fraction:
-    """Exact ``integral_S g**p`` for affine g over a simplex S.
-
-    With vertex values a_0..a_n the closed form is
-    ``vol(S) * n! p! / (n+p)! * h_p(a_0, ..., a_n)``,
-    which is well defined for repeated vertex values (unlike the
-    divided-difference form of the same identity).
-    """
-    n = len(values) - 1
-    coef = Fraction(factorial(n) * factorial(p), factorial(n + p))
-    return volume * coef * complete_homogeneous(values, p)
+def mean_affine_power(weighted: Iterable[tuple[Fraction, Sequence]], n: int,
+                      p: int) -> Fraction:
+    """``n! p!/(n+p)! * sum_S w_S h_p(values on S) / sum_S w_S`` over
+    (w_S, vertex values) pairs: the mean of g**p for affine g over
+    n-simplices with w_S proportional to vol(S), as integral_S g**p =
+    vol(S) n! p!/(n+p)! h_p (Baldoni, Berline, De Loera, Köppe & Vergne,
+    *Math. Comp.* 80, 2011), repeated values included.  Int inputs keep
+    both sums in ints."""
+    total = weight = 0
+    for w, values in weighted:
+        total += w * complete_homogeneous(values, p)
+        weight += w
+    return Fraction(factorial(n) * factorial(p) * total,
+                    factorial(n + p) * weight)
 
 
 def lattice_points_in(halfspaces: Sequence[Halfspace],
@@ -271,7 +271,11 @@ class RationalPolytope:
                 f"polytope is {adim}-dimensional in ambient dimension {dim}")
         self.dim = dim
         self._facets = facet_enumeration(pts, dim)
-        self.vertices = vertex_enumeration(self._facets, dim)
+        # A point is a vertex unless another is tight on all its facets.
+        tight = [sum(1 << i for i, hs in enumerate(self._facets)
+                     if dot(hs.normal, p) == hs.offset) for p in pts]
+        self.vertices = tuple(p for p, z in zip(pts, tight)
+                              if sum(y & z == z for y in tight) == 1)
         self._triangulation = None
         self._volume = None
 

@@ -16,9 +16,8 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, InvariantViolation, StructureError
-from .geometry import (Halfspace, RationalPolytope,
-                       integrate_affine_power_over_simplex, make_point,
-                       simplex_volume, survival_curve)
+from .geometry import (Halfspace, RationalPolytope, make_point,
+                       mean_affine_power, simplex_volume, survival_curve)
 from .linalg import primitive_integer_vector
 from .numeric import as_fraction, check_positive_int
 from .piecewise import PiecewisePolynomial, integrate_monomial_weighted
@@ -135,24 +134,19 @@ class ConcaveTransform:
         return self._max
 
     def _simplex_values(self) -> tuple:
-        """(simplex, values of G at its vertices) over the triangulations
-        of the cells, on each of which G is one affine form; moment_p and
-        slice_curve both read it."""
+        """(vol(S), values of G at the vertices of S) over the simplices S
+        of the triangulations of the cells, on each of which G is one
+        affine form; moment_p and slice_curve both read it."""
         if self._simplices is None:
             self._simplices = tuple(
-                (simplex, tuple(self.forms[idx].evaluate(v) for v in simplex))
-                for idx, cell in self.min_cells()
-                for simplex in cell.triangulation())
+                (simplex_volume(s), tuple(map(self.forms[idx].evaluate, s)))
+                for idx, cell in self.min_cells() for s in cell.triangulation())
         return self._simplices
 
     def moment_p(self, p: int) -> Fraction:
         """Exact (1/vol) * integral of G**p over the body."""
         check_positive_int(p, "moment order p")
-        total = Fraction(0)
-        for simplex, values in self._simplex_values():
-            total += integrate_affine_power_over_simplex(
-                simplex_volume(simplex), values, p)
-        return total / self.body.volume()
+        return mean_affine_power(self._simplex_values(), self.body.dim, p)
 
     def slice_curve(self) -> PiecewisePolynomial:
         """Exact x -> vol{G >= x} on [0, max level]."""

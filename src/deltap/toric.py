@@ -22,9 +22,8 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import (DomainError, InvariantViolation, StructureError,
                      UnsupportedModelError)
-from .geometry import (Halfspace, RationalPolytope, dot,
-                       integrate_affine_power_over_simplex, simplex_volume,
-                       survival_curve)
+from .geometry import (Halfspace, RationalPolytope, dot, mean_affine_power,
+                       simplex_volume, survival_curve)
 from .linalg import solve_linear_system
 from .numeric import check_positive_int, float_root
 from .volume_curve import VolumeCurve
@@ -42,15 +41,28 @@ MAX_CANDIDATE_BOX = 10_000
 class ToricModel:
     """A polarized toric model: lattice polytope plus derived fan data."""
 
-    __slots__ = ("P", "n", "_vertex_supports", "_curves")
+    __slots__ = ("P", "n", "vertices", "_simplices", "_vertex_supports", "_curves")
 
     def __init__(self, P: RationalPolytope):
         if any(x.denominator != 1 for v in P.vertices for x in v):
             raise StructureError("the model polytope must have lattice vertices")
         self.P = P
         self.n = P.dim
+        self.vertices = tuple(tuple(int(x) for x in v) for v in P.vertices)
+        self._simplices = None
         self._vertex_supports = None
         self._curves = {}
+
+    def simplices(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(N_S, indices into ``vertices``) for each simplex S of the
+        triangulation of P, where ``vertices`` are P's as int tuples and
+        N_S = n! vol(S) is an int."""
+        if self._simplices is None:
+            index = {w: i for i, w in enumerate(self.vertices)}
+            self._simplices = tuple(
+                (int(simplex_volume(s) * math.factorial(self.n)),
+                 tuple(index[w] for w in s)) for s in self.P.triangulation())
+        return self._simplices
 
     def vertex_rays(self, w) -> tuple[tuple[int, ...], ...]:
         """Primitive ray generators of the normal-fan cone at vertex w."""
@@ -76,7 +88,7 @@ class ToricModel:
     def min_vertex(self, v: Sequence) -> tuple:
         """First vertex (in sorted order) minimizing <., v>; the vector v
         lies in the normal-fan cone based there."""
-        return min(self.P.vertices, key=lambda w: (dot(w, v), w))
+        return min(self.vertices, key=lambda w: (dot(w, v), w))
 
     def anticanonical_scale(self):
         """(translation t, scale c) with facet offsets b_F = <n_F, t> - c,
@@ -125,9 +137,9 @@ class ToricValuation:
         if math.gcd(*(abs(x) for x in vec)) != 1:
             raise DomainError("the valuation vector must be primitive")
         self.v = vec
-        self.offset = -min(dot(w, vec) for w in model.P.vertices)
+        self.offset = -min(dot(w, vec) for w in model.vertices)
 
-    def g(self, u) -> Fraction:
+    def g(self, u) -> int | Fraction:
         """The normalized weight <u, v> + offset, nonnegative on P."""
         return dot(u, self.v) + self.offset
 
@@ -139,12 +151,10 @@ def volume_curve_of(model: ToricModel, val: ToricValuation) -> VolumeCurve:
     """Exact volume curve x -> n! * vol{u in P : g_v(u) >= x}, built and
     validated once per model and valuation."""
     if val.v not in model._curves:
-        data = []
-        for simplex in model.P.triangulation():
-            data.append((simplex, tuple(val.g(u) for u in simplex)))
-        curve = survival_curve(data, model.n).scale(math.factorial(model.n))
-        V = Fraction(math.factorial(model.n)) * model.P.volume()
-        model._curves[val.v] = VolumeCurve(model.n, V, curve)
+        g = [val.g(w) for w in model.vertices]
+        weighted = [(N, [g[i] for i in s]) for N, s in model.simplices()]
+        model._curves[val.v] = VolumeCurve(model.n, sum(N for N, _ in weighted),
+                                           survival_curve(weighted, model.n))
     return model._curves[val.v]
 
 
@@ -237,37 +247,34 @@ class DeltaSearchResult(NamedTuple):
 class CandidateTable:
     """Closed-form rows for the primitive candidates of the box of radius
     ``bound``: ``rows`` maps each v, in lexicographic order, to A(v),
-    tau(v) (the largest vertex value of g_v) and the vertex values of g_v
-    on each simplex of the triangulation of P.  Every restricted-candidate
-    infimum reduces over the rows; ``curve(v)`` builds a volume curve
-    only on demand."""
+    tau(v) (the largest vertex value of g_v) and the int value of g_v at
+    each of the model's ``vertices``.  Every restricted-candidate infimum
+    reduces over the rows; ``curve(v)`` builds a volume curve only on
+    demand."""
 
-    __slots__ = ("model", "bound", "rows", "_volumes", "_moments")
+    __slots__ = ("model", "bound", "rows", "_moments")
 
     def __init__(self, model: ToricModel, bound: int):
         if not model.is_q_gorenstein:
             raise UnsupportedModelError("threshold search needs Q-Gorenstein input")
-        simplices = model.P.triangulation()
         self.model = model
         self.bound = bound
-        self._volumes = [simplex_volume(s) for s in simplices]
         self._moments = {}
         self.rows = {}
         for v in primitive_candidates(model.n, bound):
             val = ToricValuation(model, v)
-            g = {w: val.g(w) for w in model.P.vertices}
-            if max(g.values()) <= 0:
+            g = tuple(val.g(w) for w in model.vertices)
+            if max(g) <= 0:
                 raise InvariantViolation(f"vanishing support threshold at {v}")
-            self.rows[v] = (log_discrepancy(model, val), max(g.values()),
-                            [[g[w] for w in s] for s in simplices])
+            self.rows[v] = (log_discrepancy(model, val), max(g), g)
 
     def s_p(self, v: tuple[int, ...], p: int) -> Fraction:
         """Exact s_p(v), the mean of g_v**p over P, computed once per (v, p)
-        by the closed form on each simplex."""
+        by the closed form on the model's weighted simplices."""
         if (v, p) not in self._moments:
-            total = sum(integrate_affine_power_over_simplex(vol, vals, p)
-                        for vol, vals in zip(self._volumes, self.rows[v][2]))
-            self._moments[v, p] = total / self.model.P.volume()
+            g = self.rows[v][2]
+            weighted = ((N, [g[i] for i in s]) for N, s in self.model.simplices())
+            self._moments[v, p] = mean_affine_power(weighted, self.model.n, p)
         return self._moments[v, p]
 
     def curve(self, v: tuple[int, ...]) -> VolumeCurve:
@@ -279,8 +286,7 @@ class CandidateTable:
         """Minimum of A(v)/moment(v)**(1/p), with moment s_p (normalized)
         or V * s_p; ties resolve to the first row."""
         check_positive_int(p, "search order p")
-        scale = 1 if normalized else (math.factorial(self.model.n)
-                                      * self.model.P.volume())
+        scale = 1 if normalized else sum(N for N, _ in self.model.simplices())
         table = []
         for v, (a, _, _) in self.rows.items():
             moment = self.s_p(v, p) * scale

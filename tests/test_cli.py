@@ -206,15 +206,16 @@ def test_scan_builds_each_curve_of_its_model_once(tmp_path, monkeypatch):
     original = toric.survival_curve
 
     def counted(data, n):
-        built.append(frozenset(u for simplex, _ in data for u in simplex))
+        built.append(sum(weight for weight, _ in data))
         return original(data, n)
 
     monkeypatch.setattr(toric, "survival_curve", counted)
     code, _ = run_cli(["scan", "--model", "p2", "--p", "1,2,3",
                        "--m", "1,2,4,8"], tmp_path)
     assert code == 0
-    p2 = frozenset(builtin_model("p2").P.vertices)
-    assert built.count(p2) == len(argmins)
+    # p2's one simplex has weight 2! vol = 1; the probe's cuts of 4 p2
+    # weigh more
+    assert built.count(1) == len(argmins)
 
 
 def test_scan_levels_follow_the_requested_order(tmp_path):
@@ -280,18 +281,24 @@ def test_non_q_gorenstein_model_exits_4(tmp_path, capsys):
 
 
 def test_hexagon_times_square_runs(tmp_path):
-    # dP6 x P1 x P1, 24 vertices in dimension 4: a Kahler-Einstein toric
-    # Fano, so delta_1 = 1 exactly
+    # dP6 x P1 x P1 (24 vertices) and dP6 x dP6 (36 vertices, 96
+    # simplices) in dimension 4: Kahler-Einstein toric Fanos, so
+    # delta_1 = 1 exactly
     hexagon = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
-    doc = {"dim": 4, "vertices": [[str(x) for x in (*a, b, c)]
-                                  for a in hexagon
-                                  for b in (-1, 1) for c in (-1, 1)]}
-    model_file = tmp_path / "hexagon-square.json"
-    model_file.write_text(json.dumps(doc))
-    code, text = run_cli(["invariants", "--model", str(model_file), "--p", "1",
-                          "--bound", "1"], tmp_path)
-    assert code == 0
-    assert text.splitlines()[1] == "1,1,-1 -1 -1 -1,1/2,1,borderline"
+    square = [(b, c) for b in (-1, 1) for c in (-1, 1)]
+    for second, p, bound, rows in [
+            (square, "1", "1", ["1,1,-1 -1 -1 -1,1/2,1,borderline"]),
+            (hexagon, "1,2", "2",
+             ["1,1,-2 -2 -2 -1,1/2,1,borderline",
+              "2,0.884651736929,-1 0 0 0,1/2,0.979795897113,below"])]:
+        doc = {"dim": 4, "vertices": [[str(x) for x in (*a, *b)]
+                                      for a in hexagon for b in second]}
+        model_file = tmp_path / "product.json"
+        model_file.write_text(json.dumps(doc))
+        code, text = run_cli(["invariants", "--model", str(model_file),
+                              "--p", p, "--bound", bound], tmp_path)
+        assert code == 0
+        assert text.splitlines()[1:] == rows
 
 
 def test_bad_grid_exits_3(capsys):
@@ -375,6 +382,28 @@ def test_coordinate_too_large_for_a_float_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "OverflowError"
+
+
+@pytest.mark.parametrize("model, p", [("p2-anticanonical", "10000"),
+                                      ("triangle", "50")])
+def test_exact_value_past_the_digit_limit_exits_3(tmp_path, capsys, model, p):
+    # the JSON table prints s_p exactly, and its numerator passes the
+    # 4,300 digits Python converts to a string; the CSV table does not
+    # print it and exits 0
+    if model == "triangle":
+        model = str(tmp_path / "triangle.json")
+        side = str(10 ** 100)
+        Path(model).write_text(json.dumps(
+            {"dim": 2, "vertices": [["0", "0"], [side, "0"], ["0", side]]}))
+    argv = ["invariants", "--model", model, "--p", p, "--bound", "1"]
+    assert cli.main(argv + ["--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "DomainError"
+    assert "limit of 4300 digits" in err["message"]
+    assert cli.main(argv) == 0
 
 
 @pytest.mark.parametrize("argv, row", [

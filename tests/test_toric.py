@@ -13,6 +13,7 @@ Frozen values, worked out from the polytopes directly:
     twisted surface none
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from deltap.errors import (
     UnsupportedModelError,
 )
 from deltap.geometry import (RationalPolytope, affine_dimension,
-                            complete_homogeneous)
+                            complete_homogeneous, simplex_volume)
 from deltap.toric import (
     MAX_CANDIDATE_BOX,
     CandidateTable,
@@ -44,6 +45,8 @@ from deltap.toric import (
     section_filtration,
     volume_curve_of,
 )
+
+from oracles import integrate_affine_power_over_simplex
 
 F = Fraction
 
@@ -364,12 +367,53 @@ def test_closed_form_rows_match_curves_on_random_polytopes(pts):
     assert_rows_match_curves(ToricModel(RationalPolytope(pts)), 1)
 
 
+@st.composite
+def _many_simplex_polytope(draw):
+    # prisms over polygons in dimensions 3 and 4, products of two
+    # polygons, and lattice 3-polytopes with at least 6 vertices
+    def points(n, count, top):
+        coord = st.integers(min_value=0, max_value=top)
+        return draw(st.lists(st.tuples(*[coord] * n), min_size=count,
+                             max_size=count, unique=True))
+
+    kind = draw(st.sampled_from(("prism", "prism-4", "product", "random")))
+    if kind == "random":
+        return points(3, draw(st.integers(min_value=6, max_value=9)), 3)
+    segment = [(0,), (draw(st.integers(min_value=1, max_value=2)),)]
+    second = {"prism": [segment], "prism-4": [segment, segment],
+              "product": [points(2, draw(st.integers(3, 4)), 2)]}[kind]
+    return [sum(parts, ()) for parts in itertools.product(points(2, 4, 3),
+                                                          *second)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(pts=_many_simplex_polytope())
+def test_closed_form_rows_match_the_per_simplex_oracle(pts):
+    # one integer sum over the weighted triangulation against the
+    # integral of g_v**p on each simplex, for p = 1..5; g_v is integral
+    # at the lattice vertices
+    assume(affine_dimension(pts) == len(pts[0]))
+    model = ToricModel(RationalPolytope(pts))
+    assume(len(model.vertices) >= 6 and model.is_q_gorenstein)
+    table = CandidateTable(model, 1)
+    volumes = [(simplex_volume(s), s) for s in model.P.triangulation()]
+    for v in table.rows:
+        val = ToricValuation(model, v)
+        weighted = [(vol, [int(val.g(u)) for u in s]) for vol, s in volumes]
+        for p in range(1, 6):
+            total = sum(integrate_affine_power_over_simplex(vol, values, p)
+                        for vol, values in weighted)
+            assert table.s_p(v, p) == total / model.P.volume(), (v, p)
+
+
 def test_argmin_check_catches_a_corrupted_closed_form(monkeypatch):
     # the moment formula without its factor n! p!/(n+p)!
-    def mutant(volume, values, p):
-        return volume * complete_homogeneous(values, p)
+    def mutant(weighted, n, p):
+        weighted = list(weighted)
+        return F(sum(w * complete_homogeneous(values, p)
+                     for w, values in weighted), sum(w for w, _ in weighted))
 
-    monkeypatch.setattr(toric, "integrate_affine_power_over_simplex", mutant)
+    monkeypatch.setattr(toric, "mean_affine_power", mutant)
     model = builtin_model("p2-anticanonical")
     with pytest.raises(AssertionError):
         assert_rows_match_curves(model, 1)
