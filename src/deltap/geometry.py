@@ -9,9 +9,9 @@ primitive integer vectors, determinants come from the integer kernel in
 
 Facets are read off one double-description kernel, ``extreme_rays``,
 which needs no special case for degenerate position; ``MAX_HULL_RAYS``
-refuses inputs whose rays outgrow it.  A polytope's facets are
-enumerated once; its vertices and its pulling triangulation are read
-off the facet incidence.
+refuses inputs whose rays outgrow it.  Rays carry their tight-row
+masks, so a polytope's one hull gives the facet-vertex incidence that
+its vertices, triangulation, normal cones and dilates are read from.
 
 All objects are immutable after construction; sharing them across
 threads is safe.
@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 from math import ceil, comb, factorial, floor, gcd, prod
-from operator import mul
+from operator import and_, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, InvariantViolation, StructureError
@@ -64,17 +65,18 @@ def affine_dimension(points: Sequence[Point]) -> int:
     return rank(diffs) if diffs else 0
 
 
-def extreme_rays(rows: Sequence[Sequence], width: int) -> tuple[tuple[int, ...], ...]:
-    """Primitive integer extreme rays of {y : <r, y> >= 0 for r in rows};
-    () when the rows do not span ``width`` dimensions, as the cone then
-    holds a line.  Double description (Motzkin, Raiffa, Thompson & Thrall
-    1953; Fukuda & Prodon 1996): the columns of the inverse of ``width``
-    independent rows are the first rays; each further row keeps the rays
-    on its nonnegative side and joins every adjacent pair across it.  Two
-    rays are adjacent when no third ray is tight on every row where both
-    are tight; a ray's tight rows are a bit mask.
+def extreme_rays(rows: Sequence[Sequence], width: int) -> tuple[tuple[tuple, int], ...]:
+    """Primitive integer extreme rays of {y : <r, y> >= 0 for r in rows},
+    each with the mask of its tight rows, bit i for rows[i] (a zero row
+    is tight on all); () when the rows do not span ``width`` dimensions,
+    as the cone then holds a line.  Double description (Motzkin, Raiffa,
+    Thompson & Thrall 1953; Fukuda & Prodon 1996): the columns of the
+    inverse of ``width`` independent rows are the first rays; each further
+    row keeps the rays on its nonnegative side and joins every adjacent
+    pair across it.  Two rays are adjacent when no third ray is tight on
+    every row where both are.
     """
-    rows = [primitive_integer_vector(r) for r in rows if any(r)]
+    rows = [primitive_integer_vector(r) if any(r) else (0,) * width for r in rows]
     basis = rref(list(zip(*rows)))[1]
     if len(basis) < width:
         return ()
@@ -99,18 +101,18 @@ def extreme_rays(rows: Sequence[Sequence], width: int) -> tuple[tuple[int, ...],
             raise DomainError(f"a hull of {len(rows)} rows in width {width} "
                               f"holds {len(rays)} rays, over the budget of "
                               f"{MAX_HULL_RAYS}")
-    return tuple(y for y, _ in rays)
+    return tuple(rays)
 
 
-def facet_enumeration(points: Sequence[Point], dim: int) -> tuple[Halfspace, ...]:
-    """Facet halfspaces of the full-dimensional hull of ``points``: the
-    extreme rays (a, b) of {(a, b) : <a, p> - b >= 0 for every p}.  Each
-    is tight on some p, so a != 0."""
+def facet_enumeration(points: Sequence[Point], dim: int) -> tuple[tuple, tuple]:
+    """Sorted facets of the full-dimensional hull of ``points`` and their
+    masks of tight points, bit i for points[i]: the extreme rays (a, b) of
+    {(a, b) : <a, p> - b >= 0 for every p}, tight on some p, so a != 0."""
     facets = []
-    for *a, b in extreme_rays([(*p, -1) for p in points], dim + 1):
+    for (*a, b), mask in extreme_rays([(*p, -1) for p in points], dim + 1):
         g = gcd(*a)
-        facets.append(Halfspace(tuple(x // g for x in a), Fraction(b, g)))
-    return tuple(sorted(facets))
+        facets.append((Halfspace(tuple(x // g for x in a), Fraction(b, g)), mask))
+    return tuple(zip(*sorted(facets)))
 
 
 def vertex_enumeration(halfspaces: Sequence[Halfspace], dim: int) -> tuple[Point, ...]:
@@ -119,7 +121,7 @@ def vertex_enumeration(halfspaces: Sequence[Halfspace], dim: int) -> tuple[Point
     Empty when the intersection is empty or holds a line."""
     rows = [(*hs.normal, -hs.offset) for hs in halfspaces] + [(0,) * dim + (1,)]
     return tuple(sorted(tuple(Fraction(x, t) for x in y)
-                        for *y, t in extreme_rays(rows, dim + 1) if t > 0))
+                        for (*y, t), _ in extreme_rays(rows, dim + 1) if t > 0))
 
 
 def simplex_volume(pts: Sequence[Point]) -> Fraction:
@@ -131,33 +133,29 @@ def simplex_volume(pts: Sequence[Point]) -> Fraction:
 
 
 def triangulate_vertices(vertices: Sequence[Point],
-                         facets: Sequence[Halfspace]) -> tuple[tuple[Point, ...], ...]:
+                         incidence: Sequence[int]) -> tuple[tuple[Point, ...], ...]:
     """Pulling triangulation of a full-dimensional polytope from its
-    vertices and facets (De Loera, Rambau and Santos, *Triangulations*,
-    2010, ch. 4).
+    vertices and, per facet, the mask of the vertices on it, bit i for
+    vertices[i] (De Loera, Rambau and Santos, *Triangulations*, 2010, ch. 4).
 
-    A face is the set of vertices on it; the facets of a face F are the
-    inclusion-maximal proper nonempty sets F & G over the polytope's
-    facets G.  Each face is coned from its lexicographically smallest
-    vertex over its facets that miss that vertex, so every simplex is
-    full-dimensional and no hull is computed below the polytope's own.
+    A face is the mask of the vertices on it; the facets of a face F are
+    the inclusion-maximal proper nonempty masks F & G over the facets G.
+    Each face is coned from its first vertex (the lexicographically
+    smallest for sorted vertices) over its facets that miss that vertex,
+    so every simplex is full-dimensional and no hull is computed.
     """
-    pts = sorted(set(vertices))
-    incidence = [frozenset(i for i, p in enumerate(pts)
-                           if dot(hs.normal, p) == hs.offset) for hs in facets]
-
-    def pull(face: frozenset) -> list[tuple[int, ...]]:
-        apex = min(face)
+    def pull(face: int) -> list[tuple[int, ...]]:
+        apex = (face & -face).bit_length() - 1
         cuts = dict.fromkeys(face & g for g in incidence)
         proper = [c for c in cuts if c and c != face]
-        sides = [c for c in proper if not any(c < d for d in proper)]
+        sides = [c for c in proper if not any(c & d == c != d for d in proper)]
         if not sides:  # a vertex is its own simplex
             return [(apex,)]
-        return [(apex,) + s for side in sides if apex not in side
+        return [(apex,) + s for side in sides if not side >> apex & 1
                 for s in pull(side)]
 
-    return tuple(tuple(pts[i] for i in s)
-                 for s in pull(frozenset(range(len(pts)))))
+    return tuple(tuple(vertices[i] for i in s)
+                 for s in pull((1 << len(vertices)) - 1))
 
 
 def _truncated_power_difference(knots: Sequence[Fraction], hi: Fraction,
@@ -256,7 +254,7 @@ def lattice_points_in(halfspaces: Sequence[Halfspace],
 class RationalPolytope:
     """A full-dimensional convex polytope with rational vertices."""
 
-    __slots__ = ("dim", "vertices", "_facets", "_triangulation", "_volume")
+    __slots__ = ("dim", "vertices", "incidence", "_facets", "_triangulation", "_volume")
 
     def __init__(self, vertices: Sequence[Sequence]):
         pts = sorted({make_point(v) for v in vertices})
@@ -269,23 +267,27 @@ class RationalPolytope:
         if adim < dim:
             raise InvariantViolation(
                 f"polytope is {adim}-dimensional in ambient dimension {dim}")
-        self.dim = dim
-        self._facets = facet_enumeration(pts, dim)
-        # A point is a vertex unless another is tight on all its facets.
-        tight = [sum(1 << i for i, hs in enumerate(self._facets)
-                     if dot(hs.normal, p) == hs.offset) for p in pts]
-        self.vertices = tuple(p for p, z in zip(pts, tight)
-                              if sum(y & z == z for y in tight) == 1)
-        self._triangulation = None
-        self._volume = None
+        facets, masks = facet_enumeration(pts, dim)
+        # A point is a vertex when the facets through it meet in it alone.
+        keep = [i for i in range(len(pts))
+                if reduce(and_, (m for m in masks if m >> i & 1), -1) == 1 << i]
+        self._set(tuple(pts[i] for i in keep), facets,
+                  tuple(sum(1 << k for k, i in enumerate(keep) if m >> i & 1)
+                        for m in masks))
+
+    def _set(self, vertices, facets, incidence) -> "RationalPolytope":
+        """Take sorted vertices, sorted facets and their incidence on trust."""
+        self.dim, self.vertices, self._facets, self.incidence = (
+            len(vertices[0]), vertices, facets, incidence)
+        self._triangulation = self._volume = None
+        return self
 
     @classmethod
     def from_halfspaces(cls, halfspaces: Sequence[Halfspace],
                         dim: int) -> "RationalPolytope | None":
         """The bounded intersection of ``halfspaces`` in dimension ``dim``,
         or None when it is empty or not full-dimensional."""
-        hss = tuple(Halfspace(tuple(int(x) for x in hs[0]), as_fraction(hs[1]))
-                    for hs in halfspaces)
+        hss = [Halfspace(make_point(n), as_fraction(o)) for n, o in halfspaces]
         verts = vertex_enumeration(hss, dim)
         return cls(verts) if affine_dimension(verts) == dim else None
 
@@ -294,8 +296,7 @@ class RationalPolytope:
 
     def triangulation(self) -> tuple[tuple[Point, ...], ...]:
         if self._triangulation is None:
-            self._triangulation = triangulate_vertices(self.vertices,
-                                                       self._facets)
+            self._triangulation = triangulate_vertices(self.vertices, self.incidence)
         return self._triangulation
 
     def volume(self) -> Fraction:
@@ -315,10 +316,14 @@ class RationalPolytope:
         return RationalPolytope.from_halfspaces(hss, self.dim)
 
     def dilate(self, c) -> "RationalPolytope":
+        """c P; c > 0 keeps the vertex and facet orders, so no hull runs."""
         c = as_fraction(c)
         if c <= 0:
             raise InvariantViolation("dilation factor must be positive")
-        return RationalPolytope([tuple(c * x for x in v) for v in self.vertices])
+        return RationalPolytope.__new__(RationalPolytope)._set(
+            tuple(tuple(c * x for x in v) for v in self.vertices),
+            tuple(Halfspace(hs.normal, c * hs.offset) for hs in self._facets),
+            self.incidence)
 
     def lattice_points(self) -> tuple[tuple[int, ...], ...]:
         return lattice_points_in(self.halfspaces(), self.vertices)

@@ -64,21 +64,16 @@ class ToricModel:
                  tuple(index[w] for w in s)) for s in self.P.triangulation())
         return self._simplices
 
-    def vertex_rays(self, w) -> tuple[tuple[int, ...], ...]:
-        """Primitive ray generators of the normal-fan cone at vertex w."""
-        return tuple(hs.normal for hs in self.P.halfspaces()
-                     if dot(hs.normal, w) == hs.offset)
-
     def _supports(self):
         """Per-vertex support vector m_w with <m_w, ray> = 1 for every ray
-        of the cone at w, when one exists (the Q-Gorenstein condition)."""
+        of the cone at w, the normals of the facets through w, when one
+        exists (the Q-Gorenstein condition)."""
         if self._vertex_supports is None:
-            sols = {}
-            for w in self.P.vertices:
-                rays = self.vertex_rays(w)
-                sols[w] = solve_linear_system(
-                    [list(r) for r in rays], [Fraction(1)] * len(rays))
-            self._vertex_supports = sols
+            normals = [hs.normal for hs in self.P.halfspaces()]
+            cones = [[r for r, m in zip(normals, self.P.incidence) if m >> k & 1]
+                     for k in range(len(self.vertices))]
+            self._vertex_supports = {w: solve_linear_system(c, [Fraction(1)] * len(c))
+                                     for w, c in zip(self.P.vertices, cones)}
         return self._vertex_supports
 
     @property

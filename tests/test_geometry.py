@@ -67,7 +67,7 @@ def _moment_oracle(vol, values, p):
 
 
 def test_facets_of_unit_square():
-    facets = facet_enumeration(SQUARE, 2)
+    facets, _ = facet_enumeration(SQUARE, 2)
     assert len(facets) == 4
     # each vertex saturates exactly two facets
     for v in SQUARE:
@@ -77,16 +77,16 @@ def test_facets_of_unit_square():
 
 
 def test_vertex_enumeration_roundtrip():
-    facets = facet_enumeration(SQUARE, 2)
+    facets, _ = facet_enumeration(SQUARE, 2)
     verts = vertex_enumeration(facets, 2)
     assert sorted(verts) == sorted(SQUARE)
 
 
 def test_hull_enumerations_refuse_subsets_over_budget(monkeypatch):
     # The budget is on the rays a double description holds after a step.
-    hexagon = facet_enumeration(HEXAGON, 2)
+    hexagon, _ = facet_enumeration(HEXAGON, 2)
     monkeypatch.setattr(geometry, "MAX_HULL_RAYS", 4)
-    facets = facet_enumeration(SQUARE, 2)  # 4 rays
+    facets, _ = facet_enumeration(SQUARE, 2)  # 4 rays
     assert vertex_enumeration(facets, 2) == tuple(sorted(SQUARE))
     with pytest.raises(DomainError, match="holds 5 rays"):
         facet_enumeration(HEXAGON, 2)
@@ -95,11 +95,16 @@ def test_hull_enumerations_refuse_subsets_over_budget(monkeypatch):
 
 
 def test_extreme_rays_of_the_positive_orthant_and_a_wedge():
+    # Each ray comes with the mask of its tight rows, bit i for row i.
     unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert sorted(extreme_rays(unit, 3)) == sorted(unit)
+    assert sorted(extreme_rays(unit, 3)) == \
+        [((0, 0, 1), 0b011), ((0, 1, 0), 0b101), ((1, 0, 0), 0b110)]
     # x >= 0 and y >= x in the plane: the rays (0, 1) and (1, 1)
     assert sorted(extreme_rays([(F(1), F(0)), (F(-2), F(2))], 2)) == \
-        [(0, 1), (1, 1)]
+        [((0, 1), 0b01), ((1, 1), 0b10)]
+    # a zero row keeps its place and is tight on every ray
+    assert sorted(extreme_rays([(F(1), F(0)), (0, 0), (F(-2), F(2))], 2)) == \
+        [((0, 1), 0b011), ((1, 1), 0b110)]
     assert extreme_rays([(1, 0), (2, 0)], 2) == ()  # the cone holds a line
 
 
@@ -168,10 +173,18 @@ def _points_and_cut(draw):
 def test_extreme_rays_match_the_subset_oracles(case):
     n, pts, cut = case
     assume(geometry.affine_dimension(pts) == n)
-    facets = facet_enumeration(pts, n)
+    facets, masks = facet_enumeration(pts, n)
     assert facets == _facets_by_subsets(pts, n)
+    # each facet's mask holds exactly the points on it
+    assert masks == tuple(sum(1 << i for i, p in enumerate(pts)
+                              if geometry.dot(hs.normal, p) == hs.offset)
+                          for hs in facets)
     # the constructor reads the vertices off the facet-point incidence
-    assert RationalPolytope(pts).vertices == _vertices_by_subsets(facets, n)
+    P = RationalPolytope(pts)
+    assert P.vertices == _vertices_by_subsets(facets, n)
+    assert P.incidence == tuple(
+        sum(1 << k for k, v in enumerate(P.vertices)
+            if geometry.dot(hs.normal, v) == hs.offset) for hs in P.halfspaces())
     # The polar {x : <p, x> >= -1} has a vertex on many halfspaces where
     # many points share a facet; it may be unbounded or hold a line.
     for hss in (facets + (cut,),
@@ -188,7 +201,7 @@ def test_simplex_volume_standard():
 
 
 def test_triangulation_covers_volume():
-    tris = triangulate_vertices(SQUARE, facet_enumeration(SQUARE, 2))
+    tris = triangulate_vertices(SQUARE, facet_enumeration(SQUARE, 2)[1])
     assert sum(simplex_volume(t) for t in tris) == 1
 
 
@@ -203,7 +216,7 @@ def _recursive_triangulation(points):
         return ((pts[0], pts[-1]),)
     apex = pts[0]
     simplices = []
-    for hs in facet_enumeration(pts, dim):
+    for hs in facet_enumeration(pts, dim)[0]:
         if geometry.dot(hs.normal, apex) == hs.offset:
             continue
         on_facet = [p for p in pts if geometry.dot(hs.normal, p) == hs.offset]
@@ -269,12 +282,43 @@ def test_four_cube_pulls_into_24_simplices():
 
 def test_triangulation_enumerates_no_facets(monkeypatch):
     P = RationalPolytope(CUBE4)
+    # dilate carries the hull over: it must match a hull of the scaled
+    # vertices, built here before any hull is refused
+    dilations = [(Q, c, RationalPolytope([tuple(c * x for x in v)
+                                          for v in Q.vertices]))
+                 for Q in (P, RationalPolytope(TRIANGLE))
+                 for c in (F(2), F(1, 3), F(7, 2))]
 
-    def refuse(points, dim):
-        raise AssertionError("facet_enumeration called by triangulation")
+    def refuse(*args):
+        raise AssertionError("a hull run by triangulation or dilate")
 
     monkeypatch.setattr(geometry, "facet_enumeration", refuse)
+    monkeypatch.setattr(geometry, "extreme_rays", refuse)
     assert P.volume() == 16
+    for Q, c, scaled in dilations:
+        D = Q.dilate(c)
+        assert D.vertices == scaled.vertices
+        assert D.halfspaces() == scaled.halfspaces()
+        assert D.incidence == scaled.incidence
+        assert D.triangulation() == scaled.triangulation()
+        assert D.volume() == scaled.volume() == c ** Q.dim * Q.volume()
+
+
+def test_a_polytope_enumerates_its_facets_once(monkeypatch):
+    # The bench counts geometry.facet_enumeration calls as hulls.
+    calls = []
+    enumerate_facets = geometry.facet_enumeration
+
+    def counted(points, dim):
+        calls.append(dim)
+        return enumerate_facets(points, dim)
+
+    monkeypatch.setattr(geometry, "facet_enumeration", counted)
+    P = RationalPolytope(CUBE4)
+    assert calls == [4]
+    P.triangulation()
+    P.dilate(3).triangulation()
+    assert calls == [4]
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +336,7 @@ def test_survival_curve_of_x_on_triangle():
 
 def test_survival_curve_additive_over_triangulation():
     pieces = [(simplex_volume(t), tuple(v[0] for v in t))
-              for t in triangulate_vertices(SQUARE, facet_enumeration(SQUARE, 2))]
+              for t in triangulate_vertices(SQUARE, facet_enumeration(SQUARE, 2)[1])]
     curve = survival_curve(pieces, 2)
     # vol{x >= t} on the unit square is 1 - t
     for t in (F(0), F(1, 4), F(2, 3)):
@@ -396,6 +440,19 @@ def test_polytope_intersect_halfspace():
     assert Q.volume() == F(1, 2)
 
 
+def test_halfspaces_with_rational_normals_are_exact():
+    # x + y <= 1 written with half-integer coefficients cuts the square
+    triangle = RationalPolytope(TRIANGLE)
+    cut = Halfspace((F(-1, 2), F(-1, 2)), F(-1, 2))
+    assert RationalPolytope(SQUARE).intersect([cut]) == triangle
+    assert RationalPolytope.from_halfspaces(
+        [((F(1, 2), 0), 0), ((0, 1), 0), ((-1, -1), -1)], 2) == triangle
+    for bad in (0.5, True):  # neither a float nor a bool is exact
+        with pytest.raises(DomainError):
+            RationalPolytope.from_halfspaces(
+                [((bad, 0), 0), ((0, 1), 0), ((-1, -1), -1)], 2)
+
+
 def test_empty_or_facet_cuts_are_none():
     P = RationalPolytope(SQUARE)
     empty = [Halfspace((1, 0), F(2))]  # x >= 2
@@ -413,7 +470,7 @@ def test_polytope_lattice_points():
 
 
 def test_lattice_points_in_from_halfspaces():
-    facets = facet_enumeration(SQUARE, 2)
+    facets, _ = facet_enumeration(SQUARE, 2)
     pts = lattice_points_in(facets, SQUARE)
     assert sorted(pts) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
