@@ -180,7 +180,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     # refuses a wide model before any search or section walk.
     p0 = p_grid[0]
     probe = _truncation_probe(cfg, model, p0)
-    table = CandidateTable(model, cfg.bound)
+    table = CandidateTable(model, cfg.bound, (1, *p_grid))
     base = table.delta(1)
     val = ToricValuation(model, base.argmin)
     curve = table.curve(base.argmin)

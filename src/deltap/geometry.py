@@ -3,9 +3,9 @@
 Convex hull facets, vertex enumeration, deterministic triangulation,
 volumes, lattice points, survival curves by the B-spline divided-
 difference identity, and exact mean powers of affine functionals over
-weighted simplices.  Coordinates are Fractions, facet normals are
-primitive integer vectors, determinants come from the integer kernel in
-``linalg``, and floats never enter.
+weighted simplices, every order from one recurrence.  Coordinates are
+Fractions, facet normals are primitive integer vectors, determinants
+come from the integer kernel in ``linalg``, and floats never enter.
 
 Facets are read off one double-description kernel, ``extreme_rays``,
 which needs no special case for degenerate position; ``MAX_HULL_RAYS``
@@ -142,20 +142,21 @@ def triangulate_vertices(vertices: Sequence[Point],
     the inclusion-maximal proper nonempty masks F & G over the facets G.
     Each face is coned from its first vertex (the lexicographically
     smallest for sorted vertices) over its facets that miss that vertex,
-    so every simplex is full-dimensional and no hull is computed.
+    so every simplex is full-dimensional and no hull is computed.  A face
+    F reads its cuts F & G = F & (E & G) off its parent E's distinct cuts.
     """
-    def pull(face: int) -> list[tuple[int, ...]]:
+    def pull(face: int, parent_cuts) -> list[tuple[int, ...]]:
         apex = (face & -face).bit_length() - 1
-        cuts = dict.fromkeys(face & g for g in incidence)
+        cuts = dict.fromkeys(face & g for g in parent_cuts)
         proper = [c for c in cuts if c and c != face]
         sides = [c for c in proper if not any(c & d == c != d for d in proper)]
         if not sides:  # a vertex is its own simplex
             return [(apex,)]
         return [(apex,) + s for side in sides if not side >> apex & 1
-                for s in pull(side)]
+                for s in pull(side, cuts)]
 
     return tuple(tuple(vertices[i] for i in s)
-                 for s in pull((1 << len(vertices)) - 1))
+                 for s in pull((1 << len(vertices)) - 1, incidence))
 
 
 def _truncated_power_difference(knots: Sequence[Fraction], hi: Fraction,
@@ -204,30 +205,30 @@ def survival_curve(simplices: Sequence[tuple[Fraction, Sequence[Fraction]]],
     return PiecewisePolynomial(breaks, pieces, continuous=True)
 
 
-def complete_homogeneous(values: Sequence, p: int):
-    """Complete homogeneous symmetric polynomial h_p of the values; an
-    int for int values."""
-    h = [1] + [0] * p
-    for a in values:
-        for k in range(1, p + 1):
-            h[k] += a * h[k - 1]
-    return h[p]
-
-
-def mean_affine_power(weighted: Iterable[tuple[Fraction, Sequence]], n: int,
-                      p: int) -> Fraction:
-    """``n! p!/(n+p)! * sum_S w_S h_p(values on S) / sum_S w_S`` over
-    (w_S, vertex values) pairs: the mean of g**p for affine g over
-    n-simplices with w_S proportional to vol(S), as integral_S g**p =
+def mean_affine_powers(weighted: Iterable[tuple[Fraction, Sequence]], n: int,
+                       orders: Iterable[int]) -> dict[int, Fraction]:
+    """{p: n! p!/(n+p)! * sum_S w_S h_p(values on S) / sum_S w_S} for p in
+    ``orders``, over (w_S, vertex values) pairs: the mean of g**p for affine
+    g over n-simplices with w_S proportional to vol(S), as integral_S g**p =
     vol(S) n! p!/(n+p)! h_p (Baldoni, Berline, De Loera, Köppe & Vergne,
-    *Math. Comp.* 80, 2011), repeated values included.  Int inputs keep
-    both sums in ints."""
-    total = weight = 0
+    *Math. Comp.* 80, 2011), h_p the complete homogeneous symmetric
+    polynomial.  One recurrence per simplex, h_k(a_0..a_j) =
+    h_k(a_0..a_j-1) + a_j h_k-1(a_0..a_j), gives h_1..h_P for P the largest
+    order; int inputs keep the sums in ints, with one Fraction per order."""
+    totals = dict.fromkeys(orders, 0)
+    top = max(totals, default=0)
+    weight = 0
     for w, values in weighted:
-        total += w * complete_homogeneous(values, p)
+        h = [1] + [0] * top
+        for a in filter(None, values):  # a zero value adds no term
+            for k in range(1, top + 1):
+                h[k] += a * h[k - 1]
+        for p in totals:
+            totals[p] += w * h[p]
         weight += w
-    return Fraction(factorial(n) * factorial(p) * total,
-                    factorial(n + p) * weight)
+    return {p: Fraction(factorial(n) * factorial(p) * total,
+                        factorial(n + p) * weight)
+            for p, total in totals.items()}
 
 
 def lattice_points_in(halfspaces: Sequence[Halfspace],

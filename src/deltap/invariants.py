@@ -233,7 +233,7 @@ def delta_family(model: ToricModel, p_grid, bound: int) -> InvariantReport:
     """
     grid = check_grid(p_grid, "order grid")
     anti = model.anticanonical_scale()
-    table = CandidateTable(model, bound)
+    table = CandidateTable(model, bound, (1, *grid))
     alpha, alpha_v = table.alpha()
 
     rows = []

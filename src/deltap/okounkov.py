@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import DomainError, InvariantViolation, StructureError
 from .geometry import (Halfspace, RationalPolytope, make_point,
-                       mean_affine_power, simplex_volume, survival_curve)
+                       mean_affine_powers, simplex_volume, survival_curve)
 from .linalg import primitive_integer_vector
 from .numeric import as_fraction, check_positive_int
 from .piecewise import PiecewisePolynomial, integrate_monomial_weighted
@@ -103,25 +103,20 @@ class ConcaveTransform:
         if self._cells is None:
             cells = []
             for i, fi in enumerate(self.forms):
-                constraints = list(self.body.halfspaces())
-                feasible = True
+                cuts = []
                 for j, fj in enumerate(self.forms):
                     if i == j:
                         continue
                     linear = tuple(b - a for a, b in zip(fi.linear, fj.linear))
                     hs = _halfspace_for(linear, fi.constant - fj.constant)
-                    if hs is True:
-                        continue
                     if hs is False:
-                        feasible = False
                         break
-                    constraints.append(hs)
-                if not feasible:
-                    continue
-                cell = RationalPolytope.from_halfspaces(constraints,
-                                                        self.body.dim)
-                if cell is not None:
-                    cells.append((i, cell))
+                    if hs is not True:
+                        cuts.append(hs)
+                else:  # no form rules the cell out
+                    cell = self.body.intersect(cuts) if cuts else self.body
+                    if cell is not None:
+                        cells.append((i, cell))
             self._cells = tuple(cells)
         return self._cells
 
@@ -146,7 +141,7 @@ class ConcaveTransform:
     def moment_p(self, p: int) -> Fraction:
         """Exact (1/vol) * integral of G**p over the body."""
         check_positive_int(p, "moment order p")
-        return mean_affine_power(self._simplex_values(), self.body.dim, p)
+        return mean_affine_powers(self._simplex_values(), self.body.dim, (p,))[p]
 
     def slice_curve(self) -> PiecewisePolynomial:
         """Exact x -> vol{G >= x} on [0, max level]."""

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import (DomainError, InvariantViolation, StructureError,
                      UnsupportedModelError)
-from .geometry import (Halfspace, RationalPolytope, dot, mean_affine_power,
+from .geometry import (Halfspace, RationalPolytope, dot, mean_affine_powers,
                        simplex_volume, survival_curve)
 from .linalg import solve_linear_system
 from .numeric import check_positive_int, float_root
@@ -242,35 +242,39 @@ class DeltaSearchResult(NamedTuple):
 class CandidateTable:
     """Closed-form rows for the primitive candidates of the box of radius
     ``bound``: ``rows`` maps each v, in lexicographic order, to A(v),
-    tau(v) (the largest vertex value of g_v) and the int value of g_v at
-    each of the model's ``vertices``.  Every restricted-candidate infimum
-    reduces over the rows; ``curve(v)`` builds a volume curve only on
-    demand."""
+    tau(v) (the largest vertex value of g_v) and {p: s_p(v)} for each p
+    in ``orders``, the orders its caller reads, from one
+    ``mean_affine_powers`` pass over the model's weighted simplices (none
+    for empty ``orders``).  Every restricted-candidate infimum reduces
+    over the rows; ``curve(v)`` builds a volume curve only on demand."""
 
-    __slots__ = ("model", "bound", "rows", "_moments")
+    __slots__ = ("model", "bound", "rows")
 
-    def __init__(self, model: ToricModel, bound: int):
+    def __init__(self, model: ToricModel, bound: int, orders: Sequence[int] = ()):
         if not model.is_q_gorenstein:
             raise UnsupportedModelError("threshold search needs Q-Gorenstein input")
         self.model = model
         self.bound = bound
-        self._moments = {}
+        candidates = primitive_candidates(model.n, bound)
+        orders = [check_positive_int(p, "search order p") for p in orders]
         self.rows = {}
-        for v in primitive_candidates(model.n, bound):
+        for v in candidates:
             val = ToricValuation(model, v)
             g = tuple(val.g(w) for w in model.vertices)
             if max(g) <= 0:
                 raise InvariantViolation(f"vanishing support threshold at {v}")
-            self.rows[v] = (log_discrepancy(model, val), max(g), g)
+            moments = mean_affine_powers(
+                ((N, [g[i] for i in s]) for N, s in model.simplices()),
+                model.n, orders) if orders else {}
+            self.rows[v] = (log_discrepancy(model, val), max(g), moments)
 
     def s_p(self, v: tuple[int, ...], p: int) -> Fraction:
-        """Exact s_p(v), the mean of g_v**p over P, computed once per (v, p)
-        by the closed form on the model's weighted simplices."""
-        if (v, p) not in self._moments:
-            g = self.rows[v][2]
-            weighted = ((N, [g[i] for i in s]) for N, s in self.model.simplices())
-            self._moments[v, p] = mean_affine_power(weighted, self.model.n, p)
-        return self._moments[v, p]
+        """Exact s_p(v), the mean of g_v**p over P, read off v's row; an
+        order the table was not built with raises DomainError."""
+        moments = self.rows[v][2]
+        if p not in moments:
+            raise DomainError(f"the candidate table holds no order {p!r}")
+        return moments[p]
 
     def curve(self, v: tuple[int, ...]) -> VolumeCurve:
         """The volume curve of v; one the model holds needs no valuation."""
@@ -313,7 +317,7 @@ def delta_p_search(model: ToricModel, p: int,
     result is an upper bound for the infimum over all valuations; ties
     resolve to the lexicographically smallest vector.
     """
-    return CandidateTable(model, bound).delta(p)
+    return CandidateTable(model, bound, (p,)).delta(p)
 
 
 def delta_bar_p_search(model: ToricModel, p: int,
@@ -323,7 +327,7 @@ def delta_bar_p_search(model: ToricModel, p: int,
     Monotone under polytope inclusion with a fixed fan (bigger body,
     smaller value), which is what the dilation property checks exercise.
     """
-    return CandidateTable(model, bound).delta(p, normalized=False)
+    return CandidateTable(model, bound, (p,)).delta(p, normalized=False)
 
 
 def alpha_candidate(model: ToricModel,

@@ -4,14 +4,16 @@
 and takes its volume; ``ConcaveTransform.slice_curve`` and
 ``geometry.survival_curve`` give the same values in closed form.
 ``integrate_affine_power_over_simplex`` integrates g**p over one
-simplex; ``geometry.mean_affine_power`` sums the same closed form over
-a weighted triangulation in one pass.
+simplex with h_p summed from its definition by ``complete_homogeneous``;
+``geometry.mean_affine_powers`` sums the same closed form over a
+weighted triangulation, every order from one recurrence per simplex.
 """
 
 from fractions import Fraction
-from math import factorial
+from itertools import combinations_with_replacement
+from math import factorial, prod
 
-from deltap.geometry import RationalPolytope, complete_homogeneous
+from deltap.geometry import RationalPolytope
 from deltap.okounkov import _halfspace_for
 
 
@@ -27,6 +29,13 @@ def slice_volume(transform, t) -> Fraction:
         constraints.append(hs)
     region = RationalPolytope.from_halfspaces(constraints, transform.body.dim)
     return Fraction(0) if region is None else region.volume()
+
+
+def complete_homogeneous(values, p):
+    """h_p(values) from its definition: the sum, over every multiset of p
+    of the positions, of the product of the values there, so a repeated
+    value counts once per position."""
+    return sum(prod(c) for c in combinations_with_replacement(values, p))
 
 
 def integrate_affine_power_over_simplex(volume, values, p) -> Fraction:

@@ -4,8 +4,9 @@ triangulation, slice volumes, survival curves, and affine-power moments.
 Facet and vertex enumeration are checked against brute-force walks over
 every ``dim``-subset of the points or halfspaces, kept here as oracles.
 
-The affine-power integrator is checked against an independent oracle:
-the divided-difference identity
+The moment kernel ``mean_affine_powers`` is checked against the
+per-simplex oracle, whose h_p is summed from its definition, and that
+oracle against the divided-difference identity
 
     integral_S g^p = vol(S) * n! * p! * sum_i (a_i)^{n+p} / prod_{j!=i} (a_i - a_j)
                      / (n+p)!   (distinct vertex values only)
@@ -27,10 +28,10 @@ from deltap.errors import DomainError, InvariantViolation, StructureError
 from deltap.geometry import (
     Halfspace,
     RationalPolytope,
-    complete_homogeneous,
     extreme_rays,
     facet_enumeration,
     lattice_points_in,
+    mean_affine_powers,
     simplex_volume,
     survival_curve,
     triangulate_vertices,
@@ -39,7 +40,8 @@ from deltap.geometry import (
 from deltap.linalg import nullspace, primitive_integer_vector, solve_square
 from deltap.okounkov import ConcaveTransform
 from deltap.piecewise import lagrange_interpolate
-from oracles import integrate_affine_power_over_simplex, slice_volume
+from oracles import (complete_homogeneous, integrate_affine_power_over_simplex,
+                     slice_volume)
 
 F = Fraction
 
@@ -387,6 +389,33 @@ def test_complete_homogeneous_small_cases():
     assert complete_homogeneous([F(1), F(2)], 2) == 7  # 1 + 2 + 4
     assert complete_homogeneous([F(3)], 4) == 81
     assert complete_homogeneous([F(1), F(1), F(1)], 2) == 6
+    # one simplex: s_p = n! p!/(n+p)! h_p, every order from one call;
+    # x on [1, 2] has mean 3/2 and mean square 7/3
+    assert mean_affine_powers([(1, [1, 2])], 1, (2, 1)) == {2: F(7, 3), 1: F(3, 2)}
+    assert mean_affine_powers([(F(1, 2), [F(3)])], 0, (4,)) == {4: 81}
+    assert mean_affine_powers([(1, [1, 1, 1])], 2, (1, 2, 2)) == {1: 1, 2: 1}
+    assert mean_affine_powers([(1, [0, 1, 2])], 2, ()) == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+    orders=st.lists(st.integers(min_value=1, max_value=7), min_size=1,
+                    max_size=4),
+)
+def test_moment_kernel_matches_the_per_simplex_oracle(n, data, orders):
+    # int values, repeats and zeros included, on simplices of rational
+    # volume: each order is the oracle's weighted mean
+    simplices = data.draw(st.lists(st.tuples(
+        st.fractions(min_value=F(1, 7), max_value=5, max_denominator=7),
+        st.lists(st.integers(min_value=0, max_value=9), min_size=n + 1,
+                 max_size=n + 1)), min_size=1, max_size=4))
+    total = sum(vol for vol, _ in simplices)
+    assert mean_affine_powers(simplices, n, orders) == {
+        p: sum(integrate_affine_power_over_simplex(vol, values, p)
+               for vol, values in simplices) / total
+        for p in orders}
 
 
 def test_affine_power_matches_direct_integral_on_triangle():

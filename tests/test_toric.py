@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from deltap import toric
+from deltap import geometry, toric
 from deltap.errors import (
     DomainError,
     InvariantViolation,
@@ -28,7 +28,7 @@ from deltap.errors import (
     UnsupportedModelError,
 )
 from deltap.geometry import (RationalPolytope, affine_dimension,
-                            complete_homogeneous, simplex_volume)
+                            mean_affine_powers, simplex_volume)
 from deltap.toric import (
     MAX_CANDIDATE_BOX,
     CandidateTable,
@@ -46,7 +46,7 @@ from deltap.toric import (
     volume_curve_of,
 )
 
-from oracles import integrate_affine_power_over_simplex
+from oracles import complete_homogeneous, integrate_affine_power_over_simplex
 
 F = Fraction
 
@@ -146,6 +146,21 @@ def test_transform_route_matches_curve_route():
         for p in (1, 2):
             assert G.moment_p(p) == curve.s_p(p)
             assert G.moment_from_slices(p) == curve.s_p(p)
+
+
+def test_one_form_transform_keeps_the_body_without_a_hull(monkeypatch):
+    # one affine form cuts nothing, so its one cell is P itself
+    def no_hulls(*args):
+        raise AssertionError("a hull ran")
+
+    model = builtin_model("hirzebruch-2")
+    val = ToricValuation(model, (1, -1))
+    monkeypatch.setattr(geometry, "facet_enumeration", no_hulls)
+    monkeypatch.setattr(geometry, "vertex_enumeration", no_hulls)
+    G = concave_transform_of(model, val)
+    ((form, cell),) = G.min_cells()
+    assert (form, cell) == (0, model.P) and cell is model.P
+    assert G.moment_p(2) == volume_curve_of(model, val).s_p(2)
 
 
 def test_section_filtration_matches_monomial_weights():
@@ -328,7 +343,7 @@ def test_delta_bar_antitone_under_dilation():
 def assert_rows_match_curves(model, bound):
     """Every candidate's volume curve validates, and its tau and s_1..s_4
     equal the closed-form row's."""
-    table = CandidateTable(model, bound)
+    table = CandidateTable(model, bound, (1, 2, 3, 4))
     for v in table.rows:
         curve = volume_curve_of(model, ToricValuation(model, v))
         assert curve.tau == table.rows[v][1], v
@@ -395,7 +410,7 @@ def test_closed_form_rows_match_the_per_simplex_oracle(pts):
     assume(affine_dimension(pts) == len(pts[0]))
     model = ToricModel(RationalPolytope(pts))
     assume(len(model.vertices) >= 6 and model.is_q_gorenstein)
-    table = CandidateTable(model, 1)
+    table = CandidateTable(model, 1, range(1, 6))
     volumes = [(simplex_volume(s), s) for s in model.P.triangulation()]
     for v in table.rows:
         val = ToricValuation(model, v)
@@ -408,14 +423,53 @@ def test_closed_form_rows_match_the_per_simplex_oracle(pts):
 
 def test_argmin_check_catches_a_corrupted_closed_form(monkeypatch):
     # the moment formula without its factor n! p!/(n+p)!
-    def mutant(weighted, n, p):
+    def mutant(weighted, n, orders):
         weighted = list(weighted)
-        return F(sum(w * complete_homogeneous(values, p)
-                     for w, values in weighted), sum(w for w, _ in weighted))
+        return {p: F(sum(w * complete_homogeneous(values, p)
+                         for w, values in weighted), sum(w for w, _ in weighted))
+                for p in orders}
 
-    monkeypatch.setattr(toric, "mean_affine_power", mutant)
+    monkeypatch.setattr(toric, "mean_affine_powers", mutant)
     model = builtin_model("p2-anticanonical")
     with pytest.raises(AssertionError):
         assert_rows_match_curves(model, 1)
     with pytest.raises(InvariantViolation, match="closed-form row disagrees"):
         delta_p_search(model, 2, bound=1)
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+
+    def counted(weighted, n, orders):
+        calls.append(tuple(orders))
+        return mean_affine_powers(weighted, n, orders)
+
+    monkeypatch.setattr(toric, "mean_affine_powers", counted)
+    return calls
+
+
+def test_table_runs_the_moment_kernel_once_per_row(monkeypatch):
+    # hexagon x segment: a 3-polytope of many simplices, every order of
+    # a row from one call
+    hexagon = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+    model = ToricModel(RationalPolytope([(*w, c) for w in hexagon
+                                         for c in (-1, 1)]))
+    assert len(model.simplices()) > 1
+    calls = _count_kernel_calls(monkeypatch)
+    table = CandidateTable(model, 2, (1, 2, 3, 4))
+    assert calls == [(1, 2, 3, 4)] * len(table.rows)
+    v = next(iter(table.rows))
+    assert table.s_p(v, 4) == volume_curve_of(
+        model, ToricValuation(model, v)).s_p(4)
+    with pytest.raises(DomainError, match="no order 5"):
+        table.s_p(v, 5)
+    with pytest.raises(DomainError, match="no order 5"):
+        table.delta(5)
+
+
+def test_alpha_runs_no_moment_kernel(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    model = builtin_model("p2-anticanonical")
+    assert alpha_candidate(model, 2) == (F(1, 3), (-1, -1))
+    assert calls == []
+    assert all(row[2] == {} for row in CandidateTable(model, 2).rows.values())
