@@ -7,6 +7,8 @@ module provides the level-m moments, integer rounding with its exact
 sandwich bounds, compatible bases (every flag member spanned by a
 suffix), a brute-force supremum oracle over random bases, and the
 finitely generated approximations of a monomial graded filtration.
+A flag's one pivot pass over its rows checks that they nest and gives
+the adapted basis from which it reads every order.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable, Sequence
 from .errors import (DomainError, InvariantViolation, StructureError,
                      UnsupportedModelError)
 from .geometry import RationalPolytope, dot, make_point
-from .linalg import Vector, nullspace, primitive_integer_vector, rank, rref
+from .linalg import Vector, primitive_integer_vector, rank, rref
 from .numeric import SqrtSum, as_fraction, check_positive_int
 
 GENERATED_MAX_LEVEL = 20
@@ -74,9 +76,14 @@ class FlagFiltration:
     distinct jump value, ascending, giving the subspace at that height;
     bases must be independent rows, nested decreasing, with dimensions
     matching the jump multiplicities.
+
+    The flag's adapted basis b_1, ..., b_d spans the member at height v
+    by the b_j with a_j >= v, so a nonzero s has order a_j for its first
+    nonzero coordinate j in that basis; ``_duals`` holds the integer dual
+    basis, whose products with s are those coordinates times positives.
     """
 
-    __slots__ = ("m", "jumps", "d", "flag", "_membership")
+    __slots__ = ("m", "jumps", "d", "flag", "_duals")
 
     def __init__(self, m: int, jumps: Sequence, flag=None):
         self.m = check_positive_int(m, "the level m")
@@ -88,10 +95,11 @@ class FlagFiltration:
         if self.jumps[0] < 0:
             raise InvariantViolation("jumps must be nonnegative")
         self.d = len(self.jumps)
-        self.flag = self._validate_flag(flag) if flag is not None else None
-        self._membership = None
+        self.flag, self._duals = (None, None) if flag is None \
+            else self._validate_flag(flag)
 
     def _validate_flag(self, flag):
+        """The ascending flag entries and the dual of the adapted basis."""
         values = sorted(set(self.jumps))
         pairs = [(as_fraction(v), tuple(_as_vector(r, self.d) for r in rows))
                  for v, rows in flag]
@@ -104,34 +112,22 @@ class FlagFiltration:
             if len(rows) != expected or rank(rows) != expected:
                 raise StructureError(
                     f"flag at height {v} must be {expected} independent rows")
-        for (_, outer), (_, inner) in zip(pairs, pairs[1:]):
-            if rank(outer + inner) != len(outer):
-                raise StructureError("flag subspaces are not nested")
-        return tuple(pairs)
-
-    def _membership_tests(self):
-        """Per flag entry, an integer matrix whose kernel is the subspace;
-        membership of s is then a handful of exact dot products."""
-        if self._membership is None:
-            tests = []
-            for v, rows in self.flag:
-                comp = nullspace(rows, width=self.d)
-                tests.append((v, tuple(primitive_integer_vector(c)
-                                       for c in comp)))
-            self._membership = tuple(tests)
-        return self._membership
+        basis = _pivot_pass([rows for _, rows in reversed(pairs)],
+                            "flag subspaces are not nested")[::-1]
+        inverse = rref([[*b, *(int(i == j) for j in range(self.d))]
+                        for i, b in enumerate(basis)])[0]
+        return tuple(pairs), tuple(primitive_integer_vector(col) for col
+                                   in zip(*(row[self.d:] for row in inverse)))
 
     def ord_of(self, s: Sequence) -> Fraction:
         """Largest height whose subspace contains s (s nonzero)."""
         if self.flag is None:
             raise StructureError("ord_of needs the flag, not just jumps")
         vec = _exact_row(s, self.d)
-        if all(x == 0 for x in vec):
-            raise DomainError("the zero vector has no order")
-        for v, comp in reversed(self._membership_tests()):
-            if all(dot(row, vec) == 0 for row in comp):
-                return v
-        raise StructureError("flag lacks a full-space entry")  # unreachable
+        for a, y in zip(self.jumps, self._duals):
+            if dot(y, vec):
+                return a
+        raise DomainError("the zero vector has no order")
 
     # -- moments ---------------------------------------------------------
 
@@ -182,6 +178,20 @@ def rounding_sandwich(F: FlagFiltration, p):
     return upper, mid, upper - slack
 
 
+def _pivot_pass(members: Sequence[Sequence[Sequence]], message: str) -> list:
+    """The first independent rows of the ``members`` of a flag, innermost
+    first: the pivot columns of the transpose.  The members nest exactly
+    when none of them and those inside it span more than its own rows;
+    StructureError(message) when they do not."""
+    rows = [r for member in members for r in member]
+    picked, end = rref(list(zip(*rows)))[1], 0
+    for member in members:
+        end += len(member)
+        if sum(i < end for i in picked) > len(member):
+            raise StructureError(message)
+    return [rows[i] for i in picked]
+
+
 def compatible_basis(chain: Sequence[Sequence[Sequence]], d: int):
     """Ordered basis of Q^d whose suffixes span the given chain.
 
@@ -192,28 +202,13 @@ def compatible_basis(chain: Sequence[Sequence[Sequence]], d: int):
     remainder is filled with standard basis vectors in order.
     """
     check_positive_int(d, "the ambient dimension")
-    subspaces = [tuple(_as_vector(r, d) for r in rows) for rows in chain]
-    dims = [rank(rows) for rows in subspaces]
+    echelons = [rref([_as_vector(r, d) for r in rows])[0] for rows in chain]
+    dims = [len(rows) for rows in echelons]
     if any(a <= b for a, b in zip(dims, dims[1:])) or (dims and dims[0] >= d):
         raise StructureError("chain must be strictly decreasing below Q^d")
-    for outer, inner, dim in zip(subspaces, subspaces[1:], dims):
-        if rank(outer + inner) != dim:
-            raise StructureError("chain subspaces are not nested")
-
-    basis: list[Vector] = []
-    for rows in reversed(subspaces):
-        canon, _ = rref(rows)
-        for candidate in canon:
-            if rank(basis + [candidate]) > len(basis):
-                basis.append(candidate)
-    for i in range(d):
-        if len(basis) == d:
-            break
-        e = tuple(Fraction(1 if j == i else 0) for j in range(d))
-        if rank(basis + [e]) > len(basis):
-            basis.append(e)
-    basis.reverse()
-    return tuple(basis)
+    units = [tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)]
+    return tuple(reversed(_pivot_pass([*echelons[::-1], units],
+                                      "chain subspaces are not nested")))
 
 
 def basis_moment(F: FlagFiltration, basis: Sequence[Sequence], p: int) -> Fraction:

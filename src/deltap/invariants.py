@@ -206,17 +206,19 @@ def _check_candidate_inequalities(n: int, p: int, search: DeltaSearchResult,
     """Exact per-candidate theorems: the two-sided barycenter bracket
     and the monotone comparison between the p-th and first moments;
     ``table`` gives each tabulated v its tau and s_1."""
+    low, up = barycenter_bounds(n, Fraction(1), p)  # times tau**p
+    # s_p >= ((n+1)/n)^p * n/(n+p) * s_1^p, the inequality behind
+    # the threshold theorem, exact after p-th powering.
+    ratio = Fraction(n + 1, n) ** p * Fraction(n, n + p)
     for v, a, s in search.table:
-        lower, upper = barycenter_bounds(n, table.rows[v][1], p)
+        tau_p = table.rows[v][1] ** p
+        lower, upper = low * tau_p, up * tau_p
         if not (lower <= s <= upper):
             raise InvariantViolation(
                 f"barycenter bracket fails at v={v}, p={p}",
                 witness={"v": v, "s_p": str(s), "lower": str(lower),
                          "upper": str(upper)})
-        s1 = table.s_p(v, 1)
-        # s_p >= ((n+1)/n)^p * n/(n+p) * s_1^p, the inequality behind
-        # the threshold theorem, exact after p-th powering.
-        rhs = Fraction(n + 1, n) ** p * Fraction(n, n + p) * s1 ** p
+        rhs = ratio * table.s_p(v, 1) ** p
         if s < rhs:
             raise InvariantViolation(
                 f"moment comparison fails at v={v}, p={p}",

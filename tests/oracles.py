@@ -7,13 +7,19 @@ and takes its volume; ``ConcaveTransform.slice_curve`` and
 simplex with h_p summed from its definition by ``complete_homogeneous``;
 ``geometry.mean_affine_powers`` sums the same closed form over a
 weighted triangulation, every order from one recurrence per simplex.
+``nullspace_orders`` tests flag membership with one nullspace per flag
+entry, and ``compatible_basis_by_rank`` keeps a candidate when it raises
+a rank; ``FlagFiltration.ord_of`` and ``filtration.compatible_basis``
+read both off one pivot pass.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial, prod
 
-from deltap.geometry import RationalPolytope
+from deltap.errors import DomainError, StructureError
+from deltap.geometry import RationalPolytope, dot
+from deltap.linalg import nullspace, rank, rref
 from deltap.okounkov import _halfspace_for
 
 
@@ -49,3 +55,40 @@ def integrate_affine_power_over_simplex(volume, values, p) -> Fraction:
     n = len(values) - 1
     coef = Fraction(factorial(n) * factorial(p), factorial(n + p))
     return volume * coef * complete_homogeneous(values, p)
+
+
+def nullspace_orders(filt):
+    """The order function of a flagged filtration by membership: s lies
+    in a flag entry exactly when it is orthogonal to the nullspace of
+    the entry's rows, and its order is the largest height it lies at."""
+    tests = [(v, nullspace(rows, width=filt.d)) for v, rows in filt.flag]
+
+    def order(s) -> Fraction:
+        vec = tuple(Fraction(x) for x in s)
+        if not any(vec):
+            raise DomainError("the zero vector has no order")
+        return next(v for v, comp in reversed(tests)
+                    if all(dot(c, vec) == 0 for c in comp))
+    return order
+
+
+def compatible_basis_by_rank(chain, d):
+    """The compatible basis by one rank per candidate: the echelon rows
+    of each subspace, innermost first, then the standard basis, each
+    kept when it raises the rank of those kept; a chain is checked by
+    one rank per subspace and one per adjacent pair."""
+    subspaces = [tuple(tuple(Fraction(x) for x in r) for r in rows)
+                 for rows in chain]
+    dims = [rank(rows) for rows in subspaces]
+    if any(a <= b for a, b in zip(dims, dims[1:])) or (dims and dims[0] >= d):
+        raise StructureError("chain must be strictly decreasing below Q^d")
+    for outer, inner, dim in zip(subspaces, subspaces[1:], dims):
+        if rank(outer + inner) != dim:
+            raise StructureError("chain subspaces are not nested")
+    units = [tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)]
+    basis = []
+    for candidate in [r for rows in reversed(subspaces)
+                      for r in rref(rows)[0]] + units:
+        if len(basis) < d and rank(basis + [candidate]) > len(basis):
+            basis.append(candidate)
+    return tuple(reversed(basis))

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltap import cli, geodesic, selfcheck, toric
+from deltap import cli, filtration, geodesic, selfcheck, toric
 from deltap.toric import builtin_model
 
 
@@ -137,6 +137,24 @@ def test_verify_inject_mutant_fails_loudly(tmp_path):
     assert "volume curve increases near x = 1/2" in last
     # the witness rides along in the detail column
     assert '""x"": ""1/2""' in last
+
+
+def test_verify_fails_a_compatible_basis_that_is_not_adapted(tmp_path,
+                                                            monkeypatch):
+    # the property holds compatible_basis to the orders the flag reads
+    # from its own rows, so the standard basis, which ignores the chain,
+    # must fail it
+    def standard_basis(chain, d):
+        return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+
+    monkeypatch.setattr(filtration, "compatible_basis", standard_basis)
+    monkeypatch.setattr(selfcheck, "compatible_basis", standard_basis)
+    code, text = run_cli(["verify", "--seed", "0"], tmp_path)
+    assert code == 2
+    status = {row.split(",")[1]: row.split(",")[0]
+              for row in text.splitlines()[1:]}
+    assert status.pop("compatible-basis") == "FAIL"
+    assert set(status.values()) == {"PASS"}
 
 
 def test_verify_json_format(tmp_path):

@@ -34,6 +34,7 @@ from deltap.filtration import (
 from deltap.geometry import RationalPolytope
 from deltap.linalg import rank
 from deltap.numeric import SqrtSum
+from oracles import compatible_basis_by_rank, nullspace_orders
 
 F = Fraction
 
@@ -115,6 +116,67 @@ def test_flag_validation_catches_non_nested():
             (F(1), [(1, 0, 0), (0, 1, 0)]), (F(2), [(1, 1, 1)])]
     with pytest.raises(StructureError, match="not nested"):
         FlagFiltration(1, [F(0), F(1), F(2)], skew)
+    # the right count at height 0, but dependent rows that the line at
+    # height 1 would fill up to the plane: refused as an entry
+    filled = [(F(0), [(1, 0), (1, 0)]), (F(1), [(0, 1)])]
+    with pytest.raises(StructureError, match="must be 2 independent rows"):
+        FlagFiltration(1, [F(0), F(1)], filled)
+
+
+def _combination(rng, rows):
+    """A random small integer combination of ``rows``."""
+    coeffs = [rng.randint(-3, 3) for _ in rows]
+    return tuple(sum(c * r[t] for c, r in zip(coeffs, rows))
+                 for t in range(len(rows[0])))
+
+
+def _respanned(rng, rows):
+    """Other rows with the same span: independent random combinations."""
+    while True:
+        mixed = [_combination(rng, rows) for _ in rows]
+        if rank(mixed) == len(rows):
+            return mixed
+
+
+def _random_flags(rng, count):
+    """Seeded flagged filtrations of dimensions 1..6; every other one has
+    each flag entry spanned by its own combinations of the rows, so the
+    entries share no rows."""
+    for i in range(count):
+        filt = random_flag_filtration(rng, 1 + i % 6, rng.randint(1, 4))
+        if i % 2:
+            filt = FlagFiltration(filt.m, filt.jumps, [
+                (v, _respanned(rng, rows)) for v, rows in filt.flag])
+        yield filt
+
+
+def test_ord_of_matches_the_nullspace_oracle():
+    rng = Random("ord-of")
+    for filt in _random_flags(rng, 200):
+        order = nullspace_orders(filt)
+        vectors = [tuple(rng.randint(-3, 3) for _ in range(filt.d))
+                   for _ in range(20)]
+        for _, rows in filt.flag:
+            vectors += [_combination(rng, rows) for _ in range(6)]
+        for s in vectors:
+            if any(s):
+                assert filt.ord_of(s) == order(s), (filt.flag, s)
+            else:
+                with pytest.raises(DomainError, match="zero vector"):
+                    filt.ord_of(s)
+
+
+def test_flags_and_chains_take_no_rank_per_pair_or_candidate(monkeypatch):
+    flag = [(F(0), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+            (F(1), [(1, 1, 0), (0, 0, 1)]), (F(3), [(1, 1, 0)])]
+    ranks = []
+    monkeypatch.setattr(filtration, "rank",
+                        lambda rows: ranks.append(rows) or rank(rows))
+    filt = FlagFiltration(2, [F(0), F(1), F(3)], flag)
+    assert len(ranks) == 3  # the count check of each entry, no more
+    assert filt.ord_of((1, 1, 1)) == 1 and len(ranks) == 3
+    compatible_basis([rows for _, rows in flag[1:]], 3)
+    assert len(ranks) == 3
 
 
 def test_ord_of_and_flag_moment_route():
@@ -231,6 +293,7 @@ def test_compatible_basis_known_example():
     # chain: the line spanned by (1, 1) inside Q^2
     basis = compatible_basis([[(1, 1)]], 2)
     assert basis == ((F(1), F(0)), (F(1), F(1)))
+    assert compatible_basis_by_rank([[(1, 1)]], 2) == basis
 
 
 def test_compatible_basis_rejects_bad_chains():
@@ -240,6 +303,33 @@ def test_compatible_basis_rejects_bad_chains():
         compatible_basis([[(1, 0)], [(0, 1)]], 2)  # not nested
     with pytest.raises(StructureError, match="not nested"):
         compatible_basis([[(1, 0, 0), (0, 1, 0)], [(1, 1, 1)]], 3)
+
+
+def _basis_or_error(build, chain, d):
+    try:
+        return build(chain, d)
+    except StructureError as exc:
+        return str(exc)
+
+
+def test_compatible_basis_matches_the_rank_oracle():
+    rng = Random("compatible")
+    chains = [([rows for _, rows in filt.flag[1:]], filt.d)
+              for filt in _random_flags(rng, 200)]
+    for _ in range(150):  # random rows: often not nested or not decreasing
+        d = rng.randint(1, 5)
+        sizes = sorted((rng.randint(0, d) for _ in range(rng.randint(1, 3))),
+                       reverse=True)
+        chains.append(([[tuple(rng.randint(-1, 1) for _ in range(d))
+                         for _ in range(k)] for k in sizes], d))
+    outcomes = []
+    for chain, d in chains:
+        got = _basis_or_error(compatible_basis, chain, d)
+        assert got == _basis_or_error(compatible_basis_by_rank, chain, d), \
+            (chain, d)
+        outcomes.append(got if isinstance(got, str) else "basis")
+    assert {"basis", "chain subspaces are not nested",
+            "chain must be strictly decreasing below Q^d"} <= set(outcomes)
 
 
 def test_compatible_basis_attains_filtration_moment():
