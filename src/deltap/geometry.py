@@ -10,8 +10,10 @@ come from the integer kernel in ``linalg``, and floats never enter.
 Facets are read off one double-description kernel, ``extreme_rays``,
 which needs no special case for degenerate position; ``MAX_HULL_RAYS``
 refuses inputs whose rays outgrow it.  Rays carry their tight-row
-masks, so a polytope's one hull gives the facet-vertex incidence that
-its vertices, triangulation, normal cones and dilates are read from.
+masks, so one hull, from points or from halfspaces, gives the
+facet-vertex incidence: a point is a vertex, or a halfspace a facet,
+when the facets or vertices on it meet in it alone.  The triangulation,
+normal cones and dilates are read off that incidence.
 
 All objects are immutable after construction; sharing them across
 threads is safe.
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import reduce
-from math import ceil, comb, factorial, floor, gcd, prod
+from math import ceil, comb, factorial, floor, prod
 from operator import and_, mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -42,7 +44,8 @@ MAX_LATTICE_BOX = 100_000
 
 
 class Halfspace(NamedTuple):
-    """The set {x : <normal, x> >= offset}; ``normal`` is primitive integer."""
+    """The set {x : <normal, x> >= offset}: the hulls return primitive
+    integer normals, and ``from_halfspaces`` takes any rational normal."""
 
     normal: tuple[int, ...]
     offset: Fraction
@@ -69,13 +72,15 @@ def extreme_rays(rows: Sequence[Sequence], width: int) -> tuple[tuple[tuple, int
     """Primitive integer extreme rays of {y : <r, y> >= 0 for r in rows},
     each with the mask of its tight rows, bit i for rows[i] (a zero row
     is tight on all); () when the rows do not span ``width`` dimensions,
-    as the cone then holds a line.  Double description (Motzkin, Raiffa,
-    Thompson & Thrall 1953; Fukuda & Prodon 1996): the columns of the
-    inverse of ``width`` independent rows are the first rays; each further
-    row keeps the rays on its nonnegative side and joins every adjacent
-    pair across it.  Two rays are adjacent when no third ray is tight on
-    every row where both are.
+    as the cone then holds a line; a row of another length raises.  Double
+    description (Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda & Prodon
+    1996): the columns of the inverse of ``width`` independent rows are
+    the first rays; each further row keeps the rays on its nonnegative
+    side and joins every adjacent pair across it.  Two rays are adjacent
+    when no third ray is tight on every row where both are.
     """
+    if any(len(r) != width for r in rows):
+        raise StructureError(f"a hull in width {width} got a row of another length")
     rows = [primitive_integer_vector(r) if any(r) else (0,) * width for r in rows]
     basis = rref(list(zip(*rows)))[1]
     if len(basis) < width:
@@ -104,24 +109,42 @@ def extreme_rays(rows: Sequence[Sequence], width: int) -> tuple[tuple[tuple, int
     return tuple(rays)
 
 
+def _normal_form(normal: Sequence, offset) -> Halfspace:
+    """{x : <normal, x> >= offset} scaled to a primitive integer normal; a
+    zero normal holds everywhere or nowhere, and keeps offset -1 or 1."""
+    if not any(normal):
+        return Halfspace(tuple(normal), Fraction(1 if offset > 0 else -1))
+    prim = primitive_integer_vector(normal)
+    k = next(i for i, a in enumerate(prim) if a)
+    return Halfspace(prim, Fraction(offset * prim[k], normal[k]))
+
+
+def _alone(masks: Sequence[int], width: int) -> list[int]:
+    """The bits i < width where the masks holding bit i meet in bit i alone."""
+    return [i for i in range(width)
+            if reduce(and_, (m for m in masks if m >> i & 1), -1) == 1 << i]
+
+
 def facet_enumeration(points: Sequence[Point], dim: int) -> tuple[tuple, tuple]:
     """Sorted facets of the full-dimensional hull of ``points`` and their
     masks of tight points, bit i for points[i]: the extreme rays (a, b) of
     {(a, b) : <a, p> - b >= 0 for every p}, tight on some p, so a != 0."""
-    facets = []
-    for (*a, b), mask in extreme_rays([(*p, -1) for p in points], dim + 1):
-        g = gcd(*a)
-        facets.append((Halfspace(tuple(x // g for x in a), Fraction(b, g)), mask))
-    return tuple(zip(*sorted(facets)))
+    return tuple(zip(*sorted(
+        (_normal_form(a, b), mask)
+        for (*a, b), mask in extreme_rays([(*p, -1) for p in points], dim + 1))))
 
 
-def vertex_enumeration(halfspaces: Sequence[Halfspace], dim: int) -> tuple[Point, ...]:
-    """Vertices of an intersection of halfspaces: the extreme rays (x, t)
-    with t > 0 of {(x, t) : <n, x> - o t >= 0, t >= 0}, read as x / t.
-    Empty when the intersection is empty or holds a line."""
+def vertex_enumeration(halfspaces: Sequence[Halfspace],
+                       dim: int) -> tuple[tuple[Point, ...], tuple[int, ...], bool]:
+    """Sorted vertices of an intersection of halfspaces, the extreme rays
+    (x, t) with t > 0 of {(x, t) : <n, x> - o t >= 0, t >= 0} read as x / t
+    (none when it is empty or holds a line), their masks of tight
+    halfspaces, bit i for halfspaces[i], and whether no ray has t = 0."""
     rows = [(*hs.normal, -hs.offset) for hs in halfspaces] + [(0,) * dim + (1,)]
-    return tuple(sorted(tuple(Fraction(x, t) for x in y)
-                        for (*y, t), _ in extreme_rays(rows, dim + 1) if t > 0))
+    rays = extreme_rays(rows, dim + 1)
+    verts, masks = tuple(zip(*sorted((tuple(Fraction(x, t) for x in y), mask)
+                                     for (*y, t), mask in rays if t > 0))) or ((), ())
+    return verts, masks, all(y[-1] for y, _ in rays)
 
 
 def simplex_volume(pts: Sequence[Point]) -> Fraction:
@@ -269,9 +292,7 @@ class RationalPolytope:
             raise InvariantViolation(
                 f"polytope is {adim}-dimensional in ambient dimension {dim}")
         facets, masks = facet_enumeration(pts, dim)
-        # A point is a vertex when the facets through it meet in it alone.
-        keep = [i for i in range(len(pts))
-                if reduce(and_, (m for m in masks if m >> i & 1), -1) == 1 << i]
+        keep = _alone(masks, len(pts))
         self._set(tuple(pts[i] for i in keep), facets,
                   tuple(sum(1 << k for k, i in enumerate(keep) if m >> i & 1)
                         for m in masks))
@@ -286,11 +307,18 @@ class RationalPolytope:
     @classmethod
     def from_halfspaces(cls, halfspaces: Sequence[Halfspace],
                         dim: int) -> "RationalPolytope | None":
-        """The bounded intersection of ``halfspaces`` in dimension ``dim``,
-        or None when it is empty or not full-dimensional."""
-        hss = [Halfspace(make_point(n), as_fraction(o)) for n, o in halfspaces]
-        verts = vertex_enumeration(hss, dim)
-        return cls(verts) if affine_dimension(verts) == dim else None
+        """The intersection of ``halfspaces`` in dimension ``dim``, or None
+        when it is empty, unbounded or not full-dimensional, from one vertex
+        enumeration of their normal forms: a halfspace is a facet when the
+        vertices on it meet in it alone, which keeps none of a flat one."""
+        hss = list(dict.fromkeys(_normal_form(make_point(n), as_fraction(o))
+                                 for n, o in halfspaces))
+        verts, masks, bounded = vertex_enumeration(hss, dim)
+        keep = sorted((hss[i], i) for i in _alone(masks, len(hss)))
+        if not (bounded and keep):
+            return None
+        return cls.__new__(cls)._set(verts, tuple(hs for hs, _ in keep), tuple(
+            sum(1 << k for k, m in enumerate(masks) if m >> i & 1) for _, i in keep))
 
     def halfspaces(self) -> tuple[Halfspace, ...]:
         return self._facets
@@ -313,8 +341,7 @@ class RationalPolytope:
     def intersect(self, extra: Sequence[Halfspace]) -> "RationalPolytope | None":
         """Intersection with further halfspaces, or None when it is empty
         or not full-dimensional."""
-        hss = self.halfspaces() + tuple(extra)
-        return RationalPolytope.from_halfspaces(hss, self.dim)
+        return RationalPolytope.from_halfspaces((*self._facets, *extra), self.dim)
 
     def dilate(self, c) -> "RationalPolytope":
         """c P; c > 0 keeps the vertex and facet orders, so no hull runs."""

@@ -18,7 +18,6 @@ from typing import NamedTuple, Sequence
 from .errors import DomainError, InvariantViolation, StructureError
 from .geometry import (Halfspace, RationalPolytope, make_point,
                        mean_affine_powers, simplex_volume, survival_curve)
-from .linalg import primitive_integer_vector
 from .numeric import as_fraction, check_positive_int
 from .piecewise import PiecewisePolynomial, integrate_monomial_weighted
 
@@ -44,20 +43,6 @@ class AffineForm(NamedTuple):
     @classmethod
     def from_json_dict(cls, data: dict) -> "AffineForm":
         return cls.make(data["linear"], data["constant"])
-
-
-def _halfspace_for(linear: Sequence[Fraction], rhs: Fraction):
-    """{x : <linear, x> >= rhs} canonicalized.
-
-    Returns True when the constraint is vacuous (zero form, rhs <= 0)
-    and False when it is infeasible, so callers can prune.
-    """
-    if all(a == 0 for a in linear):
-        return rhs <= 0
-    prim = primitive_integer_vector(linear)
-    k = next(i for i, a in enumerate(linear) if a != 0)
-    scale = Fraction(linear[k], prim[k])
-    return Halfspace(prim, rhs / scale)
 
 
 class ConcaveTransform:
@@ -103,20 +88,13 @@ class ConcaveTransform:
         if self._cells is None:
             cells = []
             for i, fi in enumerate(self.forms):
-                cuts = []
-                for j, fj in enumerate(self.forms):
-                    if i == j:
-                        continue
-                    linear = tuple(b - a for a, b in zip(fi.linear, fj.linear))
-                    hs = _halfspace_for(linear, fi.constant - fj.constant)
-                    if hs is False:
-                        break
-                    if hs is not True:
-                        cuts.append(hs)
-                else:  # no form rules the cell out
-                    cell = self.body.intersect(cuts) if cuts else self.body
-                    if cell is not None:
-                        cells.append((i, cell))
+                # fi <= fj, as <fj - fi, x> >= fi(0) - fj(0)
+                cuts = [Halfspace(tuple(b - a for a, b in zip(fi.linear, fj.linear)),
+                                  fi.constant - fj.constant)
+                        for j, fj in enumerate(self.forms) if j != i]
+                cell = self.body.intersect(cuts) if cuts else self.body
+                if cell is not None:
+                    cells.append((i, cell))
             self._cells = tuple(cells)
         return self._cells
 

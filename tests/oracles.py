@@ -18,21 +18,15 @@ from itertools import combinations_with_replacement
 from math import factorial, prod
 
 from deltap.errors import DomainError, StructureError
-from deltap.geometry import RationalPolytope, dot
+from deltap.geometry import Halfspace, RationalPolytope, dot
 from deltap.linalg import nullspace, rank, rref
-from deltap.okounkov import _halfspace_for
 
 
 def slice_volume(transform, t) -> Fraction:
     """Volume of {G >= t} for the transform G, from a hull of that body."""
-    constraints = list(transform.body.halfspaces())
-    for form in transform.forms:
-        hs = _halfspace_for(form.linear, t - form.constant)
-        if hs is True:
-            continue
-        if hs is False:
-            return Fraction(0)
-        constraints.append(hs)
+    constraints = [*transform.body.halfspaces(),
+                   *(Halfspace(form.linear, t - form.constant)
+                     for form in transform.forms)]
     region = RationalPolytope.from_halfspaces(constraints, transform.body.dim)
     return Fraction(0) if region is None else region.volume()
 

@@ -80,8 +80,8 @@ def test_facets_of_unit_square():
 
 def test_vertex_enumeration_roundtrip():
     facets, _ = facet_enumeration(SQUARE, 2)
-    verts = vertex_enumeration(facets, 2)
-    assert sorted(verts) == sorted(SQUARE)
+    verts, _, bounded = vertex_enumeration(facets, 2)
+    assert sorted(verts) == sorted(SQUARE) and bounded
 
 
 def test_hull_enumerations_refuse_subsets_over_budget(monkeypatch):
@@ -89,7 +89,7 @@ def test_hull_enumerations_refuse_subsets_over_budget(monkeypatch):
     hexagon, _ = facet_enumeration(HEXAGON, 2)
     monkeypatch.setattr(geometry, "MAX_HULL_RAYS", 4)
     facets, _ = facet_enumeration(SQUARE, 2)  # 4 rays
-    assert vertex_enumeration(facets, 2) == tuple(sorted(SQUARE))
+    assert vertex_enumeration(facets, 2)[0] == tuple(sorted(SQUARE))
     with pytest.raises(DomainError, match="holds 5 rays"):
         facet_enumeration(HEXAGON, 2)
     with pytest.raises(DomainError, match="over the budget of 4"):
@@ -108,11 +108,13 @@ def test_extreme_rays_of_the_positive_orthant_and_a_wedge():
     assert sorted(extreme_rays([(F(1), F(0)), (0, 0), (F(-2), F(2))], 2)) == \
         [((0, 1), 0b011), ((1, 1), 0b110)]
     assert extreme_rays([(1, 0), (2, 0)], 2) == ()  # the cone holds a line
+    with pytest.raises(StructureError, match="another length"):
+        extreme_rays([(1, 0), (0, 1, 0)], 2)
 
 
 def test_halfspaces_whose_normals_do_not_span_have_no_vertices():
     slab = [Halfspace((1, 0), F(0)), Halfspace((-1, 0), F(-1))]  # 0 <= x <= 1
-    assert vertex_enumeration(slab, 2) == ()
+    assert vertex_enumeration(slab, 2)[0] == ()
     assert RationalPolytope.from_halfspaces(slab, 2) is None
 
 
@@ -137,6 +139,21 @@ def _facets_by_subsets(points, dim):
         elif all(v <= c for v in vals):
             seen.add(Halfspace(tuple(-x for x in normal), -c))
     return tuple(sorted(seen))
+
+
+def _bounded_by_subsets(halfspaces, dim):
+    """Oracle for an intersection with a vertex, whose recession cone
+    {y : <n, y> >= 0} is then pointed: it is bounded when no line cut out
+    by ``dim - 1`` of the normals holds a direction of that cone, as an
+    extreme ray of the cone would lie on such a line."""
+    normals = [hs.normal for hs in halfspaces]
+    for subset in itertools.combinations(normals, dim - 1):
+        kernel = nullspace(subset, width=dim)
+        if len(kernel) == 1 and any(
+                all(geometry.dot(n, y) >= 0 for n in normals)
+                for y in (kernel[0], tuple(-c for c in kernel[0]))):
+            return False
+    return True
 
 
 def _vertices_by_subsets(halfspaces, dim):
@@ -189,10 +206,17 @@ def test_extreme_rays_match_the_subset_oracles(case):
             if geometry.dot(hs.normal, v) == hs.offset) for hs in P.halfspaces())
     # The polar {x : <p, x> >= -1} has a vertex on many halfspaces where
     # many points share a facet; it may be unbounded or hold a line.
+    # Each vertex comes with the mask of the halfspaces tight on it.
     for hss in (facets + (cut,),
                 tuple(Halfspace(tuple(2 * c for c in p), F(-2))
                       for p in pts if any(p)) + (cut,)):
-        assert vertex_enumeration(hss, n) == _vertices_by_subsets(hss, n)
+        verts, masks, bounded = vertex_enumeration(hss, n)
+        assert verts == _vertices_by_subsets(hss, n)
+        assert masks == tuple(sum(1 << i for i, hs in enumerate(hss)
+                                  if geometry.dot(hs.normal, v) == hs.offset)
+                              for v in verts)
+        if verts:
+            assert bounded == _bounded_by_subsets(hss, n)
 
 
 def test_simplex_volume_standard():
@@ -307,20 +331,32 @@ def test_triangulation_enumerates_no_facets(monkeypatch):
 
 
 def test_a_polytope_enumerates_its_facets_once(monkeypatch):
-    # The bench counts geometry.facet_enumeration calls as hulls.
+    # The bench counts geometry.facet_enumeration calls as hulls.  A
+    # polytope from halfspaces runs one double description and no hull.
     calls = []
-    enumerate_facets = geometry.facet_enumeration
+    enumerate_facets, rays = geometry.facet_enumeration, geometry.extreme_rays
 
     def counted(points, dim):
         calls.append(dim)
         return enumerate_facets(points, dim)
 
+    def counted_rays(rows, width):
+        calls.append("rays")
+        return rays(rows, width)
+
     monkeypatch.setattr(geometry, "facet_enumeration", counted)
+    monkeypatch.setattr(geometry, "extreme_rays", counted_rays)
     P = RationalPolytope(CUBE4)
-    assert calls == [4]
+    assert calls == [4, "rays"]
     P.triangulation()
     P.dilate(3).triangulation()
-    assert calls == [4]
+    assert calls == [4, "rays"]
+    cut = [Halfspace((1, 1, 0, 0), F(0))]
+    calls.clear()
+    Q = P.intersect(cut)
+    assert calls == ["rays"]
+    assert RationalPolytope.from_halfspaces(P.halfspaces() + tuple(cut), 4) == Q
+    assert calls == ["rays", "rays"]
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +526,102 @@ def test_empty_or_facet_cuts_are_none():
         assert P.intersect(cut) is None
         assert RationalPolytope.from_halfspaces(P.halfspaces() + tuple(cut),
                                                 2) is None
+
+
+def test_a_zero_normal_holds_everywhere_or_nowhere():
+    P = RationalPolytope(SQUARE)
+    for offset in (F(-1), F(0)):  # 0 >= offset everywhere, and no facet
+        Q = P.intersect([Halfspace((0, 0), offset)])
+        assert (Q.vertices, Q.halfspaces(), Q.incidence) == \
+            (P.vertices, P.halfspaces(), P.incidence)
+    assert P.intersect([Halfspace((0, 0), F(1, 3))]) is None
+
+
+def test_an_unbounded_intersection_is_none():
+    # 0 <= y <= 2, x >= 0 and x - y >= -1 have three vertices, and the
+    # region runs off along +x; its vertices' hull is no answer
+    hss = [Halfspace((0, 1), F(0)), Halfspace((0, -1), F(-2)),
+           Halfspace((1, 0), F(0)), Halfspace((1, -1), F(-1))]
+    verts, masks, bounded = vertex_enumeration(hss, 2)
+    assert verts == ((0, 0), (0, 1), (1, 2)) and not bounded
+    assert masks == (0b0101, 0b1100, 0b1010)
+    assert RationalPolytope.from_halfspaces(hss, 2) is None
+    capped = RationalPolytope.from_halfspaces(hss + [Halfspace((-1, 0), F(-3))], 2)
+    assert capped.vertices == ((0, 0), (0, 1), (1, 2), (3, 0), (3, 2))
+
+
+def test_a_halfspace_of_another_arity_is_refused():
+    # in the plane a hull row is (normal, -offset) of width 3; a row of
+    # any other width is refused rather than cut down or padded
+    P = RationalPolytope(SQUARE)
+    for cut in (Halfspace((0, 0, 1), F(5)), Halfspace((1,), F(5))):
+        with pytest.raises(StructureError, match="another length"):
+            P.intersect([cut])
+    with pytest.raises(StructureError, match="another length"):
+        RationalPolytope.from_halfspaces(
+            [((1, 0), 0), ((0, 1), 0), ((-1, -1, 0), -1)], 2)
+
+
+@st.composite
+def _polytope_and_cuts(draw):
+    n = draw(st.integers(min_value=2, max_value=4))
+    coord = st.integers(min_value=-2, max_value=2)
+    corners = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1,
+                            max_size=n + 4))
+    assume(geometry.affine_dimension([geometry.make_point(p)
+                                      for p in corners]) == n)
+    P = RationalPolytope(corners)
+    facets = P.halfspaces()
+    normals = st.lists(st.integers(min_value=-2, max_value=2), min_size=n,
+                       max_size=n).filter(any)
+    cuts = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["multiple", "reverse", "pinch", "through", "empty", "face",
+             "zero"]), min_size=1, max_size=4)):
+        hs = draw(st.sampled_from(facets))
+        v = draw(st.sampled_from(P.vertices))
+        w = draw(normals)
+        if kind == "multiple":  # a duplicate of a facet, scaled
+            c = draw(st.fractions(min_value=F(1, 3), max_value=3,
+                                  max_denominator=3).filter(bool))
+            cuts.append(Halfspace(tuple(c * a for a in hs.normal), c * hs.offset))
+        elif kind == "reverse":  # flattens P onto a facet
+            cuts.append(Halfspace(tuple(-a for a in hs.normal), -hs.offset))
+        elif kind == "pinch":  # tight at the vertex v alone
+            on_v = [g.normal for g in facets if geometry.dot(g.normal, v) == g.offset]
+            pinch = tuple(map(sum, zip(*on_v)))
+            cuts.append(Halfspace(pinch, geometry.dot(pinch, v)))
+        elif kind == "through":  # some plane through v
+            cuts.append(Halfspace(tuple(w), geometry.dot(w, v)))
+        elif kind == "empty":
+            top = max(geometry.dot(w, u) for u in P.vertices)
+            cuts.append(Halfspace(tuple(w), top + draw(st.sampled_from([F(1, 2), 1]))))
+        elif kind == "face":  # at a vertex value, or between two
+            values = sorted({geometry.dot(w, u) for u in P.vertices})
+            cuts.append(Halfspace(tuple(w), draw(st.sampled_from(
+                values + [(a + b) / 2 for a, b in zip(values, values[1:])]))))
+        else:
+            cuts.append(Halfspace((0,) * n, draw(st.sampled_from([-1, 0, 1]))))
+    return P, cuts
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_polytope_and_cuts())
+def test_halfspace_route_matches_a_hull_of_its_vertices(case):
+    # The two-hull route is the oracle: enumerate the vertices, then hull
+    # them; both routes are None together.
+    P, cuts = case
+    hss = P.halfspaces() + tuple(cuts)
+    verts = vertex_enumeration(hss, P.dim)[0]
+    oracle = (RationalPolytope(verts)
+              if geometry.affine_dimension(verts) == P.dim else None)
+    for Q in (RationalPolytope.from_halfspaces(hss, P.dim), P.intersect(cuts)):
+        assert (Q is None) == (oracle is None)
+        if Q is not None:
+            assert Q.vertices == oracle.vertices
+            assert Q.halfspaces() == oracle.halfspaces()
+            assert Q.incidence == oracle.incidence
+            assert Q.triangulation() == oracle.triangulation()
 
 
 def test_polytope_lattice_points():
