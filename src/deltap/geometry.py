@@ -230,10 +230,10 @@ def survival_curve(simplices: Sequence[tuple[Fraction, Sequence[Fraction]]],
 
 def mean_affine_powers(weighted: Iterable[tuple[Fraction, Sequence]], n: int,
                        orders: Iterable[int]) -> dict[int, Fraction]:
-    """{p: n! p!/(n+p)! * sum_S w_S h_p(values on S) / sum_S w_S} for p in
+    """{p: sum_S w_S h_p(values on S) / (C(n+p, p) sum_S w_S)} for p in
     ``orders``, over (w_S, vertex values) pairs: the mean of g**p for affine
     g over n-simplices with w_S proportional to vol(S), as integral_S g**p =
-    vol(S) n! p!/(n+p)! h_p (Baldoni, Berline, De Loera, Köppe & Vergne,
+    vol(S) h_p / C(n+p, p) (Baldoni, Berline, De Loera, Köppe & Vergne,
     *Math. Comp.* 80, 2011), h_p the complete homogeneous symmetric
     polynomial.  One recurrence per simplex, h_k(a_0..a_j) =
     h_k(a_0..a_j-1) + a_j h_k-1(a_0..a_j), gives h_1..h_P for P the largest
@@ -249,8 +249,7 @@ def mean_affine_powers(weighted: Iterable[tuple[Fraction, Sequence]], n: int,
         for p in totals:
             totals[p] += w * h[p]
         weight += w
-    return {p: Fraction(factorial(n) * factorial(p) * total,
-                        factorial(n + p) * weight)
+    return {p: Fraction(total, comb(n + p, p) * weight)
             for p, total in totals.items()}
 
 

@@ -32,9 +32,7 @@ def projective_space_delta_power(n: int, p: int) -> Fraction:
     """Exact p-th power of the boundary value
     (1/(n+1)) * ((n+p)!/(n! p!))**(1/p), the anticanonical threshold of
     projective n-space."""
-    binom = Fraction(math.factorial(n + p),
-                     math.factorial(n) * math.factorial(p))
-    return binom / Fraction(n + 1) ** p
+    return math.comb(n + p, p) / Fraction(n + 1) ** p
 
 
 def h_gap(n: int, p: int) -> tuple[int, float]:
@@ -201,24 +199,23 @@ class InvariantReport(NamedTuple):
         return out
 
 
-def _check_candidate_inequalities(n: int, p: int, search: DeltaSearchResult,
-                                  table: CandidateTable) -> None:
+def _check_candidate_inequalities(n: int, p: int, table: CandidateTable) -> None:
     """Exact per-candidate theorems: the two-sided barycenter bracket
-    and the monotone comparison between the p-th and first moments;
-    ``table`` gives each tabulated v its tau and s_1."""
+    and the monotone comparison between the p-th and first moments, on
+    the tau, s_1 and s_p of each row of ``table``."""
     low, up = barycenter_bounds(n, Fraction(1), p)  # times tau**p
     # s_p >= ((n+1)/n)^p * n/(n+p) * s_1^p, the inequality behind
     # the threshold theorem, exact after p-th powering.
     ratio = Fraction(n + 1, n) ** p * Fraction(n, n + p)
-    for v, a, s in search.table:
-        tau_p = table.rows[v][1] ** p
+    for v, (_, tau, moments) in table.rows.items():
+        s, tau_p = moments[p], tau ** p
         lower, upper = low * tau_p, up * tau_p
         if not (lower <= s <= upper):
             raise InvariantViolation(
                 f"barycenter bracket fails at v={v}, p={p}",
                 witness={"v": v, "s_p": str(s), "lower": str(lower),
                          "upper": str(upper)})
-        rhs = ratio * table.s_p(v, 1) ** p
+        rhs = ratio * moments[1] ** p
         if s < rhs:
             raise InvariantViolation(
                 f"moment comparison fails at v={v}, p={p}",
@@ -244,7 +241,7 @@ def delta_family(model: ToricModel, p_grid, bound: int) -> InvariantReport:
     for p in grid:
         search = table.delta(p)
         searches.append(search)
-        _check_candidate_inequalities(model.n, p, search, table)
+        _check_candidate_inequalities(model.n, p, table)
         tau = table.curve(search.argmin).tau
         threshold = verdict = None
         if anti is not None:
@@ -271,8 +268,7 @@ def delta_family(model: ToricModel, p_grid, bound: int) -> InvariantReport:
             raise InvariantViolation(
                 f"threshold bound at p={p} dips below its alpha bracket",
                 witness={"p": p, "ratio_power": str(lhs), "bracket": str(rhs)})
-        binom = Fraction(math.factorial(model.n + p),
-                         math.factorial(model.n) * math.factorial(p))
+        binom = math.comb(model.n + p, p)
         if lhs > binom * alpha ** p:
             raise InvariantViolation(
                 f"threshold bound at p={p} exceeds its alpha bracket",

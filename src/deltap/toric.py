@@ -64,26 +64,22 @@ class ToricModel:
                  tuple(index[w] for w in s)) for s in self.P.triangulation())
         return self._simplices
 
-    def _supports(self):
-        """Per-vertex support vector m_w with <m_w, ray> = 1 for every ray
-        of the cone at w, the normals of the facets through w, when one
-        exists (the Q-Gorenstein condition)."""
+    def _supports(self) -> tuple:
+        """Per-vertex support vectors m_w, in the order of ``vertices``, with
+        <m_w, ray> = 1 for every ray of the cone at w, the normals of the
+        facets through w; () unless every vertex has one (the Q-Gorenstein
+        condition), decided once per model."""
         if self._vertex_supports is None:
             normals = [hs.normal for hs in self.P.halfspaces()]
             cones = [[r for r, m in zip(normals, self.P.incidence) if m >> k & 1]
                      for k in range(len(self.vertices))]
-            self._vertex_supports = {w: solve_linear_system(c, [Fraction(1)] * len(c))
-                                     for w, c in zip(self.P.vertices, cones)}
+            sols = [solve_linear_system(c, [Fraction(1)] * len(c)) for c in cones]
+            self._vertex_supports = () if None in sols else tuple(sols)
         return self._vertex_supports
 
     @property
     def is_q_gorenstein(self) -> bool:
-        return all(sol is not None for sol in self._supports().values())
-
-    def min_vertex(self, v: Sequence) -> tuple:
-        """First vertex (in sorted order) minimizing <., v>; the vector v
-        lies in the normal-fan cone based there."""
-        return min(self.vertices, key=lambda w: (dot(w, v), w))
+        return bool(self._supports())
 
     def anticanonical_scale(self):
         """(translation t, scale c) with facet offsets b_F = <n_F, t> - c,
@@ -115,10 +111,12 @@ class ToricModel:
 
 
 class ToricValuation:
-    """A torus-invariant valuation: a nonzero primitive integer vector,
-    with the offset that normalizes its minimum over the polytope to 0."""
+    """A torus-invariant valuation: a nonzero primitive integer vector v,
+    with ``values``, g_v = <., v> + offset at each of the model's
+    ``vertices`` from one dot product each, ``offset`` making their least
+    0.  A(v), tau(v) and every simplex value are read off ``values``."""
 
-    __slots__ = ("v", "offset")
+    __slots__ = ("v", "values", "offset")
 
     def __init__(self, model: ToricModel, v: Sequence):
         v = tuple(v)
@@ -132,7 +130,9 @@ class ToricValuation:
         if math.gcd(*(abs(x) for x in vec)) != 1:
             raise DomainError("the valuation vector must be primitive")
         self.v = vec
-        self.offset = -min(dot(w, vec) for w in model.vertices)
+        dots = [dot(w, vec) for w in model.vertices]
+        self.offset = -min(dots)
+        self.values = tuple(d + self.offset for d in dots)
 
     def g(self, u) -> int | Fraction:
         """The normalized weight <u, v> + offset, nonnegative on P."""
@@ -146,20 +146,20 @@ def volume_curve_of(model: ToricModel, val: ToricValuation) -> VolumeCurve:
     """Exact volume curve x -> n! * vol{u in P : g_v(u) >= x}, built and
     validated once per model and valuation."""
     if val.v not in model._curves:
-        g = [val.g(w) for w in model.vertices]
-        weighted = [(N, [g[i] for i in s]) for N, s in model.simplices()]
+        weighted = [(N, [val.values[i] for i in s]) for N, s in model.simplices()]
         model._curves[val.v] = VolumeCurve(model.n, sum(N for N, _ in weighted),
                                            survival_curve(weighted, model.n))
     return model._curves[val.v]
 
 
 def log_discrepancy(model: ToricModel, val: ToricValuation) -> Fraction:
-    """A(v) = <m_w, v> on the normal-fan cone containing v."""
-    if not model.is_q_gorenstein:
+    """A(v) = <m_w, v> on the normal-fan cone containing v, the cone at the
+    first (sorted) vertex w where g_v vanishes, the least minimizer of <., v>."""
+    supports = model._supports()
+    if not supports:
         raise UnsupportedModelError(
             "log discrepancies need a Q-Gorenstein model")
-    w = model.min_vertex(val.v)
-    a = dot(model._supports()[w], val.v)
+    a = dot(supports[val.values.index(0)], val.v)
     if a <= 0:
         raise InvariantViolation(f"nonpositive log discrepancy at {val.v}")
     return a
@@ -242,11 +242,11 @@ class DeltaSearchResult(NamedTuple):
 class CandidateTable:
     """Closed-form rows for the primitive candidates of the box of radius
     ``bound``: ``rows`` maps each v, in lexicographic order, to A(v),
-    tau(v) (the largest vertex value of g_v) and {p: s_p(v)} for each p
-    in ``orders``, the orders its caller reads, from one
-    ``mean_affine_powers`` pass over the model's weighted simplices (none
-    for empty ``orders``).  Every restricted-candidate infimum reduces
-    over the rows; ``curve(v)`` builds a volume curve only on demand."""
+    tau(v) and {p: s_p(v)} for each p in ``orders``, the orders its caller
+    reads, all off the valuation's vertex values: A(v) at their first zero,
+    tau(v) their largest, the moments from one ``mean_affine_powers`` pass
+    over the model's simplices (none for empty ``orders``).  Every infimum
+    reduces over the rows; ``curve(v)`` builds a volume curve on demand."""
 
     __slots__ = ("model", "bound", "rows")
 
@@ -260,7 +260,7 @@ class CandidateTable:
         self.rows = {}
         for v in candidates:
             val = ToricValuation(model, v)
-            g = tuple(val.g(w) for w in model.vertices)
+            g = val.values
             if max(g) <= 0:
                 raise InvariantViolation(f"vanishing support threshold at {v}")
             moments = mean_affine_powers(

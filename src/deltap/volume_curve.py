@@ -18,7 +18,6 @@ recomputed from floats.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from random import Random
 from typing import NamedTuple
@@ -61,13 +60,23 @@ def _check_root_concave(f: PiecewisePolynomial, k: int, what: str) -> None:
                 witness={"x": str(x)})
 
 
+def _log_tau_power(tau: Fraction, p: float) -> float:
+    """p log(tau) for a real order p, from tau's numerator and denominator;
+    past +-700 tau**p nears the end of the double range, where the float
+    routes of order p read 0 or overflow, and DomainError says so."""
+    log_tp = p * (math.log(tau.numerator) - math.log(tau.denominator))
+    if abs(log_tp) > 700.0:
+        raise DomainError(f"tau**p {'over' if log_tp > 0 else 'under'}flows "
+                          "doubles for this tau and p; rescale first")
+    return log_tp
+
+
 def barycenter_bounds(n: int, tau: Fraction, p: int) -> tuple[Fraction, Fraction]:
-    """Exact bounds p! n!/(p+n)! tau**p <= s_p <= n/(n+p) tau**p for a
+    """Exact bounds tau**p / C(n+p, p) <= s_p <= n/(n+p) tau**p for a
     volume curve of dimension n and support threshold tau."""
     check_positive_int(p, "moment order p")
-    lower = Fraction(math.factorial(p) * math.factorial(n),
-                     math.factorial(p + n)) * tau ** p
-    return lower, Fraction(n, n + p) * tau ** p
+    return (Fraction(1, math.comb(n + p, p)) * tau ** p,
+            Fraction(n, n + p) * tau ** p)
 
 
 class VolumeCurve:
@@ -151,14 +160,15 @@ class VolumeCurve:
         p = float(p)
         if p < 1.0:
             raise DomainError("moment order p must be at least 1")
-        V, tau = float(self.V), float(self.tau)
-        if not (V and tau):
-            raise DomainError("V or tau underflows doubles; rescale first")
-        log_size = math.log(V) - math.log(p) + p * math.log(max(tau, 1e-300))
+        log_tp = _log_tau_power(self.tau, p)
+        V = float(self.V)
+        if not V:
+            raise DomainError("V underflows doubles; rescale first")
+        log_size = math.log(V) - math.log(p) + log_tp
         if log_size > 700.0:
             raise DomainError(
                 "x**p overflows doubles for this tau and p; rescale first")
-        scale = max(1.0, math.exp(min(log_size, 700.0)))
+        scale = max(1.0, math.exp(log_size))
         raw = integrate_real_power(self.curve, p, 0, self.tau,
                                    tol=tol * scale)
         return p * raw / V
@@ -168,7 +178,7 @@ class VolumeCurve:
     def barycenter_bounds(self, p):
         """Two-sided bounds for s_p from tau alone.
 
-        Integer p gives exact rationals (p! n!/(p+n)! tau^p below,
+        Integer p gives exact rationals (tau^p / C(n+p, p) below,
         n/(n+p) tau^p above); real p gives floats through log-gamma.
         """
         n = self.n
@@ -177,10 +187,7 @@ class VolumeCurve:
         p = float(p)
         if p < 1.0:
             raise DomainError("moment order p must be at least 1")
-        tau = float(self.tau)
-        if not tau:
-            raise DomainError("tau underflows doubles; rescale first")
-        log_tp = p * math.log(tau)
+        log_tp = _log_tau_power(self.tau, p)
         lower = math.exp(log_gamma(p + 1.0) + log_gamma(n + 1.0)
                          - log_gamma(p + n + 1.0) + log_tp)
         upper = n / (n + p) * math.exp(log_tp)
@@ -198,14 +205,8 @@ class VolumeCurve:
         if pf < 1.0:
             raise DomainError("moment order p must be at least 1")
         if pf.is_integer():
-            try:
-                s = float(self.s_p(int(pf)))
-            except OverflowError:
-                s = math.inf
-            if not sys.float_info.min <= s < math.inf:
-                return float_root(self.h_stat_power(int(pf)), pf)
-        else:
-            s = self.s_p_real(pf, tol)
+            return float_root(self.h_stat_power(int(pf)), pf)
+        s = self.s_p_real(pf, tol)
         return ((self.n + pf) / self.n * s) ** (1.0 / pf)
 
     def k_stat(self, s: float) -> float:
@@ -225,6 +226,7 @@ class VolumeCurve:
         s = float(s)
         if s <= self.n - 1:
             raise DomainError(f"k_stat needs s > n - 1 = {self.n - 1}")
+        _log_tau_power(self.tau, s)  # the terms below reach tau**s
         if self.n == 1:
             return float(self.tau) ** s
         density = self.curve.derivative().scale(-1)
@@ -243,9 +245,7 @@ class VolumeCurve:
         n = self.n
         if pf.is_integer():
             pint = int(pf)
-            coef = Fraction(math.factorial(n + pint),
-                            math.factorial(n) * math.factorial(pint))
-            return float_root(coef * self.s_p(pint), pf)
+            return float_root(math.comb(n + pint, pint) * self.s_p(pint), pf)
         logc = log_gamma(n + pf + 1.0) - log_gamma(n + 1.0) - log_gamma(pf + 1.0)
         return math.exp((logc + math.log(self.s_p_real(pf, tol))) / pf)
 

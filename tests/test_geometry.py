@@ -157,14 +157,22 @@ def _bounded_by_subsets(halfspaces, dim):
 
 
 def _vertices_by_subsets(halfspaces, dim):
-    """Oracle: the basic feasible solutions of every ``dim``-subset."""
-    verts = set()
-    for subset in itertools.combinations(halfspaces, dim):
-        sol = solve_square([hs.normal for hs in subset],
-                           [hs.offset for hs in subset])
-        if sol is not None and all(geometry.dot(hs.normal, sol) >= hs.offset
-                                   for hs in halfspaces):
-            verts.add(sol)
+    """Oracle: the basic feasible solutions of every ``dim``-subset.  Each
+    distinct solution y / d, y integral, is tested once, in integers, on
+    the halfspaces scaled to integer rows (a, b): <a, y> >= b d."""
+    sols = {solve_square([hs.normal for hs in subset],
+                         [hs.offset for hs in subset])
+            for subset in itertools.combinations(halfspaces, dim)} - {None}
+    rows = []
+    for hs in halfspaces:
+        k = math.lcm(*(F(c).denominator for c in (*hs.normal, hs.offset)))
+        rows.append(([int(c * k) for c in hs.normal], int(hs.offset * k)))
+    verts = []
+    for sol in sols:
+        d = math.lcm(*(x.denominator for x in sol))
+        y = [int(x * d) for x in sol]
+        if all(geometry.dot(a, y) >= b * d for a, b in rows):
+            verts.append(sol)
     return tuple(sorted(verts))
 
 

@@ -52,6 +52,7 @@ F = Fraction
 
 NON_QG_PYRAMID = RationalPolytope(
     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 2, 0), (0, 0, 1)])
+HEXAGON = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +452,7 @@ def _count_kernel_calls(monkeypatch):
 def test_table_runs_the_moment_kernel_once_per_row(monkeypatch):
     # hexagon x segment: a 3-polytope of many simplices, every order of
     # a row from one call
-    hexagon = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
-    model = ToricModel(RationalPolytope([(*w, c) for w in hexagon
+    model = ToricModel(RationalPolytope([(*w, c) for w in HEXAGON
                                          for c in (-1, 1)]))
     assert len(model.simplices()) > 1
     calls = _count_kernel_calls(monkeypatch)
@@ -473,3 +473,29 @@ def test_alpha_runs_no_moment_kernel(monkeypatch):
     assert alpha_candidate(model, 2) == (F(1, 3), (-1, -1))
     assert calls == []
     assert all(row[2] == {} for row in CandidateTable(model, 2).rows.values())
+
+
+def test_table_dots_each_vertex_once_per_row(monkeypatch):
+    # one dot per (candidate, vertex) for the vertex values, and one per
+    # candidate for A(v) at the first zero of those values
+    model = ToricModel(RationalPolytope(HEXAGON))
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return geometry.dot(a, b)
+
+    monkeypatch.setattr(toric, "dot", counted)
+    table = CandidateTable(model, 2, (1, 2))
+    assert len(calls) == len(table.rows) * (len(model.vertices) + 1)
+
+
+@pytest.mark.parametrize("name", ["p2", "hirzebruch-2", "pn:3", "hexagon"])
+def test_vertex_values_are_g_and_vanish_first_at_the_smallest_minimizer(name):
+    model = (ToricModel(RationalPolytope(HEXAGON)) if name == "hexagon"
+             else builtin_model(name))
+    for v in primitive_candidates(model.n, 2):
+        val = ToricValuation(model, v)
+        assert val.values == tuple(val.g(w) for w in model.vertices)
+        w = min(model.vertices, key=lambda u: (geometry.dot(u, v), u))
+        assert model.vertices[val.values.index(0)] == w

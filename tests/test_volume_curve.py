@@ -582,6 +582,24 @@ def test_real_orders_refuse_values_that_underflow_doubles():
     with pytest.raises(DomainError, match="underflows"):
         c.barycenter_bounds(1.5)
     assert c.s_p(2) == c.tau ** 2 / 3  # the exact orders are unaffected
+    # tau**p underflows at p = 200.5: every real-order statistic refuses,
+    # where h_stat read 0.0 and r_stat took the log of 0
+    c = curve_from_profile(2, [0, F(1, 1000)], [1, 0])
+    for stat in (c.s_p_real, c.h_stat, c.r_stat, c.k_stat, c.barycenter_bounds):
+        with pytest.raises(DomainError, match="underflows.*rescale first"):
+            stat(200.5)
+    assert c.h_stat(200) > 0  # integer orders take exact roots
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_real_orders_refuse_values_that_overflow_doubles(n):
+    # tau**p overflows at p = 400.5, where k_stat and the real bracket
+    # raised a bare OverflowError
+    c = curve_from_profile(n, [0, 10], [1, 1 if n == 1 else 0])
+    for stat in (c.s_p_real, c.h_stat, c.r_stat, c.k_stat, c.barycenter_bounds):
+        with pytest.raises(DomainError, match="overflows.*rescale first"):
+            stat(400.5)
+    assert c.h_stat(400) > 0
 
 
 def test_tau_of_corner_cases():
