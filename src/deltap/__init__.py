@@ -22,18 +22,16 @@ _EXPORTS = {
                "InvariantViolation", "RangeError", "SemanticError",
                "StructureError", "UnsupportedModelError"),
     "filtration": ("FlagFiltration", "MonomialGradedFiltration",
-                   "basis_moment", "compatible_basis", "generated_filtration",
-                   "generated_flag_filtration", "random_flag_filtration",
+                   "basis_moment", "compatible_basis", "random_flag_filtration",
                    "rounding_sandwich", "sup_over_bases_oracle"),
     "geodesic": ("GeodesicRay1D", "MomentIdentityReport", "TestCurve1D",
                  "dp_speed", "inverse_legendre", "legendre",
-                 "normalized_speed_table", "random_test_curve",
-                 "verify_moment_identity"),
+                 "random_test_curve", "verify_moment_identity"),
     "geometry": ("RationalPolytope", "survival_curve"),
     "invariants": ("InvariantReport", "KStabilityVerdict", "delta_bar_p",
                    "delta_family", "h_gap", "kstability_threshold_power",
                    "kstability_verdict", "projective_space_delta_power"),
-    "okounkov": ("AffineForm", "ConcaveTransform", "SpectralMeasure"),
+    "okounkov": ("AffineForm", "ConcaveTransform"),
     "piecewise": ("PiecewisePolynomial", "Polynomial"),
     "toric": ("DeltaSearchResult", "ToricModel", "ToricValuation",
               "alpha_candidate", "builtin_model", "concave_transform_of",

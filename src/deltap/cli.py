@@ -218,7 +218,9 @@ def cmd_scan(cfg: RunConfig) -> int:
 def _truncation_probe(cfg: RunConfig, model: ToricModel, p: int):
     """Continuity probe: cut a dilated model at integer heights along
     the first axis and track the threshold bound.  The cuts, one
-    candidate search each, may number at most ``MAX_PROBE_CUTS``."""
+    candidate search each, may number at most ``MAX_PROBE_CUTS``.  A cut
+    the search refuses as input (StructureError, UnsupportedModelError,
+    DomainError) gets a blank value; an InvariantViolation propagates."""
     rows = []
     big = ToricModel(model.P.dilate(4))
     xs = [w[0] for w in big.P.vertices]
@@ -232,7 +234,7 @@ def _truncation_probe(cfg: RunConfig, model: ToricModel, p: int):
         try:
             search = delta_p_search(ToricModel(cut), p, cfg.bound)
             value = f"{search.value:.12g}"
-        except DeltapError:
+        except (StructureError, UnsupportedModelError, DomainError):
             value = ""
         rows.append({"scan": "truncation", "x": f"{Fraction(c - lo, hi - lo)}",
                      "name": "delta_upper", "value": value, "status": "probe"})

@@ -6,7 +6,7 @@ optionally together with the actual subspace flag.  On top of that this
 module provides the level-m moments, integer rounding with its exact
 sandwich bounds, compatible bases (every flag member spanned by a
 suffix), a brute-force supremum oracle over random bases, and the
-finitely generated approximations of a monomial graded filtration.
+level-m filtrations of a monomial graded filtration.
 A flag's one pivot pass over its rows checks that they nest and gives
 the adapted basis from which it reads every order.
 """
@@ -18,14 +18,10 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence
 
-from .errors import (DomainError, InvariantViolation, StructureError,
-                     UnsupportedModelError)
+from .errors import DomainError, InvariantViolation, StructureError
 from .geometry import RationalPolytope, dot, make_point
 from .linalg import Vector, primitive_integer_vector, rank, rref
 from .numeric import SqrtSum, as_fraction, check_positive_int
-
-GENERATED_MAX_LEVEL = 20
-GENERATED_MAX_DIM = 2
 
 
 def _as_vector(row: Sequence, width: int) -> Vector:
@@ -274,14 +270,15 @@ class MonomialGradedFiltration:
 
     The graded pieces are indexed by lattice points of dilations of a
     full-dimensional polytope P; the weight function is affine in u, so
-    the filtration is multiplicative with equality.  ``rounded`` floors
-    every weight, which is the form the finitely generated
-    approximations require.
+    the filtration is multiplicative with equality.  It takes the
+    polytope and a nonzero vector of its arity; the weights are exact
+    Fractions, never rounded (``rounding_sandwich`` bounds what integer
+    rounding loses).
     """
 
-    __slots__ = ("P", "v", "offset", "rounded", "_v_int", "_offset")
+    __slots__ = ("P", "v", "offset", "_v_int", "_offset")
 
-    def __init__(self, P: RationalPolytope, v: Sequence, rounded: bool = False):
+    def __init__(self, P: RationalPolytope, v: Sequence):
         self.P = P
         self.v = make_point(v)
         if len(self.v) != P.dim:
@@ -289,7 +286,6 @@ class MonomialGradedFiltration:
         if all(x == 0 for x in self.v):
             raise DomainError("the valuation vector must be nonzero")
         self.offset = -min(dot(self.v, u) for u in P.vertices)
-        self.rounded = bool(rounded)
         # v in ints when it is integral, and the offset as a numerator
         # over a denominator, so a weight is one Fraction
         self._v_int = (tuple(x.numerator for x in self.v)
@@ -301,7 +297,7 @@ class MonomialGradedFiltration:
         w = dot(self._v_int, u) * den + m * num  # the weight times den
         if w < 0:
             raise InvariantViolation(f"negative weight at {u}")
-        return Fraction(w // den) if self.rounded else Fraction(w, den)
+        return Fraction(w, den)
 
     def level_points(self, m: int) -> tuple[tuple[int, ...], ...]:
         check_positive_int(m, "the level m")
@@ -314,60 +310,3 @@ class MonomialGradedFiltration:
         """Level-m filtration data: the weights of the lattice points of
         mP are its jumping numbers."""
         return FlagFiltration(m, sorted(self.weights(m).values()))
-
-
-def generated_filtration(base: MonomialGradedFiltration, m: int,
-                         k: int) -> dict[tuple[int, ...], Fraction]:
-    """Weights at level k of the filtration generated by level m.
-
-    Every section at level k is built from products of level-m sections
-    (r of them) padded by an unfiltered factor at level k - r*m; the
-    weight of a lattice point u is the best achievable sum
-      max { w_m(u_1) + ... + w_m(u_r) : u = u_1 + ... + u_r + u_0 },
-    computed by dynamic programming on (point, r).  The result never
-    exceeds the true level-k weight and agrees with it when m divides k
-    and the weights are affine.
-    """
-    check_positive_int(m, "the level m")
-    check_positive_int(k, "the level k")
-    if k > GENERATED_MAX_LEVEL:
-        raise UnsupportedModelError(
-            f"generated filtrations are capped at level {GENERATED_MAX_LEVEL}")
-    if base.P.dim > GENERATED_MAX_DIM:
-        raise UnsupportedModelError(
-            f"generated filtrations are capped at dimension {GENERATED_MAX_DIM}")
-    targets = base.level_points(k)
-    result = {u: Fraction(0) for u in targets}
-    if k < m:
-        return result
-
-    level_w = base.weights(m)
-    if any(w.denominator != 1 for w in level_w.values()):
-        raise DomainError("level-m weights must be integers; round first")
-
-    reachable = {(0,) * base.P.dim: Fraction(0)}
-    for r in range(0, k // m + 1):
-        if r > 0:
-            nxt: dict[tuple[int, ...], Fraction] = {}
-            for s, ws in reachable.items():
-                for u_i, wi in level_w.items():
-                    t = tuple(a + b for a, b in zip(s, u_i))
-                    w = ws + wi
-                    if nxt.get(t, Fraction(-1)) < w:
-                        nxt[t] = w
-            reachable = nxt
-        pad = base.P.dilate(k - r * m).lattice_points() if k > r * m \
-            else ((0,) * base.P.dim,)
-        for s, ws in reachable.items():
-            for u0 in pad:
-                t = tuple(a + b for a, b in zip(s, u0))
-                if t in result and result[t] < ws:
-                    result[t] = ws
-    return result
-
-
-def generated_flag_filtration(base: MonomialGradedFiltration, m: int,
-                              k: int) -> FlagFiltration:
-    """Jump data of the generated filtration, for moment comparisons."""
-    weights = generated_filtration(base, m, k)
-    return FlagFiltration(k, sorted(weights.values()))

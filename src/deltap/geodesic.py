@@ -11,8 +11,9 @@ slopes and breakpoints: phi has a knot at t = -s for each slope s < 0
 of psi, its slopes are the breakpoints lambda_j of psi, and its final
 slope is lambda_max; conversely the breakpoints of psi are 0,
 lambda_max and the slopes of phi in between.  Both directions are
-closed forms on the breakpoint data.  Rays carry p-th order speeds
-given by moments of a spectral measure.
+closed forms on the breakpoint data.  The p-th order speed of the ray
+of a concave transform is the p-th root of the transform's exact p-th
+moment.
 
 The quantization checks compare level-m filtration moments against the
 continuous limit and report the gap; they assert only what is a theorem
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, InvariantViolation, StructureError
 from .numeric import as_fraction, check_grid, check_positive_int, float_root
-from .okounkov import ConcaveTransform, SpectralMeasure
+from .okounkov import ConcaveTransform
 from .toric import (ToricModel, ToricValuation, section_filtration,
                     volume_curve_of)
 
@@ -245,17 +246,14 @@ def random_test_curve(rng, max_pieces: int = 4) -> TestCurve1D:
     return TestCurve1D.make(breaks, values)
 
 
-def dp_speed(source, p: int) -> float:
-    """p-th order speed: the p-th root of the p-th moment of the
-    spectral data (a measure, or a transform integrated against
-    normalized volume)."""
+def dp_speed(transform: ConcaveTransform, p: int) -> float:
+    """p-th order speed: the p-th root of the exact p-th moment of a
+    ConcaveTransform against normalized volume.  Any other source
+    raises StructureError."""
     check_positive_int(p, "order p")
-    if isinstance(source, (SpectralMeasure, ConcaveTransform)):
-        moment = source.moment_p(p)
-    else:
-        raise StructureError(
-            "dp_speed expects a SpectralMeasure or ConcaveTransform")
-    return float_root(moment, p)
+    if not isinstance(transform, ConcaveTransform):
+        raise StructureError("dp_speed expects a ConcaveTransform")
+    return float_root(transform.moment_p(p), p)
 
 
 def _first_decrease(powers):
@@ -266,20 +264,6 @@ def _first_decrease(powers):
         if x1 ** p2 > x2 ** p1:
             return p1, p2
     return None
-
-
-def normalized_speed_table(measure: SpectralMeasure, n: int, p_grid):
-    """Rows (p, ((n+p)/n)**(1/p) * dp_speed) plus a monotonicity flag.
-
-    Reported, never asserted: the normalized speed is nondecreasing in
-    p for spectral measures of divisorial origin, but fails for others
-    (a single atom at C > 0 gives a strictly decreasing sequence), so a
-    False flag is information, not an error.
-    """
-    powers = [(p, Fraction(n + p, n) * measure.moment_p(p))
-              for p in check_grid(p_grid, "order grid")]
-    rows = [(p, float_root(x, p)) for p, x in powers]
-    return rows, _first_decrease(powers) is None
 
 
 class MomentIdentityReport(NamedTuple):

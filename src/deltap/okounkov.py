@@ -2,9 +2,9 @@
 
 A body (a full-dimensional :class:`RationalPolytope`) together with a
 concave piecewise-linear level function G, given as the minimum of
-finitely many affine forms, determines slice bodies {G >= t}, exact
-moments of G against normalized Lebesgue measure, and an atomic
-pushforward of that measure under G.  These are the convex-geometric
+finitely many affine forms, determines slice bodies {G >= t} and exact
+moments of G against normalized Lebesgue measure, read both directly
+and through the slice curve.  These are the convex-geometric
 stand-ins for graded linear series filtered by a valuation.
 
 Everything here is exact rational arithmetic.
@@ -140,28 +140,6 @@ class ConcaveTransform:
         return (Fraction(p) * integrate_monomial_weighted(curve, p, 0, top)
                 / self.body.volume())
 
-    def pushforward(self, resolution: int) -> "SpectralMeasure":
-        """Atomic approximation of the distribution of G under normalized
-        Lebesgue measure.
-
-        Atoms sit at grid points i*T/resolution with masses given by
-        differences of the slice curve (plus the exact mass of the top
-        level), so the total mass is one exactly at every resolution and
-        the moments converge from below as the resolution grows.
-        """
-        check_positive_int(resolution, "resolution")
-        top = self.max_value()
-        if top == 0:
-            return SpectralMeasure.from_atoms([(Fraction(0), Fraction(1))])
-        vol = self.body.volume()
-        grid = [top * Fraction(i, resolution) for i in range(resolution + 1)]
-        curve = self.slice_curve()
-        slices = [curve(t) for t in grid]
-        atoms = [(grid[i], (slices[i] - slices[i + 1]) / vol)
-                 for i in range(resolution)]
-        atoms.append((top, slices[resolution] / vol))
-        return SpectralMeasure.from_atoms(atoms)
-
     def to_json_dict(self) -> dict:
         return {"body": self.body.to_json_dict(),
                 "forms": [f.to_json_dict() for f in self.forms]}
@@ -177,56 +155,3 @@ class ConcaveTransform:
 
     def __repr__(self):
         return f"ConcaveTransform({self.body!r}, {len(self.forms)} forms)"
-
-
-class _SpectralFields(NamedTuple):
-    atoms: tuple[tuple[Fraction, Fraction], ...]
-
-
-class SpectralMeasure(_SpectralFields):
-    """A probability measure with finitely many nonnegative atoms."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, atoms):
-        total = Fraction(0)
-        last = None
-        for loc, mass in atoms:
-            if loc < 0:
-                raise InvariantViolation("atom locations must be >= 0")
-            if mass <= 0:
-                raise InvariantViolation("atom masses must be positive")
-            if last is not None and loc <= last:
-                raise InvariantViolation("atoms must increase strictly")
-            last = loc
-            total += mass
-        if total != 1:
-            raise InvariantViolation(f"total mass is {total}, not 1")
-        return super().__new__(cls, atoms)
-
-    @classmethod
-    def from_atoms(cls, pairs: Sequence) -> "SpectralMeasure":
-        merged: dict[Fraction, Fraction] = {}
-        for loc, mass in pairs:
-            loc = as_fraction(loc)
-            mass = as_fraction(mass)
-            if mass:
-                merged[loc] = merged.get(loc, Fraction(0)) + mass
-        return cls(tuple(sorted(merged.items())))
-
-    def moment_p(self, p: int) -> Fraction:
-        if not isinstance(p, int) or isinstance(p, bool) or p < 0:
-            raise DomainError("moment order must be a nonnegative integer")
-        return sum((mass * loc ** p for loc, mass in self.atoms), Fraction(0))
-
-    def to_json_dict(self) -> dict:
-        return {"atoms": [[str(loc), str(mass)] for loc, mass in self.atoms]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SpectralMeasure":
-        try:
-            pairs = [(as_fraction(a), as_fraction(m)) for a, m in data["atoms"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StructureError(f"malformed measure JSON: {exc}") from None
-        return cls.from_atoms(pairs)

@@ -23,8 +23,8 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 from .errors import (DomainError, InvariantViolation, StructureError,
                      UnsupportedModelError)
 from .geometry import (Halfspace, RationalPolytope, dot, mean_affine_powers,
-                       simplex_volume, survival_curve)
-from .linalg import solve_linear_system
+                       survival_curve)
+from .linalg import det, solve_linear_system
 from .numeric import check_positive_int, float_root
 from .volume_curve import VolumeCurve
 
@@ -36,6 +36,10 @@ DEFAULT_SEARCH_BOUND = 5
 # Most integer vectors a candidate box may hold: each candidate costs one
 # closed-form row, so the box is refused before it is enumerated.
 MAX_CANDIDATE_BOX = 10_000
+# Most (candidate, simplex) pairs the moment kernel may visit: a table
+# with orders is refused once the triangulation is counted, before the
+# first row.
+MAX_MOMENT_PAIRS = 1_000_000
 
 
 class ToricModel:
@@ -56,12 +60,18 @@ class ToricModel:
     def simplices(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """(N_S, indices into ``vertices``) for each simplex S of the
         triangulation of P, where ``vertices`` are P's as int tuples and
-        N_S = n! vol(S) is an int."""
+        N_S = n! vol(S) is the int |det| of S's edge vectors from its
+        first vertex."""
         if self._simplices is None:
             index = {w: i for i, w in enumerate(self.vertices)}
-            self._simplices = tuple(
-                (int(simplex_volume(s) * math.factorial(self.n)),
-                 tuple(index[w] for w in s)) for s in self.P.triangulation())
+            out = []
+            for s in self.P.triangulation():
+                ix = tuple(index[w] for w in s)
+                first = self.vertices[ix[0]]
+                edges = [[a - b for a, b in zip(self.vertices[i], first)]
+                         for i in ix[1:]]
+                out.append((int(abs(det(edges))), ix))
+            self._simplices = tuple(out)
         return self._simplices
 
     def _supports(self) -> tuple:
@@ -257,6 +267,13 @@ class CandidateTable:
         self.bound = bound
         candidates = primitive_candidates(model.n, bound)
         orders = [check_positive_int(p, "search order p") for p in orders]
+        if orders:
+            pairs = len(candidates) * len(model.P.triangulation())
+            if pairs > MAX_MOMENT_PAIRS:
+                raise DomainError(
+                    f"{len(candidates)} candidates times the model's simplices "
+                    f"make {pairs} moment pairs, over the budget of "
+                    f"MAX_MOMENT_PAIRS = {MAX_MOMENT_PAIRS}")
         self.rows = {}
         for v in candidates:
             val = ToricValuation(model, v)

@@ -4,8 +4,8 @@ A :class:`VolumeCurve` records x -> vol(L - xF) for a polarized pair
 together with the ambient dimension and the total volume V = vol(L).
 From it the library derives the support threshold tau, the moments
 s_p (the p-th moment of the vanishing-order distribution d(-vol)/V),
-the normalized statistic h_stat, the auxiliary family k_stat, the
-radial profile of the curve, and an entropy-style candidate functional.
+the normalized statistic h_stat, the auxiliary family k_stat and the
+radial profile of the curve.
 
 Rational quantities are exact.  Every moment reads the pieces of the
 curve or of its density from ``PiecewisePolynomial.spans``: integer
@@ -248,52 +248,6 @@ class VolumeCurve:
             return float_root(math.comb(n + pint, pint) * self.s_p(pint), pf)
         logc = log_gamma(n + pf + 1.0) - log_gamma(n + 1.0) - log_gamma(pf + 1.0)
         return math.exp((logc + math.log(self.s_p_real(pf, tol))) / pf)
-
-    # -- entropy-style candidate -----------------------------------------
-
-    def exp_moment(self) -> float:
-        """(1/V) * integral of exp(-x) * curve(x) over [0, tau].
-
-        Exact antiderivative per piece: with Q = q + q' + q'' + ... the
-        primitive of exp(-x) q(x) is -exp(-x) Q(x); only the final
-        exponentials are floating point.
-        """
-        total = 0.0
-        for a, b, piece in self.curve.spans(0, self.tau):
-            q = piece
-            repeated = piece
-            while True:
-                q = q.derivative()
-                if q.is_zero():
-                    break
-                repeated = repeated + q
-            total += (math.exp(-float(a)) * float(repeated(a))
-                      - math.exp(-float(b)) * float(repeated(b)))
-        return total / float(self.V)
-
-    def exp_moment_series(self, terms: int) -> Fraction:
-        """Partial sum sum_{k=1..terms} (-1)**(k+1) s_p(k)/k!; converges
-        to exp_moment and cross-checks it."""
-        check_positive_int(terms, "series length")
-        total = Fraction(0)
-        for k in range(1, terms + 1):
-            term = self.s_p(k) / math.factorial(k)
-            total += term if k % 2 == 1 else -term
-        return total
-
-    def h_na_candidate(self, a_f: float) -> float:
-        """Entropy-style candidate a_f + log(1 - exp_moment()).
-
-        The argument of the log lies in (0, 1] for every valid curve; a
-        nonpositive argument means the curve data is malformed.
-        """
-        if float(a_f) < 0:
-            raise DomainError("the log discrepancy input must be >= 0")
-        arg = 1.0 - self.exp_moment()
-        if arg <= 0.0:
-            raise InvariantViolation(
-                "exp moment at least 1; the curve cannot be a volume curve")
-        return float(a_f) + math.log(arg)
 
     # -- profile and transforms ------------------------------------------
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltap import cli, filtration, geodesic, selfcheck, toric
+from deltap.errors import InvariantViolation
 from deltap.toric import builtin_model
 
 
@@ -367,6 +368,22 @@ def test_scan_enumerations_over_budget_exit_3(tmp_path, capsys, width, argv,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DomainError"
     assert message in err["message"]
+
+
+def test_truncation_probe_passes_an_invariant_violation_on(monkeypatch,
+                                                           capsys):
+    # a probe cut blanks only the input errors a cut may raise; a
+    # violation exits 2 before any row is printed
+    def violated(*args):
+        raise InvariantViolation(
+            "closed-form row disagrees with the volume curve")
+    monkeypatch.setattr(cli, "delta_p_search", violated)
+    assert cli.main(["scan", "--model", "p2", "--p", "1", "--m", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "InvariantViolation"
+    assert "closed-form row disagrees" in err["message"]
 
 
 def test_malformed_model_file_exits_3(tmp_path, capsys):

@@ -25,7 +25,6 @@ from deltap.filtration import (
     MonomialGradedFiltration,
     basis_moment,
     compatible_basis,
-    generated_flag_filtration,
     level_moment,
     random_flag_filtration,
     rounding_sandwich,
@@ -438,48 +437,16 @@ def test_monomial_flag_filtration_with_flag_routes_agree():
     assert s_m_p_from_flag(filt, 2) == filt.s_m_p(2)
 
 
-def test_generated_filtration_segment_frozen_value():
-    base = MonomialGradedFiltration(SEGMENT2, (1,))
-    gen = generated_flag_filtration(base, 5, 12)
-    assert gen.s_m_p(1) == F(29, 30)
-    # the genuine level-12 filtration dominates it
-    true = base.flag_filtration(12)
-    assert gen.s_m_p(1) <= true.s_m_p(1)
-    assert true.s_m_p(1) == 1
-
-
-def test_generated_filtration_exact_at_multiples():
-    base = MonomialGradedFiltration(SEGMENT2, (1,))
-    gen = generated_flag_filtration(base, 5, 10)
-    true = base.flag_filtration(10)
-    assert gen.jumps == true.jumps
-
-
-def test_generated_filtration_requires_integer_weights():
-    # fractional vertex minimum puts a fractional offset into every
-    # weight; the generated construction insists on rounding first
-    P = RationalPolytope([(F(1, 3),), (F(4, 3),)])
-    base = MonomialGradedFiltration(P, (1,))
-    assert base.offset == F(-1, 3)
-    with pytest.raises(DomainError):
-        generated_flag_filtration(base, 2, 4)
-    rounded = MonomialGradedFiltration(P, (1,), rounded=True)
-    gen = generated_flag_filtration(rounded, 2, 4)
-    assert all(a.denominator == 1 for a in gen.jumps)
-
-
 @pytest.mark.parametrize("v", [(1, -2), (F(1, 2), F(-2, 3))])
-@pytest.mark.parametrize("rounded", [False, True])
-def test_monomial_weight_is_the_fraction_formula(v, rounded):
+def test_monomial_weight_is_the_fraction_formula(v):
     # a vertex off the lattice makes the offset fractional
     P = RationalPolytope([(F(0), F(0)), (F(5, 2), F(0)), (F(0), F(3))])
-    base = MonomialGradedFiltration(P, v, rounded=rounded)
+    base = MonomialGradedFiltration(P, v)
     for m in (1, 2, 3):
         for u in base.level_points(m):
             w = sum(F(a) * b for a, b in zip(base.v, u)) + m * base.offset
-            want = F(math.floor(w)) if rounded else w
             got = base.weight(u, m)
-            assert type(got) is Fraction and got == want
+            assert type(got) is Fraction and got == w
 
 
 # ---------------------------------------------------------------------------

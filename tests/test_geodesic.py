@@ -6,7 +6,7 @@ Frozen values:
 
   * psi = 0 on [0, C] transforms to phi(t) = C t (a line through the
     origin with slope C)
-  * a single spectral atom at height c has every p-speed equal to c
+  * a constant transform c has every p-speed equal to c
   * the coordinate transform on the standard triangle has first moment
     1/3; level-m first moments on the plane model agree exactly at
     every level, while second moments carry gap 1/3 + 1/(6m)-style
@@ -28,13 +28,12 @@ from deltap.geodesic import (
     dp_speed,
     inverse_legendre,
     legendre,
-    normalized_speed_table,
     random_test_curve,
     verify_moment_identity,
 )
 from deltap.geometry import RationalPolytope
 from deltap.invariants import delta_family
-from deltap.okounkov import AffineForm, ConcaveTransform, SpectralMeasure
+from deltap.okounkov import AffineForm, ConcaveTransform
 from deltap.toric import ToricValuation, builtin_model
 from deltap.volume_curve import VolumeCurve
 
@@ -251,10 +250,14 @@ def test_conflicting_duplicates_name_breakpoint_or_knot():
 # speeds
 
 
+SEGMENT = RationalPolytope([(F(0),), (F(1),)])
+
+
 def test_dp_speed_of_single_atom():
-    mu = SpectralMeasure.from_atoms([(F(3, 4), F(1))])
+    # a constant transform is distributed as one atom at its value
+    G = ConcaveTransform(SEGMENT, [((F(0),), F(3, 4))])
     for p in (1, 2, 5, 3000):  # (3/4)**3000 is below the float range
-        assert dp_speed(mu, p) == pytest.approx(0.75, rel=1e-12)
+        assert dp_speed(G, p) == pytest.approx(0.75, rel=1e-12)
 
 
 def test_dp_speed_of_transform_is_moment_root():
@@ -265,37 +268,18 @@ def test_dp_speed_of_transform_is_moment_root():
 
 
 def test_dp_speed_tends_to_top_of_support():
-    mu = SpectralMeasure.from_atoms([(F(0), F(1, 2)), (F(2), F(1, 2))])
-    speeds = [dp_speed(mu, p) for p in (1, 4, 16, 64)]
+    # min(4x, 2) on [0, 1] puts half its mass on the top level 2
+    G = ConcaveTransform(SEGMENT, [((F(4),), F(0)), ((F(0),), F(2))])
+    speeds = [dp_speed(G, p) for p in (1, 4, 16, 64)]
     assert all(b >= a for a, b in zip(speeds, speeds[1:]))
     assert speeds[-1] == pytest.approx(2.0, abs=0.05)
 
 
 def test_dp_speed_rejects_other_sources():
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="expects a ConcaveTransform"):
         dp_speed([(0, 1)], 2)
-    mu = SpectralMeasure.from_atoms([(F(1), F(1))])
     with pytest.raises(DomainError):
-        dp_speed(mu, 0)
-
-
-def test_normalized_speed_decreases_for_dirac_atom():
-    # a single atom is not of divisorial origin; its normalized speed
-    # strictly decreases, and the table reports that honestly
-    mu = SpectralMeasure.from_atoms([(F(1), F(1))])
-    rows, monotone = normalized_speed_table(mu, 2, (1, 2, 3, 4))
-    assert monotone is False
-    values = [val for _, val in rows]
-    assert all(a > b for a, b in zip(values, values[1:]))
-
-
-def test_normalized_speed_monotone_for_divisorial_measure():
-    model = builtin_model("p2")
-    val = ToricValuation(model, (1, 0))
-    from deltap.toric import concave_transform_of
-    mu = concave_transform_of(model, val).pushforward(8)
-    rows, monotone = normalized_speed_table(mu, 2, (1, 2, 3, 4, 5))
-    assert monotone is True
+        dp_speed(ConcaveTransform(SEGMENT, [((F(1),), F(0))]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +333,7 @@ def test_moment_identity_names_the_first_decreasing_pair(monkeypatch):
 def test_empty_grids_raise_in_every_grid_taker():
     model = builtin_model("p2")
     val = ToricValuation(model, (1, 0))
-    mu = SpectralMeasure.from_atoms([(F(1), F(1))])
     order = "the order grid must be strictly increasing, >= 1"
-    with pytest.raises(DomainError, match=order):
-        normalized_speed_table(mu, 2, ())
     with pytest.raises(DomainError, match=order):
         delta_family(model, (), 2)
     with pytest.raises(DomainError, match="the level grid must"):

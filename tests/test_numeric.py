@@ -65,7 +65,6 @@ def _order_entry_points():
     flag = filtration.FlagFiltration(
         1, [Fraction(0), Fraction(2)],
         [(Fraction(0), [(1, 0), (0, 1)]), (Fraction(2), [(1, 1)])])
-    mu = geodesic.SpectralMeasure.from_atoms([(Fraction(1), Fraction(1))])
     section = filtration.MonomialGradedFiltration(model.P, (1, 0))
     curve = piecewise.PiecewisePolynomial(
         [Fraction(0), Fraction(1)], [piecewise.Polynomial([Fraction(1)])])
@@ -73,7 +72,7 @@ def _order_entry_points():
         lambda p: toric.CandidateTable(model, 1).delta(p),
         lambda p: invariants.delta_bar_p(model, val, p),
         lambda p: invariants.kstability_verdict(model, p, 1),
-        lambda p: geodesic.dp_speed(mu, p),
+        lambda p: geodesic.dp_speed(transform, p),
         lambda p: geodesic.verify_moment_identity(model, val, p),
         transform.moment_p,
         transform.moment_from_slices,
@@ -81,9 +80,6 @@ def _order_entry_points():
         lambda p: piecewise.integrate_monomial_weighted(curve, p, 0, 1),
         lambda m: filtration.FlagFiltration(m, [Fraction(0)]),
         section.level_points,
-        lambda m: filtration.generated_filtration(section, m, 1),
-        lambda k: filtration.generated_filtration(section, 1, k),
-        transform.pushforward,
         lambda samples: filtration.sup_over_bases_oracle(flag, 1, samples),
         lambda d: filtration.compatible_basis([], d),
     ]

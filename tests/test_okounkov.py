@@ -1,5 +1,5 @@
-"""Tests for concave piecewise-linear transforms on rational bodies and
-their spectral measures.
+"""Tests for concave piecewise-linear transforms on rational bodies, their
+exact moments and their slice curves.
 
 Frozen values, computed by hand:
 
@@ -16,7 +16,7 @@ import pytest
 
 from deltap.errors import DomainError, InvariantViolation, StructureError
 from deltap.geometry import RationalPolytope
-from deltap.okounkov import AffineForm, ConcaveTransform, SpectralMeasure
+from deltap.okounkov import AffineForm, ConcaveTransform
 from oracles import slice_volume
 
 F = Fraction
@@ -149,92 +149,3 @@ def test_transform_json_has_no_nonneg_key():
     back = ConcaveTransform.from_json_dict(doc)
     assert back.body == G.body and back.forms == G.forms
     assert back.to_json_dict() == doc
-
-
-# ---------------------------------------------------------------------------
-# pushforward and spectral measures
-
-
-def test_spectral_measure_must_be_probability():
-    with pytest.raises(InvariantViolation):
-        SpectralMeasure.from_atoms([(F(0), F(1, 2))])
-    with pytest.raises(InvariantViolation):
-        SpectralMeasure.from_atoms([(F(0), F(3, 2)), (F(1), F(-1, 2))])
-
-
-@pytest.mark.parametrize("atoms, message", [
-    (((F(0), F(1, 2)), (F(1), F(1, 3))), "total mass is 5/6"),
-    (((F(-1), F(1, 2)), (F(1), F(1, 2))), "locations must be >= 0"),
-    (((F(1), F(1, 2)), (F(1), F(1, 2))), "increase strictly"),
-    (((F(2), F(1, 2)), (F(1), F(1, 2))), "increase strictly"),
-], ids=["mass", "negative", "repeated", "decreasing"])
-def test_spectral_measure_checks_direct_construction(atoms, message):
-    # from_atoms merges and sorts its pairs; a direct call is checked too
-    with pytest.raises(InvariantViolation, match=message):
-        SpectralMeasure(atoms)
-
-
-def test_spectral_measure_moments():
-    mu = SpectralMeasure.from_atoms([(F(0), F(1, 2)), (F(2), F(1, 2))])
-    assert mu.moment_p(1) == 1
-    assert mu.moment_p(2) == 2
-    assert SpectralMeasure.from_json_dict(mu.to_json_dict()).moment_p(2) == 2
-
-
-def test_pushforward_mass_is_one_at_every_resolution():
-    G = ConcaveTransform(SQUARE, [coord(0), coord(1)])
-    for res in (1, 2, 5, 16):
-        mu = G.pushforward(res)
-        assert sum(m for _, m in mu.atoms) == 1
-
-
-def test_pushforward_moments_converge_from_below():
-    G = ConcaveTransform(SQUARE, [coord(0)])
-    exact = G.moment_p(2)  # 1/3
-    previous = F(-1)
-    for res in (1, 2, 4, 8, 16):
-        approx = G.pushforward(res).moment_p(2)
-        assert previous <= approx <= exact
-        previous = approx
-    assert exact - G.pushforward(16).moment_p(2) < F(1, 8)
-
-
-def _pushforward_by_hulls(G, resolution):
-    """The atoms of ``G.pushforward(resolution)`` from one hulled slice
-    body per grid point."""
-    top, vol = G.max_value(), G.body.volume()
-    grid = [top * F(i, resolution) for i in range(resolution + 1)]
-    slices = [slice_volume(G, t) for t in grid]
-    atoms = [(grid[i], (slices[i] - slices[i + 1]) / vol)
-             for i in range(resolution)] + [(top, slices[-1] / vol)]
-    return SpectralMeasure.from_atoms(atoms).atoms
-
-
-def test_pushforward_reads_the_slice_curve(monkeypatch):
-    # min(x, y, 1/2) on the square has a plateau of area 1/4 at its top
-    transforms = [ConcaveTransform(SQUARE, [coord(0), coord(1)]),
-                  ConcaveTransform(SQUARE, [coord(0), coord(1),
-                                            ((F(0), F(0)), F(1, 2))]),
-                  ConcaveTransform(TRIANGLE, [((F(-1), F(2)), F(1))])]
-    expected = [[_pushforward_by_hulls(G, res) for res in (1, 3, 8)]
-                for G in transforms]
-    assert expected[1][0][-1] == (F(1, 2), F(1, 4))
-    for G in transforms:
-        G.slice_curve()
-
-    def no_hulls(*args):
-        raise AssertionError("pushforward hulled a slice body")
-
-    # past the cached cells and curve, a hull is a slice body
-    monkeypatch.setattr(RationalPolytope, "from_halfspaces", no_hulls)
-    assert [[G.pushforward(res).atoms for res in (1, 3, 8)]
-            for G in transforms] == expected
-
-
-def test_pushforward_known_atoms():
-    # left-endpoint histogram of x on the unit square at resolution 4
-    G = ConcaveTransform(SQUARE, [coord(0)])
-    mu = G.pushforward(4)
-    # the top level {x >= 1} has measure zero, so its atom is dropped
-    assert mu.atoms == tuple((F(i, 4), F(1, 4)) for i in range(4))
-    assert mu.moment_p(1) == F(3, 8)  # left Riemann sum of 1/2

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import deltap
-from deltap import cli, geodesic, invariants, okounkov, toric
+from deltap import cli, geodesic, invariants, toric
 from deltap.errors import DeltapError
 
 SRC = Path(deltap.__file__).resolve().parents[1]
@@ -98,7 +98,7 @@ def test_exports_are_the_objects_of_their_home_modules():
 
 RECORDS = ("RunConfig", "DeltaSearchResult", "KStabilityVerdict", "PGridRow",
            "InvariantReport", "MomentIdentityReport", "RadialProfile",
-           "TestCurve1D", "GeodesicRay1D", "SpectralMeasure")
+           "TestCurve1D", "GeodesicRay1D")
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +118,6 @@ def records():
         toric.volume_curve_of(model, val).radial_profile(),
         curve,
         geodesic.legendre(curve),
-        okounkov.SpectralMeasure.from_atoms([(Fraction(0), Fraction(1))]),
     ]
     return {type(record).__name__: record for record in built}
 
@@ -138,8 +137,6 @@ def test_result_records_are_immutable(records, name):
     ("RadialProfile", "fpow", lambda record: record.fpow.scale(2)),
     ("TestCurve1D", "values", lambda record: (Fraction(0), Fraction(1))),
     ("GeodesicRay1D", "final_slope", lambda record: Fraction(-1)),
-    ("SpectralMeasure", "atoms",
-     lambda record: ((Fraction(0), Fraction(1, 2)),)),
 ])
 def test_checked_records_check_replaced_fields(records, name, field, bad):
     # the named-tuple constructors _make and _replace run the same checks

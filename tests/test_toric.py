@@ -31,6 +31,7 @@ from deltap.geometry import (RationalPolytope, affine_dimension,
                             mean_affine_powers, simplex_volume)
 from deltap.toric import (
     MAX_CANDIDATE_BOX,
+    MAX_MOMENT_PAIRS,
     CandidateTable,
     DeltaSearchResult,
     ToricModel,
@@ -245,6 +246,21 @@ def test_primitive_candidates_refuse_a_box_over_budget():
     assert primitive_candidates(1, edge) == [(-1,), (1,)]
     with pytest.raises(DomainError):
         primitive_candidates(1, edge + 1)
+
+
+def test_moment_pairs_over_budget_refused_before_the_simplices(monkeypatch):
+    # the 7-cube at bound 1: 3**7 - 1 = 2,186 candidates times 7! = 5,040
+    # simplices make 11,017,440 pairs, refused once the triangulation is
+    # counted and before any simplex weight or row
+    model = ToricModel(RationalPolytope(
+        list(itertools.product((0, 1), repeat=7))))
+
+    def refuse(self):
+        raise AssertionError("the simplices were weighted")
+    monkeypatch.setattr(ToricModel, "simplices", refuse)
+    with pytest.raises(DomainError, match="11017440 moment pairs, over the "
+                       f"budget of MAX_MOMENT_PAIRS = {MAX_MOMENT_PAIRS}"):
+        CandidateTable(model, 1, (1, 2))
 
 
 @pytest.mark.parametrize("n, bound", [(2, 1.5), (2, True), (2, 0),

@@ -439,29 +439,6 @@ def test_k_stat_and_s_p_half_equal_their_loop_oracles():
 
 
 # ---------------------------------------------------------------------------
-# exponential moment and the entropy-style candidate
-
-
-def test_exp_moment_matches_series():
-    for c in corpus(per_dim=4):
-        series = float(c.exp_moment_series(40))
-        assert c.exp_moment() == pytest.approx(series, abs=1e-10)
-
-
-def test_exp_moment_linear_curve_is_inverse_e():
-    c = linear_curve()
-    assert c.exp_moment() == pytest.approx(math.exp(-1.0), abs=1e-14)
-
-
-def test_h_na_candidate_value():
-    c = linear_curve()
-    expected = 1.0 + math.log(1.0 - math.exp(-1.0))
-    assert c.h_na_candidate(1.0) == pytest.approx(expected, abs=1e-12)
-    with pytest.raises(DomainError):
-        c.h_na_candidate(-0.5)
-
-
-# ---------------------------------------------------------------------------
 # profiles
 
 
