@@ -35,8 +35,9 @@ from .errors import (AccuracyError, DeltapError, DomainError,
                      UnsupportedModelError)
 from .geometry import Halfspace, RationalPolytope
 from .invariants import delta_family
-from .toric import (CandidateTable, ToricModel, ToricValuation, builtin_model,
-                    delta_p_search)
+from .toric import (MAX_MOMENT_PAIRS, CandidateTable, ToricModel,
+                    ToricValuation, builtin_model, delta_p_search,
+                    primitive_candidates)
 
 # Most cuts the truncation probe of ``scan`` may make: each cut runs a
 # full candidate search, so a wider model is refused before the first.
@@ -176,10 +177,20 @@ def cmd_scan(cfg: RunConfig) -> int:
     p_grid = cfg.p_grid
     if not p_grid:
         raise DomainError("scan needs an order grid: pass --p")
-    # The probe's rows come last, but it runs first, so that its budget
-    # refuses a wide model before any search or section walk.
+    # The probe's rows come last, but its cuts are made first, so that the
+    # cut budget and one moment-pair budget over every table the command
+    # searches refuse a wide model before any search or section walk.
     p0 = p_grid[0]
-    probe = _truncation_probe(cfg, model, p0)
+    cuts = _probe_cuts(model)
+    tables = [m for m in (*(cut for _, cut in cuts), model)
+              if m is not None and m.is_q_gorenstein]
+    pairs = len(primitive_candidates(model.n, cfg.bound)) * sum(
+        len(m.P.triangulation()) for m in tables)
+    if pairs > MAX_MOMENT_PAIRS:
+        raise DomainError(
+            f"scan's {len(tables)} candidate tables make {pairs} moment "
+            f"pairs, over the budget of MAX_MOMENT_PAIRS = {MAX_MOMENT_PAIRS}")
+    probe = _truncation_probe(cfg, cuts, p0)
     table = CandidateTable(model, cfg.bound, (1, *p_grid))
     base = table.delta(1)
     val = ToricValuation(model, base.argmin)
@@ -215,28 +226,42 @@ def cmd_scan(cfg: RunConfig) -> int:
     return 0
 
 
-def _truncation_probe(cfg: RunConfig, model: ToricModel, p: int):
-    """Continuity probe: cut a dilated model at integer heights along
-    the first axis and track the threshold bound.  The cuts, one
-    candidate search each, may number at most ``MAX_PROBE_CUTS``.  A cut
-    the search refuses as input (StructureError, UnsupportedModelError,
-    DomainError) gets a blank value; an InvariantViolation propagates."""
-    rows = []
-    big = ToricModel(model.P.dilate(4))
-    xs = [w[0] for w in big.P.vertices]
+def _probe_cuts(model: ToricModel) -> list[tuple[Fraction, ToricModel | None]]:
+    """The truncation probe's cuts of the dilated model 4P at integer
+    heights along the first axis, at most ``MAX_PROBE_CUTS`` of them:
+    each cut's height, scaled to [0, 1], and its toric model, or None
+    when the cut has a vertex off the lattice."""
+    big = model.P.dilate(4)
+    xs = [w[0] for w in big.vertices]
     lo, hi = min(xs), max(xs)
     if hi - lo > MAX_PROBE_CUTS:
         raise DomainError(f"the truncation probe needs {hi - lo} cuts, over "
                           f"the budget of {MAX_PROBE_CUTS}")
     normal = tuple([-1] + [0] * (model.n - 1))
+    cuts = []
     for c in range(int(lo) + 1, int(hi) + 1):
-        cut = big.P.intersect([Halfspace(normal, Fraction(-c))])
         try:
-            search = delta_p_search(ToricModel(cut), p, cfg.bound)
-            value = f"{search.value:.12g}"
-        except (StructureError, UnsupportedModelError, DomainError):
-            value = ""
-        rows.append({"scan": "truncation", "x": f"{Fraction(c - lo, hi - lo)}",
+            cut = ToricModel(big.intersect([Halfspace(normal, Fraction(-c))]))
+        except StructureError:
+            cut = None
+        cuts.append((Fraction(c - lo, hi - lo), cut))
+    return cuts
+
+
+def _truncation_probe(cfg: RunConfig, cuts, p: int):
+    """Continuity probe: the threshold bound of each cut, one candidate
+    search each.  A cut off the lattice, or one the search refuses as
+    input (StructureError, UnsupportedModelError, DomainError), gets a
+    blank value; an InvariantViolation propagates."""
+    rows = []
+    for x, cut in cuts:
+        value = ""
+        if cut is not None:
+            try:
+                value = f"{delta_p_search(cut, p, cfg.bound).value:.12g}"
+            except (StructureError, UnsupportedModelError, DomainError):
+                pass
+        rows.append({"scan": "truncation", "x": f"{x}",
                      "name": "delta_upper", "value": value, "status": "probe"})
     return rows
 

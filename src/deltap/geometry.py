@@ -1,8 +1,8 @@
 """Exact rational polytope kernel.
 
 Convex hull facets, vertex enumeration, deterministic triangulation,
-volumes, lattice points, survival curves by the B-spline divided-
-difference identity, and exact mean powers of affine functionals over
+volumes, lattice points, survival curves by the residue form of the
+B-spline identity, and exact mean powers of affine functionals over
 weighted simplices, every order from one recurrence.  Coordinates are
 Fractions, facet normals are primitive integer vectors, determinants
 come from the integer kernel in ``linalg``, and floats never enter.
@@ -22,6 +22,7 @@ threads is safe.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import ceil, comb, factorial, floor, prod
@@ -182,36 +183,17 @@ def triangulate_vertices(vertices: Sequence[Point],
                  for s in pull((1 << len(vertices)) - 1, incidence))
 
 
-def _truncated_power_difference(knots: Sequence[Fraction], hi: Fraction,
-                                n: int) -> Polynomial:
-    """[knots](. - t)_+^n as a polynomial in t on the interval ending at
-    ``hi``, which holds no knot; knots are sorted."""
-    def taylor(a: Fraction, k: int) -> Polynomial:
-        # d^k/dx^k (x - t)_+^n / k! at x = a: C(n, k) (a - t)^(n-k) for a
-        # knot at or above hi, zero for one at or below the interval.
-        m = n - k
-        return Polynomial(comb(n, k) * comb(m, j) * a ** (m - j) * (-1) ** j
-                          for j in range(m + 1) if a >= hi)
-
-    row = [taylor(a, 0) for a in knots]
-    for k in range(1, n + 1):
-        row = [taylor(knots[i], k) if knots[i] == knots[i + k]
-               else (row[i + 1] - row[i]).scale(
-                   Fraction(1) / (knots[i + k] - knots[i]))
-               for i in range(n + 1 - k)]
-    return row[0]
-
-
 def survival_curve(simplices: Sequence[tuple[Fraction, Sequence[Fraction]]],
                    dim: int) -> PiecewisePolynomial:
-    """Exact piecewise polynomial x -> sum_S w_S vol{g >= x on S}/vol(S).
-
-    ``simplices`` holds (w_S, vertex values of the affine functional)
-    pairs; values must be nonnegative and not all zero, and w_S = vol(S)
-    gives x -> vol{g >= x}.  A simplex S with vertex values a_0..a_n
-    contributes the B-spline identity vol{g >= t} = vol(S) [a_0, ...,
-    a_n](. - t)_+^n (Curry and Schoenberg 1966), a divided difference in
-    the first argument, a polynomial in t between consecutive values.
+    """Exact piecewise polynomial x -> sum_S w_S vol{g >= x on S}/vol(S)
+    over (w_S, vertex values) pairs, the values nonnegative and not all
+    zero; w_S = vol(S) gives x -> vol{g >= x}.  A simplex adds w_S times
+    [a_0..a_n](. - x)_+^n (Curry and Schoenberg 1966), whose residue form
+    is sum_a sum_{r < m_a} beta_{a,r} C(n, r) (a - x)_+^(n-r) over its
+    values a of multiplicity m_a, beta_{a,r} the Taylor coefficient of
+    order m_a - 1 - r at a of prod_{b != a} (z - b)^-m_b.  Simplices with
+    equal sorted values add their weights, each (a, r) sums one rational
+    over them, and each piece is a suffix sum from the top value down.
     """
     if any(len(vals) != dim + 1 for _, vals in simplices):
         raise StructureError(f"each simplex needs {dim + 1} vertex values")
@@ -220,12 +202,30 @@ def survival_curve(simplices: Sequence[tuple[Fraction, Sequence[Fraction]]],
         raise InvariantViolation("survival_curve needs nonnegative values")
     if values_all[-1] == 0:
         raise InvariantViolation("survival_curve needs a positive maximum")
+    merged, terms = Counter(), Counter()  # terms: (a, r) -> sum_S w_S beta
+    for w, vals in simplices:
+        merged[tuple(sorted(vals))] += w
+    for key, w in merged.items():
+        mult = Counter(key)
+        for a in filter(None, mult):  # (0 - x)_+ is 0 on every piece
+            m = mult[a]
+            series = [Fraction(w)] + [0] * (m - 1)
+            for b, k in mult.items() - {(a, m)}:  # times (a - b + h)^-k, in h
+                f = [Fraction((-1) ** j * comb(k + j - 1, j), (a - b) ** (k + j))
+                     for j in range(m)]
+                series = [sum(series[i] * f[j - i] for i in range(j + 1))
+                          for j in range(m)]
+            for r in range(m):
+                terms[a, r] += series[m - 1 - r]
     breaks = sorted({Fraction(0), *values_all})
-    weighted = [(w, sorted(vals)) for w, vals in simplices]
-    pieces = [sum((_truncated_power_difference(knots, hi, dim).scale(w)
-                   for w, knots in weighted), Polynomial(()))
-              for hi in breaks[1:]]
-    return PiecewisePolynomial(breaks, pieces, continuous=True)
+    coeffs, pieces = [0] * (dim + 1), []
+    for a in reversed(breaks[1:]):
+        for r in range(dim + 1):  # C(n, r) (a - x)^(n-r), expanded in x
+            c = terms[a, r] * comb(dim, r)
+            for j in range(dim - r + 1):
+                coeffs[j] += c * comb(dim - r, j) * a ** (dim - r - j) * (-1) ** j
+        pieces.append(Polynomial(coeffs))
+    return PiecewisePolynomial(breaks, pieces[::-1], continuous=True)
 
 
 def mean_affine_powers(weighted: Iterable[tuple[Fraction, Sequence]], n: int,

@@ -1,8 +1,9 @@
 """Small exact linear algebra over the rationals, on one integer kernel.
 
 ``_reduce`` clears each row to integers once and runs fraction-free
-Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968), whose every
-division is exact; rank, determinant and rref read off its result.
+elimination (Bareiss, Math. Comp. 22, 1968), whose every division is
+exact: rank and determinant read the forward pass, and rref the full
+Gauss-Jordan pass.
 Pivoting is deterministic: first nonzero column, first row at or below.
 """
 
@@ -27,13 +28,14 @@ def _cleared(row: Sequence) -> tuple[Sequence[int], int]:
     return [x.numerator * (mult // x.denominator) for x in row], mult
 
 
-def _reduce(mat: Sequence[Sequence]):
-    """Fraction-free Gauss-Jordan elimination of a rational matrix.
+def _reduce(mat: Sequence[Sequence], full: bool = True):
+    """Fraction-free elimination of a rational matrix, Gauss-Jordan when
+    ``full``, else only below each pivot.
 
     Returns (rows, pivots, d, sign, scale): the nonzero integer rows, in
-    which each pivot column is ``d`` (the last pivot) on its pivot row
-    and 0 elsewhere; the pivot columns; (-1)^(row swaps); and the product
-    of the row multipliers that cleared the denominators.
+    which, when ``full``, each pivot column is ``d`` (the last pivot) on
+    its pivot row and 0 elsewhere; the pivot columns; (-1)^(row swaps);
+    and the product of the row multipliers that cleared the denominators.
     """
     rows, scale = [], 1
     for row in mat:
@@ -57,8 +59,9 @@ def _reduce(mat: Sequence[Sequence]):
             sign = -sign
         top = rows[r]
         pv = top[col]
-        for i, row in enumerate(rows):
+        for i in range(0 if full else r + 1, len(rows)):
             if i != r:
+                row = rows[i]
                 f = row[col]
                 rows[i] = [(pv * a - f * b) // d for a, b in zip(row, top)]
         pivots.append(col)
@@ -73,14 +76,14 @@ def rref(mat: Sequence[Sequence]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
 
 
 def rank(mat: Sequence[Sequence]) -> int:
-    return len(_reduce(mat)[1])
+    return len(_reduce(mat, full=False)[1])
 
 
 def det(mat: Sequence[Sequence]) -> Fraction:
     """Determinant of a square matrix: sign * d / scale at full rank."""
     if any(len(row) != len(mat) for row in mat):
         raise StructureError("matrix is not square")
-    _, pivots, d, sign, scale = _reduce(mat)
+    _, pivots, d, sign, scale = _reduce(mat, full=False)
     return Fraction(sign * d, scale) if len(pivots) == len(mat) else Fraction(0)
 
 

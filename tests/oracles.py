@@ -3,6 +3,11 @@
 ``slice_volume`` hulls the slice body {G >= t} of a concave transform
 and takes its volume; ``ConcaveTransform.slice_curve`` and
 ``geometry.survival_curve`` give the same values in closed form.
+``survival_curve_by_divided_differences`` builds each piece of that
+curve from one divided-difference table of polynomials per simplex
+(``truncated_power_difference``); ``survival_curve`` adds the weights of
+simplices with equal sorted values and reads every piece off one
+residue coefficient per distinct value and multiplicity.
 ``integrate_affine_power_over_simplex`` integrates g**p over one
 simplex with h_p summed from its definition by ``complete_homogeneous``;
 ``geometry.mean_affine_powers`` sums the same closed form over a
@@ -15,11 +20,12 @@ read both off one pivot pass.
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from deltap.errors import DomainError, StructureError
 from deltap.geometry import Halfspace, RationalPolytope, dot
 from deltap.linalg import nullspace, rank, rref
+from deltap.piecewise import PiecewisePolynomial, Polynomial
 
 
 def slice_volume(transform, t) -> Fraction:
@@ -29,6 +35,37 @@ def slice_volume(transform, t) -> Fraction:
                      for form in transform.forms)]
     region = RationalPolytope.from_halfspaces(constraints, transform.body.dim)
     return Fraction(0) if region is None else region.volume()
+
+
+def truncated_power_difference(knots, hi, n) -> Polynomial:
+    """[knots](. - t)_+^n as a polynomial in t on the interval ending at
+    ``hi``, which holds no knot, from the divided-difference table; knots
+    are sorted, and a run of equal knots reads the derivative."""
+    def taylor(a, k) -> Polynomial:
+        # d^k/dx^k (x - t)_+^n / k! at x = a: C(n, k) (a - t)^(n-k) for a
+        # knot at or above hi, zero for one at or below the interval.
+        m = n - k
+        return Polynomial(comb(n, k) * comb(m, j) * a ** (m - j) * (-1) ** j
+                          for j in range(m + 1) if a >= hi)
+
+    row = [taylor(a, 0) for a in knots]
+    for k in range(1, n + 1):
+        row = [taylor(knots[i], k) if knots[i] == knots[i + k]
+               else (row[i + 1] - row[i]).scale(
+                   Fraction(1) / (knots[i + k] - knots[i]))
+               for i in range(n + 1 - k)]
+    return row[0]
+
+
+def survival_curve_by_divided_differences(simplices, dim) -> PiecewisePolynomial:
+    """The survival curve with one divided-difference table per simplex
+    and piece, over the breakpoints 0 and every vertex value."""
+    breaks = sorted({Fraction(0), *(v for _, vals in simplices for v in vals)})
+    weighted = [(w, sorted(vals)) for w, vals in simplices]
+    pieces = [sum((truncated_power_difference(knots, hi, dim).scale(w)
+                   for w, knots in weighted), Polynomial(()))
+              for hi in breaks[1:]]
+    return PiecewisePolynomial(breaks, pieces, continuous=True)
 
 
 def complete_homogeneous(values, p):

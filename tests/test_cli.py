@@ -8,6 +8,7 @@ tests only pin the formatting and plumbing on top of them.
 
 import contextlib
 import io
+import itertools
 import json
 import re
 import tempfile
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from deltap import cli, filtration, geodesic, selfcheck, toric
 from deltap.errors import InvariantViolation
-from deltap.toric import builtin_model
+from deltap.toric import MAX_MOMENT_PAIRS, builtin_model
 
 
 def run_cli(argv, tmp_path=None, name="out.txt"):
@@ -368,6 +369,31 @@ def test_scan_enumerations_over_budget_exit_3(tmp_path, capsys, width, argv,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DomainError"
     assert message in err["message"]
+
+
+def test_scan_moment_pairs_over_budget_exit_3(tmp_path, capsys, monkeypatch):
+    # the 6-cube at bound 1: 728 candidates times 720 simplices is under
+    # the budget for one table, but the model and its four probe cuts,
+    # each a 6-box of 720 simplices, make 5 * 524,160 pairs; refused
+    # before the first search
+    doc = {"dim": 6, "vertices": [[str(x) for x in w] for w in
+                                  itertools.product((0, 1), repeat=6)]}
+    model_file = tmp_path / "cube6.json"
+    model_file.write_text(json.dumps(doc))
+
+    def searched(*args):
+        raise AssertionError("a candidate search ran")
+    monkeypatch.setattr(cli, "delta_p_search", searched)
+    monkeypatch.setattr(cli, "CandidateTable", searched)
+    assert cli.main(["scan", "--model", str(model_file), "--p", "1",
+                     "--m", "1", "--bound", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "DomainError"
+    assert err["message"] == (
+        "scan's 5 candidate tables make 2620800 moment pairs, over the "
+        f"budget of MAX_MOMENT_PAIRS = {MAX_MOMENT_PAIRS}")
 
 
 def test_truncation_probe_passes_an_invariant_violation_on(monkeypatch,

@@ -41,7 +41,7 @@ from deltap.linalg import nullspace, primitive_integer_vector, solve_square
 from deltap.okounkov import ConcaveTransform
 from deltap.piecewise import lagrange_interpolate
 from oracles import (complete_homogeneous, integrate_affine_power_over_simplex,
-                     slice_volume)
+                     slice_volume, survival_curve_by_divided_differences)
 
 F = Fraction
 
@@ -394,6 +394,54 @@ def test_survival_curve_rejects_wrong_vertex_count():
         survival_curve([(F(1, 2), (F(0), F(1), F(0)))], 3)
     with pytest.raises(StructureError):
         survival_curve([(F(1, 2), (F(0), F(1)))], 2)
+
+
+def _curve_or_error(build, simplices, n):
+    try:
+        curve = build(simplices, n)
+    except InvariantViolation as exc:  # a step the continuity check refuses
+        return type(exc)
+    return curve.breakpoints, [piece.coeffs for piece in curve.pieces]
+
+
+@st.composite
+def _weighted_simplices(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    # a small pool of values, zero among them, so that values repeat
+    pool = draw(st.lists(st.fractions(min_value=0, max_value=4,
+                                      max_denominator=3),
+                         min_size=1, max_size=n + 2)) + [F(0)]
+    weight = st.fractions(min_value=F(1, 6), max_value=5, max_denominator=6)
+    simplices = draw(st.lists(
+        st.tuples(weight, st.lists(st.sampled_from(pool), min_size=n + 1,
+                                   max_size=n + 1)),
+        min_size=1, max_size=4))
+    return n, simplices
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_weighted_simplices())
+def test_survival_curve_matches_divided_difference_oracle(case):
+    # the residue form against one divided-difference table per simplex
+    # and piece: the same breakpoints and every coefficient, or the same
+    # refusal of a discontinuous sum
+    n, simplices = case
+    assume(max(v for _, vals in simplices for v in vals) > 0)
+    assert (_curve_or_error(survival_curve, simplices, n)
+            == _curve_or_error(survival_curve_by_divided_differences,
+                               simplices, n))
+
+
+def test_survival_curve_merges_simplices_with_equal_sorted_values():
+    # one simplex's weight split across two copies, one with its values
+    # permuted, gives the same curve as the simplex alone
+    vals = (F(0), F(2), F(1, 2), F(2))
+    other = (F(1), F(0), F(0), F(3))
+    whole = survival_curve([(F(3), vals), (F(1), other)], 3)
+    split = survival_curve([(F(1), vals), (F(1), other),
+                            (F(2), vals[::-1])], 3)
+    assert split == whole == survival_curve_by_divided_differences(
+        [(F(3), vals), (F(1), other)], 3)
 
 
 @st.composite

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from deltap.errors import DomainError, InvariantViolation, StructureError
-from deltap.geometry import RationalPolytope
+from deltap.geometry import RationalPolytope, dot
 from deltap.okounkov import AffineForm, ConcaveTransform
 from oracles import slice_volume
 
@@ -24,6 +24,7 @@ F = Fraction
 SQUARE = RationalPolytope([(F(0), F(0)), (F(1), F(0)),
                            (F(0), F(1)), (F(1), F(1))])
 TRIANGLE = RationalPolytope([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))])
+HEXAGON = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
 
 
 def coord(i, dim=2):
@@ -149,3 +150,20 @@ def test_transform_json_has_no_nonneg_key():
     back = ConcaveTransform.from_json_dict(doc)
     assert back.body == G.body and back.forms == G.forms
     assert back.to_json_dict() == doc
+
+
+@pytest.fixture(scope="module")
+def hexagon_squared():
+    return RationalPolytope([a + b for a in HEXAGON for b in HEXAGON])
+
+
+@pytest.mark.parametrize("v", [(3, -2, 1, 4), (1, 0, 0, 0), (1, 1, -1, 0)])
+def test_slice_moments_equal_direct_moments_on_hexagon_squared(
+        hexagon_squared, v):
+    # 96 simplices of Fraction volume, many with equal sorted values: the
+    # merged slice curve and the direct moment agree exactly
+    offset = -min(dot(v, w) for w in hexagon_squared.vertices)
+    G = ConcaveTransform(hexagon_squared, [AffineForm.make(v, offset)])
+    assert len(G._simplex_values()) == 96
+    for p in (1, 2, 3):
+        assert G.moment_from_slices(p) == G.moment_p(p)
