@@ -14,7 +14,10 @@ class RangeError(DeltapError, ValueError):
 
 
 class AccuracyError(DeltapError, RuntimeError):
-    """Adaptive integration could not reach the requested tolerance."""
+    """A certified evaluation could not reach its bound: sign refinement
+    of a SqrtSum past 4096 bits, the decimal path of a float-exponent
+    ``power_integral`` past ``MAX_DECIMAL_DIGITS`` (a sum that cancels to
+    zero or nearly), or ``adaptive_quadrature`` out of evaluations."""
 
 
 class InvariantViolation(DeltapError, ValueError):

@@ -198,7 +198,9 @@ def survival_curve(simplices: Sequence[tuple[Fraction, Sequence[Fraction]]],
     if any(len(vals) != dim + 1 for _, vals in simplices):
         raise StructureError(f"each simplex needs {dim + 1} vertex values")
     values_all = sorted({v for _, vals in simplices for v in vals})
-    if not values_all or values_all[0] < 0:
+    if not values_all:
+        raise InvariantViolation("survival_curve needs at least one simplex")
+    if values_all[0] < 0:
         raise InvariantViolation("survival_curve needs nonnegative values")
     if values_all[-1] == 0:
         raise InvariantViolation("survival_curve needs a positive maximum")

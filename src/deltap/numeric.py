@@ -2,7 +2,9 @@
 
 Most of the library computes in :class:`fractions.Fraction`.  This module
 collects the few pieces that cannot stay rational: log-gamma, adaptive
-quadrature for real exponents, and exact sign decisions for finite sums
+quadrature (no moment uses it: real orders go through the certified
+``piecewise.power_integral``, and it stays while ``perfbench/tracer.py``
+names it), and exact sign decisions for finite sums
 
     c_1 * sqrt(k_1) + ... + c_r * sqrt(k_r),   c_i rational, k_i squarefree,
 

@@ -11,20 +11,25 @@ DomainError.  Instances are immutable and safe to share.
 Every moment of a piecewise polynomial goes through one kernel:
 ``PiecewisePolynomial.spans`` checks the bounds and clips the pieces to
 [a, b], and ``power_integral`` sums c (w**(e+k) - u**(e+k)) / (e+k) over
-the clipped pieces and their terms, exactly for an integer or a
-half-integer exponent.
+the clipped pieces and their terms: exactly for an integer or a
+half-integer exponent, and for a float exponent within 2**-39 relative,
+from ``math.fsum`` of the float terms when an a-priori bound certifies
+it, else from a decimal evaluation of the exact closed form.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
+import sys
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import DomainError, InvariantViolation, RangeError, StructureError
-from .numeric import (SqrtSum, adaptive_quadrature, as_fraction,
-                      check_positive_int)
+from .errors import (AccuracyError, DomainError, InvariantViolation,
+                     RangeError, StructureError)
+from .numeric import SqrtSum, as_fraction, check_positive_int
 
 # High-order exact moments shift a curve up by p - 1, so the guard has to
 # admit orders in the hundreds; it only exists to catch runaway degree
@@ -340,6 +345,65 @@ class PiecewisePolynomial:
                 f"{len(self.pieces)} pieces)")
 
 
+# The decimal path doubles its digits from 20 up to this cap.
+MAX_DECIMAL_DIGITS = 2560
+_TINY = sys.float_info.min  # the least normal double
+
+
+def _end_residues(spans, e: Fraction) -> dict:
+    """x -> R_x = sum_k c_k x**k / (e+k), netted over the spans ending at
+    x (plus at w, minus at u): the integral is sum_x x**e R_x."""
+    at = {}
+    for u, w, piece in spans:
+        q = Polynomial([c / (e + k) for k, c in enumerate(piece.coeffs)])
+        for x, sign in ((w, 1), (u, -1)):
+            at[x] = at.get(x, 0) + sign * q(x)
+    return at
+
+
+def _float_sum(spans, e: float) -> float | None:
+    """The fast path of ``power_integral``, or None where it fails."""
+    terms, top = [], 0
+    try:
+        for u, w, piece in spans:
+            top = max(top, piece.degree)
+            for x, den in ((w, piece.den), (u, -piece.den)):
+                xf = float(x)
+                head = xf ** e
+                for k, c in enumerate(piece.nums):
+                    if c and x:
+                        q, power = c / den, head * xf ** k
+                        terms.append(q * power / (e + k))
+                        if not (_TINY <= min(xf, power, abs(q), abs(terms[-1]))
+                                and max(power, abs(terms[-1])) < math.inf):
+                            return None
+        total = math.fsum(terms)
+        bound = (e + top + 10) * 2.0 ** -53 * math.fsum(map(abs, terms))
+    except OverflowError:
+        return None
+    return total if bound <= 2.0 ** -40 * abs(total) else None
+
+
+def _decimal_sum(spans, e: float) -> float:
+    """The slow path of ``power_integral``."""
+    at = [(x, r) for x, r in _end_residues(spans, Fraction(e)).items()
+          if x and r]
+    E, digits = Decimal(e), 20
+    while digits <= MAX_DECIMAL_DIGITS:
+        with localcontext(Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+            total = err = Decimal(0)
+            for x, r in at:
+                y = E * (Decimal(x.numerator) / x.denominator).ln()
+                t = y.exp() * (Decimal(r.numerator) / r.denominator)
+                total += t
+                err += abs(t) * (E + 2 * abs(y) + len(at) + 3)
+            if err.scaleb(1 - digits) * 2 ** 56 <= abs(total):
+                return float(total)
+        digits *= 2
+    raise AccuracyError(f"the integral at exponent {e} cancels past "
+                        f"{MAX_DECIMAL_DIGITS} digits")
+
+
 def power_integral(f: PiecewisePolynomial, e, a, b):
     """``integral_a^b x**(e-1) * f(x) dx`` termwise: the sum over
     ``f.spans(a, b)`` and over the terms c_k x**k of each piece of
@@ -348,32 +412,45 @@ def power_integral(f: PiecewisePolynomial, e, a, b):
     Exact for an integer e >= 1, in integers: with c_k = N_k / D and
     L = lcm(e, ..., e + deg), a piece contributes
     x**e * sum_k M_k x**k / (D L) at each end, M_k = N_k L / (e+k), so
-    one Horner sum per end and one Fraction for the whole integral.  A
-    SqrtSum for a half-integer Fraction e = m + 1/2 > 0 and a >= 0, with
-    one root per distinct span end x: sqrt(x) * x**m * sum_k c_k x**k/(e+k)
-    netted over the spans that end at x.  A float for a float e > 0,
-    which needs a >= 0.  Any other e raises DomainError.
+    one Horner sum per end and one Fraction for the whole integral.
+
+    A half-integer Fraction e = m + 1/2 > 0 or a float e > 0 needs a >= 0;
+    the integral is sum_x x**e R_x over the distinct span ends x > 0, with
+    R_x = sum_k c_k x**k/(e+k) exact (a float is a dyadic rational) and
+    netted over the spans ending at x.  A half-integer gives a SqrtSum.
+    A float gives a float within 2**-39 relative of the integral I (a
+    normal double; past the double range DomainError), with u = 2**-53,
+    libm's pow within 1 ulp, and the first path that certifies itself:
+    - fast: the fsum S of the terms c_k x**(e+k) / (e+k) in floats, with
+      x**(e+k) = pow(x, e) * pow(x, k), each within (e + k + 10) u: (e+k) u
+      from rounding x, 2u per pow, u each for c_k, e + k and the three
+      operations, and u for second order.  S is kept when every term is
+      a normal double and (e + deg + 10) u sum|terms| <= 2**-40 |S|; then
+      |S - I| <= (2**-40 + u) |S| < 2**-39 |I|.
+    - slow: sum_x exp(e ln x) R_x in decimal at P = 20, 40, 80, ...
+      digits; with eta = 10**(1-P) a term is within (e + 2|e ln x| + 3) eta
+      and the sum of m terms adds (m - 1) eta sum|terms|.  The sum is kept
+      once that is at most 2**-56 of it, which leaves 2**-52 after the
+      rounding to a float; past MAX_DECIMAL_DIGITS AccuracyError.
+    Any other e raises DomainError.
     """
     if isinstance(e, Fraction):
         if e.denominator != 2 or e < 0:
             raise DomainError(f"exponent {e} is not a positive half-integer")
-        m, at = e.numerator // 2, {}
-        for u, w, piece in f.spans(a, b):
-            q = Polynomial([c / (e + k) for k, c in enumerate(piece.coeffs)])
-            for x, sign in ((w, 1), (u, -1)):
-                at[x] = at.get(x, 0) + sign * x ** m * q(x)
-        return sum((SqrtSum.sqrt(x).scale(r) for x, r in at.items()),
+        m = e.numerator // 2
+        return sum((SqrtSum.sqrt(x).scale(x ** m * r)
+                    for x, r in _end_residues(f.spans(a, b), e).items()),
                    SqrtSum.from_rational(0))
     if isinstance(e, float):
-        if not e > 0:
-            raise DomainError(f"exponent {e} is not positive")
-        total = 0.0
-        for u, w, piece in f.spans(a, b):
-            u, w = float(u), float(w)
-            for k, c in enumerate(piece.nums):
-                if c:
-                    total += (c / piece.den * (w ** (e + k) - u ** (e + k))
-                              / (e + k))
+        if not 0 < e < math.inf:
+            raise DomainError(f"exponent {e} is not positive and finite")
+        spans = f.spans(a, b)
+        if spans and spans[0][0] < 0:
+            raise DomainError("a real power needs a nonnegative domain")
+        total = _float_sum(spans, e)
+        total = _decimal_sum(spans, e) if total is None else total
+        if abs(total) == math.inf:
+            raise DomainError(f"the integral overflows doubles at e = {e}")
         return total
     check_positive_int(e, "exponent e")
     num, den = 0, 1
@@ -396,34 +473,10 @@ def integrate_monomial_weighted(f: PiecewisePolynomial, p: int, a, b) -> Fractio
     return power_integral(f, check_positive_int(p, "exponent p"), a, b)
 
 
-def integrate_real_power(f: PiecewisePolynomial, p: float, a, b,
-                         tol: float = 1e-10) -> float:
-    """``integral_a^b x**(p-1) * f(x) dx`` for real p >= 1, to +-tol.
-
-    Adaptive Gauss-Kronrod per piece.  The domain must sit in x >= 0 so
-    that the real power is defined.
-    """
+def integrate_real_power(f: PiecewisePolynomial, p: float, a, b) -> float:
+    """Float ``integral_a^b x**(p-1) * f(x) dx`` for real p >= 1 and
+    a >= 0, within 2**-39 relative: ``power_integral`` at the float p."""
     p = float(p)
     if p < 1.0:
         raise DomainError("the exponent p must be at least 1")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
-    spans = [(float(u), float(w), piece) for u, w, piece in f.spans(a, b)]
-    if as_fraction(a) < 0:
-        raise DomainError("real-power integration needs a nonnegative domain")
-    if not spans:
-        return 0.0
-    total_len = sum(w - u for u, w, _ in spans)
-    result = 0.0
-    for u, w, piece in spans:
-        coeffs = tuple(float(c) for c in piece.coeffs)
-
-        def integrand(x, cs=coeffs, q=p - 1.0):
-            acc = 0.0
-            for c in reversed(cs):
-                acc = acc * x + c
-            return x ** q * acc
-
-        local_tol = tol * (w - u) / total_len
-        result += adaptive_quadrature(integrand, u, w, local_tol)
-    return result
+    return power_integral(f, p, a, b)

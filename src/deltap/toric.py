@@ -122,11 +122,11 @@ class ToricModel:
 
 class ToricValuation:
     """A torus-invariant valuation: a nonzero primitive integer vector v,
-    with ``values``, g_v = <., v> + offset at each of the model's
-    ``vertices`` from one dot product each, ``offset`` making their least
-    0.  A(v), tau(v) and every simplex value are read off ``values``."""
+    with ``values``, g_v = <., v> + offset at each of the ``vertices`` of
+    the ``model`` it is built on, ``offset`` making their least 0.  A(v),
+    tau(v) and every simplex value are read off ``values``."""
 
-    __slots__ = ("v", "values", "offset")
+    __slots__ = ("v", "values", "offset", "model")
 
     def __init__(self, model: ToricModel, v: Sequence):
         v = tuple(v)
@@ -139,7 +139,7 @@ class ToricValuation:
             raise DomainError("the valuation vector must be nonzero")
         if math.gcd(*(abs(x) for x in vec)) != 1:
             raise DomainError("the valuation vector must be primitive")
-        self.v = vec
+        self.v, self.model = vec, model
         dots = [dot(w, vec) for w in model.vertices]
         self.offset = -min(dots)
         self.values = tuple(d + self.offset for d in dots)
@@ -152,10 +152,19 @@ class ToricValuation:
         return f"ToricValuation(v={self.v})"
 
 
+def _built_on(model: ToricModel, val: ToricValuation) -> ToricValuation:
+    """val, when it was built on a model with the vertices of ``model``;
+    every function taking (model, val) reads val through it."""
+    if val.model is not model and val.model.vertices != model.vertices:
+        raise StructureError(f"{val!r} was built on a model with other "
+                             "vertices")
+    return val
+
+
 def volume_curve_of(model: ToricModel, val: ToricValuation) -> VolumeCurve:
     """Exact volume curve x -> n! * vol{u in P : g_v(u) >= x}, built and
     validated once per model and valuation."""
-    if val.v not in model._curves:
+    if _built_on(model, val).v not in model._curves:
         weighted = [(N, [val.values[i] for i in s]) for N, s in model.simplices()]
         model._curves[val.v] = VolumeCurve(model.n, sum(N for N, _ in weighted),
                                            survival_curve(weighted, model.n))
@@ -169,7 +178,7 @@ def log_discrepancy(model: ToricModel, val: ToricValuation) -> Fraction:
     if not supports:
         raise UnsupportedModelError(
             "log discrepancies need a Q-Gorenstein model")
-    a = dot(supports[val.values.index(0)], val.v)
+    a = dot(supports[_built_on(model, val).values.index(0)], val.v)
     if a <= 0:
         raise InvariantViolation(f"nonpositive log discrepancy at {val.v}")
     return a
@@ -179,7 +188,7 @@ def section_filtration(model: ToricModel, val: ToricValuation,
                        m: int) -> FlagFiltration:
     """Level-m filtration of the lattice-point section space of mP."""
     from .filtration import MonomialGradedFiltration
-    graded = MonomialGradedFiltration(model.P, val.v)
+    graded = MonomialGradedFiltration(model.P, _built_on(model, val).v)
     return graded.flag_filtration(m)
 
 
@@ -187,7 +196,7 @@ def concave_transform_of(model: ToricModel, val: ToricValuation) -> ConcaveTrans
     """The valuation's weight function as a transform on the body P;
     its moments match the volume-curve moments exactly (dual route)."""
     from .okounkov import AffineForm, ConcaveTransform
-    form = AffineForm.make(val.v, val.offset)
+    form = AffineForm.make(_built_on(model, val).v, val.offset)
     return ConcaveTransform(model.P, [form])
 
 

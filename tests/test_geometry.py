@@ -396,6 +396,11 @@ def test_survival_curve_rejects_wrong_vertex_count():
         survival_curve([(F(1, 2), (F(0), F(1)))], 2)
 
 
+def test_survival_curve_of_no_simplices_says_so():
+    with pytest.raises(InvariantViolation, match="at least one simplex"):
+        survival_curve([], 2)
+
+
 def _curve_or_error(build, simplices, n):
     try:
         curve = build(simplices, n)

@@ -2,19 +2,23 @@
 moment kernel: ``PiecewisePolynomial.spans`` clips the pieces to [a, b]
 and ``power_integral`` sums c (w**(e+k) - u**(e+k)) / (e+k) over them.
 The antiderivative of each clipped piece, shifted up by p - 1 with
-``shift_up`` below, is the oracle it is checked against; the real-order
-quadrature is checked against the exact integer orders.  The
+``shift_up`` below, is the oracle it is checked against; the float
+exponents are checked against the exact integer orders and a 120-digit
+decimal evaluation.  The
 integer-numerator kernel (arithmetic, evaluation, power_integral and the
 Sturm root counts) is checked against the Fraction-coefficient reference
 it replaced."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltap.errors import DomainError, InvariantViolation, RangeError
+from deltap import piecewise
+from deltap.errors import (AccuracyError, DomainError, InvariantViolation,
+                           RangeError)
 from deltap.piecewise import (
     PiecewisePolynomial,
     Polynomial,
@@ -127,14 +131,14 @@ def test_integrate_real_power_matches_exact_on_integer_orders():
     f = PiecewisePolynomial((F(0), F(1)), (Polynomial((F(1), F(-1))),))
     for p in (1, 2, 3):
         exact = integrate_monomial_weighted(f, p, F(0), F(1))
-        approx = integrate_real_power(f, float(p), F(0), F(1), tol=1e-12)
+        approx = integrate_real_power(f, float(p), F(0), F(1))
         assert approx == pytest.approx(float(exact), abs=1e-11)
 
 
 def test_integrate_real_power_half_order():
     # int_0^1 x^(1/2) (1 - x) dx = 2/3 - 2/5 = 4/15
     f = PiecewisePolynomial((F(0), F(1)), (Polynomial((F(1), F(-1))),))
-    got = integrate_real_power(f, 1.5, F(0), F(1), tol=1e-12)
+    got = integrate_real_power(f, 1.5, F(0), F(1))
     assert got == pytest.approx(4.0 / 15.0, abs=1e-10)
 
 
@@ -233,8 +237,52 @@ def test_float_order_is_the_termwise_float_sum():
     assert got == 1.0 / 1.5 - 1.0 / 2.5
 
 
-@pytest.mark.parametrize("e", [F(2), F(3, 4), F(-1, 2), 0, -1, True, 0.0],
-                         ids=repr)
+def test_a_cancelling_float_sum_takes_the_decimal_path():
+    # int_{T-1}^T x**1.5 (T - x)**3 dx: expanded about 0 its terms reach
+    # T**5.5 while the integral is about T**1.5 / 4, so the a-priori
+    # bound refuses the float sum and the decimal path keeps 2**-39
+    T, e = 10 ** 6, 2.5
+    tail = Polynomial((T, -1))
+    f = PiecewisePolynomial((T - 1, T), (tail * tail * tail,))
+    assert piecewise._float_sum(f.spans(T - 1, T), e) is None
+    with localcontext() as ctx:
+        ctx.prec = 120
+        ref = sum(Decimal(c.numerator) / c.denominator
+                  * (Decimal(T) ** (Decimal(e) + k)
+                     - Decimal(T - 1) ** (Decimal(e) + k)) / (Decimal(e) + k)
+                  for k, c in enumerate(f.pieces[0].coeffs))
+        got = Decimal(power_integral(f, e, T - 1, T))
+        assert abs(got - ref) <= abs(ref) * Decimal(2) ** -39
+
+
+def test_a_term_below_the_normal_range_takes_the_decimal_path():
+    # float(x) is subnormal and x**1.5 underflows to 0, while the integral
+    # 2**1000 x**1.5 / 1.5 = 2**-605 / 1.5 is a normal double
+    x = F(1, 2 ** 1070)
+    f = PiecewisePolynomial((0, x), (Polynomial((2 ** 1000,)),))
+    got = power_integral(f, 1.5, 0, x)
+    assert got == pytest.approx(2.0 ** -605 / 1.5, rel=2 ** -39, abs=0)
+
+
+def test_a_float_exponent_refuses_a_domain_below_zero():
+    f = PiecewisePolynomial((-1, 1), (Polynomial((1,)),))
+    with pytest.raises(DomainError, match="nonnegative domain"):
+        power_integral(f, 1.5, -1, 1)
+    assert power_integral(f, 1.5, 0, 1) == 1 / 1.5
+
+
+def test_an_integral_that_cancels_exactly_raises_at_the_digit_cap(
+        monkeypatch):
+    # int_1^4 x**-0.5 (x - 7/3) dx = 14/3 - 2 * 7/3 = 0: no relative bound
+    # can be met, so the decimal path doubles its digits up to the cap
+    monkeypatch.setattr(piecewise, "MAX_DECIMAL_DIGITS", 160)
+    f = PiecewisePolynomial((1, 4), (Polynomial((F(-7, 3), 1)),))
+    with pytest.raises(AccuracyError, match="cancels past 160 digits"):
+        power_integral(f, 0.5, 1, 4)
+
+
+@pytest.mark.parametrize("e", [F(2), F(3, 4), F(-1, 2), 0, -1, True, 0.0,
+                               float("inf"), float("nan")], ids=repr)
 def test_power_integral_refuses_an_exponent_it_cannot_take(e):
     f = PiecewisePolynomial([0, 1], [Polynomial([1, -1])])
     with pytest.raises(DomainError, match="exponent"):

@@ -107,6 +107,36 @@ def test_valuation_rejects_non_integral_coordinates():
     assert ToricValuation(model, (F(1), 0.0)).v == (1, 0)
 
 
+def test_a_valuation_is_refused_by_a_model_it_was_not_built_on():
+    p2 = builtin_model("p2")
+    big = builtin_model("p2-anticanonical")
+    with pytest.raises(StructureError, match="other vertices"):
+        log_discrepancy(builtin_model("p1xp1"), ToricValuation(p2, (-1, -1)))
+    with pytest.raises(StructureError, match="other vertices"):
+        volume_curve_of(builtin_model("p1xp1"), ToricValuation(p2, (1, 0)))
+    with pytest.raises(StructureError, match="other vertices"):
+        volume_curve_of(big, ToricValuation(p2, (1, 0)))
+    for call in (lambda val: section_filtration(big, val, 1),
+                 lambda val: concave_transform_of(big, val)):
+        with pytest.raises(StructureError, match="other vertices"):
+            call(ToricValuation(p2, (1, 0)))
+    # the refused call cached nothing: the model's own valuation reads tau 3
+    assert volume_curve_of(big, ToricValuation(big, (1, 0))).tau == 3
+
+
+def test_one_vector_on_two_models_reads_each_models_own_data():
+    p2, square = builtin_model("p2"), builtin_model("p1xp1")
+    on_p2 = ToricValuation(p2, (-1, -1))
+    on_square = ToricValuation(square, (-1, -1))
+    assert log_discrepancy(p2, on_p2) == 1
+    assert log_discrepancy(square, on_square) == 2
+    assert volume_curve_of(p2, on_p2).tau == 1
+    assert volume_curve_of(square, on_square).tau == 2
+    # a second model with the same vertices takes the valuation
+    twin = builtin_model("p2")
+    assert volume_curve_of(twin, on_p2) == volume_curve_of(p2, on_p2)
+
+
 def test_q_gorenstein_flags():
     assert builtin_model("p2").is_q_gorenstein
     assert builtin_model("hirzebruch-3").is_q_gorenstein

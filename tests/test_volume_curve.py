@@ -18,8 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltap.errors import (AccuracyError, DomainError, InvariantViolation,
-                           StructureError)
+from deltap.errors import DomainError, InvariantViolation, StructureError
 from deltap.numeric import SqrtSum
 from deltap.piecewise import PiecewisePolynomial, Polynomial
 from deltap import volume_curve
@@ -204,7 +203,7 @@ def test_half_integer_moment_matches_float_route():
     for c in corpus(per_dim=3):
         for p in (F(3, 2), F(5, 2)):
             exact = float(c.s_p_half(p))
-            approx = c.s_p_real(float(p), tol=1e-12)
+            approx = c.s_p_real(float(p))
             assert approx == pytest.approx(exact, rel=1e-9, abs=1e-12)
 
 
@@ -215,34 +214,90 @@ def test_s_p_real_agrees_with_exact_at_integers():
                                                      rel=1e-10)
 
 
-def _decimal_s_p(c, p: float) -> Decimal:
-    """s_p of ``c`` at real order p from the termwise closed form
-    p/V * sum c_k (w**(p+k) - u**(p+k))/(p+k), in 80-digit decimal."""
+def _dec(q) -> Decimal:
+    return Decimal(q.numerator) / q.denominator
+
+
+def _decimal_power_integral(f, e: Decimal) -> Decimal:
+    """integral over f's domain of x**(e-1) f(x) from the termwise closed
+    form sum c_k (w**(e+k) - u**(e+k)) / (e+k), in the current context."""
+    total = Decimal(0)
+    for u, w, piece in f.spans(*f.domain):
+        for k, coeff in enumerate(piece.coeffs):
+            ends = [_dec(x) ** (e + k) if x else Decimal(0) for x in (u, w)]
+            total += _dec(coeff) * (ends[1] - ends[0]) / (e + k)
+    return total
+
+
+# The relative bounds the docstrings state for each real-order statistic.
+REAL_ORDER_BOUNDS = {"s_p_real": 2 ** -38, "k_stat": 2 ** -38,
+                     "h_stat": 2 ** -37, "r_stat": 2 ** -37}
+
+
+def _decimal_k_stat(c, s: float) -> Decimal:
+    """k_stat at s in 120-digit decimal: tau**s for n = 1, else s/V times
+    the density's termwise integral at exponent s - n + 1."""
     with localcontext() as ctx:
-        ctx.prec = 80
-        dec = lambda q: Decimal(q.numerator) / q.denominator  # noqa: E731
-        pd, total = Decimal(repr(p)), Decimal(0)
-        for u, w, piece in c.curve.spans(0, c.tau):
-            for k, coeff in enumerate(piece.coeffs):
-                ends = [dec(x) ** (pd + k) if x else Decimal(0) for x in (u, w)]
-                total += dec(coeff) * (ends[1] - ends[0]) / (pd + k)
-        return pd * total / dec(c.V)
+        ctx.prec = 120
+        sd = Decimal(s)
+        if c.n == 1:
+            return _dec(c.tau) ** sd
+        density = c.curve.derivative().scale(-1)
+        return sd * _decimal_power_integral(density, sd - c.n + 1) / _dec(c.V)
 
 
-@pytest.mark.parametrize("T,n", [(10 ** 3, 3), (10 ** 3, 4), (10 ** 6, 4)])
+def _decimal_statistics(c, p: float) -> dict:
+    """s_p_real, h_stat and r_stat at p in 120-digit decimal from the
+    termwise closed form."""
+    with localcontext() as ctx:
+        ctx.prec = 120
+        pd, n = Decimal(p), c.n
+        moment = pd * _decimal_power_integral(c.curve, pd) / _dec(c.V)
+        binom = math.prod((pd + j) / j for j in range(1, n + 1))
+        return {"s_p_real": moment,
+                "h_stat": ((n + pd) / n * moment) ** (1 / pd),
+                "r_stat": (binom * moment) ** (1 / pd)}
+
+
+def _assert_real_orders_within_bounds(c, p: float) -> None:
+    s = c.n - 1 + p
+    ref = {**_decimal_statistics(c, p), "k_stat": _decimal_k_stat(c, s)}
+    got = {"s_p_real": c.s_p_real(p), "k_stat": c.k_stat(s),
+           "h_stat": c.h_stat(p), "r_stat": c.r_stat(p)}
+    for name, value in got.items():
+        bound = abs(ref[name]) * Decimal(REAL_ORDER_BOUNDS[name])
+        assert abs(Decimal(value) - ref[name]) <= bound, (name, p)
+
+
+REAL_ORDERS = (1.5, 2.5, 3.7, 6.25)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_real_orders_meet_their_stated_bounds(n):
+    rng = Random(f"real-orders:{n}")
+    for _ in range(6):
+        c = random_admissible_curve(rng, n)
+        for p in REAL_ORDERS:
+            _assert_real_orders_within_bounds(c, p)
+
+
+def test_real_orders_keep_their_bounds_where_rounding_tau_is_raised_high():
+    # float(56/55) is 1.03e-16 above 56/55, and tau**s raises that to
+    # 4.0e-12 at s = 38847.5, past 2**-38; tau**s is near e**700 there
+    c = curve_from_profile(1, [0, F(56, 55)], [1, 1])
+    _assert_real_orders_within_bounds(c, 38847.5)
+
+
+@pytest.mark.parametrize("T,n", [(10 ** 3, 3), (10 ** 3, 4), (10 ** 6, 3),
+                                 (10 ** 6, 4), (10 ** 9, 3), (10 ** 9, 4)])
 def test_s_p_real_keeps_its_bound_where_expansion_about_zero_cancels(T, n):
     # the piece (T - x)**(n-1)-like tail lives far from 0, so a termwise
-    # sum of its expansion about 0 cancels (relative error 4.6e-8 at
-    # T = 10**3, n = 4 and above 1 at T = 10**6, n = 4); a replacement
-    # kernel for s_p_real must stay within the docstring's bound or raise
+    # float sum of its expansion about 0 cancels (relative error 4.6e-8
+    # at T = 10**3, n = 4 and above 1 at T = 10**6, n = 4); k_stat, h_stat
+    # and r_stat at real orders read the same kernel
     c = curve_from_profile(n, [0, T - 1, T], [T, T, 0])
-    p, tol = 2.5, 1e-10
-    try:
-        got = c.s_p_real(p, tol)
-    except AccuracyError:
-        return
-    bound = p * tol * max(1.0, float(c.V) * float(c.tau) ** p / p) / float(c.V)
-    assert abs(Decimal(got) - _decimal_s_p(c, p)) <= Decimal(bound)
+    for p in REAL_ORDERS:
+        _assert_real_orders_within_bounds(c, p)
 
 
 @pytest.mark.parametrize("T", [10 ** 3, 10 ** 6, 10 ** 9])
@@ -391,24 +446,6 @@ def test_k_stat_domain_boundary():
     assert c.k_stat(2.0 + 1e-6) > 0
 
 
-def _k_stat_loop(c, s):
-    """k_stat as a loop over the density's pieces in floats, the form it
-    had before the termwise kernel; the oracle below."""
-    if c.n == 1:
-        return float(c.tau) ** s
-    density = c.curve.derivative().scale(-1)
-    total = 0.0
-    for i, piece in enumerate(density.pieces):
-        a = float(density.breakpoints[i])
-        b = float(density.breakpoints[i + 1])
-        for k, coef in enumerate(piece.coeffs):
-            if coef == 0:
-                continue
-            e = s - c.n + k + 1
-            total += float(coef) * (b ** e - a ** e) / e
-    return s * total / float(c.V)
-
-
 def _s_p_half_loop(c, p):
     """s_p_half as a loop over the curve's pieces; the oracle below."""
     total = SqrtSum.from_rational(0)
@@ -430,7 +467,9 @@ def test_k_stat_and_s_p_half_equal_their_loop_oracles():
         for _ in range(12):
             c = random_admissible_curve(rng, n)
             for s in (n - 0.5, float(n), n + 1.3, n + 2.0, n + 3.7):
-                assert c.k_stat(s) == _k_stat_loop(c, s)
+                ref = _decimal_k_stat(c, s)
+                bound = abs(ref) * Decimal(REAL_ORDER_BOUNDS["k_stat"])
+                assert abs(Decimal(c.k_stat(s)) - ref) <= bound
             for p in (F(3, 2), F(5, 2), F(9, 2)):
                 got, want = c.s_p_half(p), _s_p_half_loop(c, p)
                 # the float sums the roots in order, so the order matters
