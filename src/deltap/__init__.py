@@ -21,22 +21,22 @@ _EXPORTS = {
     "errors": ("AccuracyError", "DeltapError", "DomainError",
                "InvariantViolation", "RangeError", "SemanticError",
                "StructureError", "UnsupportedModelError"),
-    "filtration": ("FlagFiltration", "MonomialGradedFiltration",
-                   "basis_moment", "compatible_basis", "random_flag_filtration",
-                   "rounding_sandwich", "sup_over_bases_oracle"),
+    "filtration": ("FlagFiltration", "basis_moment", "compatible_basis",
+                   "random_flag_filtration", "rounding_sandwich",
+                   "sup_over_bases_oracle"),
     "geodesic": ("GeodesicRay1D", "MomentIdentityReport", "TestCurve1D",
                  "dp_speed", "inverse_legendre", "legendre",
                  "random_test_curve", "verify_moment_identity"),
     "geometry": ("RationalPolytope", "survival_curve"),
-    "invariants": ("InvariantReport", "KStabilityVerdict", "delta_bar_p",
-                   "delta_family", "h_gap", "kstability_threshold_power",
-                   "kstability_verdict", "projective_space_delta_power"),
+    "invariants": ("InvariantReport", "KStabilityVerdict", "delta_family",
+                   "h_gap", "kstability_threshold_power", "kstability_verdict",
+                   "projective_space_delta_power"),
     "okounkov": ("AffineForm", "ConcaveTransform"),
     "piecewise": ("PiecewisePolynomial", "Polynomial"),
     "toric": ("DeltaSearchResult", "ToricModel", "ToricValuation",
               "alpha_candidate", "builtin_model", "concave_transform_of",
-              "delta_bar_p_search", "delta_p_search", "log_discrepancy",
-              "section_filtration", "volume_curve_of"),
+              "delta_p_search", "log_discrepancy", "section_filtration",
+              "volume_curve_of"),
     "volume_curve": ("RadialProfile", "VolumeCurve", "curve_from_profile",
                      "random_admissible_curve"),
 }

@@ -5,8 +5,8 @@ filtration of a d-dimensional rational coordinate space at one level m,
 optionally together with the actual subspace flag.  On top of that this
 module provides the level-m moments, integer rounding with its exact
 sandwich bounds, compatible bases (every flag member spanned by a
-suffix), a brute-force supremum oracle over random bases, and the
-level-m filtrations of a monomial graded filtration.
+suffix) and a brute-force supremum oracle over random bases.  The
+level-m filtration of a toric valuation is ``toric.section_filtration``.
 A flag's one pivot pass over its rows checks that they nest and gives
 the adapted basis from which it reads every order.
 """
@@ -19,7 +19,7 @@ from random import Random
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InvariantViolation, StructureError
-from .geometry import RationalPolytope, dot, make_point
+from .geometry import dot, make_point
 from .linalg import Vector, primitive_integer_vector, rank, rref
 from .numeric import SqrtSum, as_fraction, check_positive_int
 
@@ -127,15 +127,9 @@ class FlagFiltration:
 
     # -- moments ---------------------------------------------------------
 
-    def s_m_p(self, p: int) -> Fraction:
-        """Exact level-m moment (1/d) sum (a_j/m)**p."""
-        return level_moment(((a, 1) for a in self.jumps), self.m, self.d, p)
-
-    def s_m_p_half(self, p) -> SqrtSum:
-        """The same moment at half-integer p >= 1/2, exactly."""
-        p = as_fraction(p)
-        if p.denominator != 2 or p <= 0:
-            raise DomainError("s_m_p_half needs a positive half-integer p")
+    def s_m_p(self, p) -> Fraction | SqrtSum:
+        """Exact level-m moment (1/d) sum (a_j/m)**p: a Fraction for an
+        integer p >= 1, a SqrtSum for a half-integer Fraction p > 0."""
         return level_moment(((a, 1) for a in self.jumps), self.m, self.d, p)
 
     def t_m(self) -> Fraction:
@@ -263,50 +257,3 @@ def random_flag_filtration(rng: Random, d: int, m: int) -> FlagFiltration:
         keep = [rows[j] for j, a in enumerate(jumps) if a >= v]
         pairs.append((v, keep))
     return FlagFiltration(m, jumps, pairs)
-
-
-class MonomialGradedFiltration:
-    """Weights <u, v> - m * min_P <., v> on the lattice points of mP.
-
-    The graded pieces are indexed by lattice points of dilations of a
-    full-dimensional polytope P; the weight function is affine in u, so
-    the filtration is multiplicative with equality.  It takes the
-    polytope and a nonzero vector of its arity; the weights are exact
-    Fractions, never rounded (``rounding_sandwich`` bounds what integer
-    rounding loses).
-    """
-
-    __slots__ = ("P", "v", "offset", "_v_int", "_offset")
-
-    def __init__(self, P: RationalPolytope, v: Sequence):
-        self.P = P
-        self.v = make_point(v)
-        if len(self.v) != P.dim:
-            raise StructureError("valuation vector arity differs from dim")
-        if all(x == 0 for x in self.v):
-            raise DomainError("the valuation vector must be nonzero")
-        self.offset = -min(dot(self.v, u) for u in P.vertices)
-        # v in ints when it is integral, and the offset as a numerator
-        # over a denominator, so a weight is one Fraction
-        self._v_int = (tuple(x.numerator for x in self.v)
-                       if all(x.denominator == 1 for x in self.v) else self.v)
-        self._offset = (self.offset.numerator, self.offset.denominator)
-
-    def weight(self, u: Sequence, m: int) -> Fraction:
-        num, den = self._offset
-        w = dot(self._v_int, u) * den + m * num  # the weight times den
-        if w < 0:
-            raise InvariantViolation(f"negative weight at {u}")
-        return Fraction(w, den)
-
-    def level_points(self, m: int) -> tuple[tuple[int, ...], ...]:
-        check_positive_int(m, "the level m")
-        return self.P.dilate(m).lattice_points()
-
-    def weights(self, m: int) -> dict[tuple[int, ...], Fraction]:
-        return {u: self.weight(u, m) for u in self.level_points(m)}
-
-    def flag_filtration(self, m: int) -> FlagFiltration:
-        """Level-m filtration data: the weights of the lattice points of
-        mP are its jumping numbers."""
-        return FlagFiltration(m, sorted(self.weights(m).values()))

@@ -17,8 +17,7 @@ from typing import NamedTuple
 from .errors import InvariantViolation, SemanticError
 from .numeric import check_grid, check_positive_int, float_root
 from .toric import (DEFAULT_SEARCH_BOUND, CandidateTable, DeltaSearchResult,
-                    ToricModel, ToricValuation, delta_p_search,
-                    log_discrepancy, volume_curve_of)
+                    ToricModel, delta_p_search)
 from .volume_curve import barycenter_bounds
 
 
@@ -52,19 +51,6 @@ def h_gap(n: int, p: int) -> tuple[int, float]:
     sign = (lhs > product) - (lhs < product)
     value = p * math.log(n) - sum(math.log((p + i) / i) for i in range(1, n))
     return sign, value
-
-
-def delta_bar_p(model: ToricModel, val: ToricValuation, p: int):
-    """Per-candidate unnormalized ratio A(v) / (V * s_p)**(1/p).
-
-    Returns (a, u) with a the log discrepancy and u = V * s_p the
-    integral moment; the float value is a / u**(1/p).  Homogeneous of
-    degree -(n+p)/p under dilation of the polytope.
-    """
-    check_positive_int(p, "order p")
-    a = log_discrepancy(model, val)
-    curve = volume_curve_of(model, val)
-    return a, curve.V * curve.s_p(p)
 
 
 class KStabilityVerdict(NamedTuple):

@@ -1,10 +1,11 @@
 """Scalar numerics underneath the exact layer.
 
 Most of the library computes in :class:`fractions.Fraction`.  This module
-collects the few pieces that cannot stay rational: log-gamma, adaptive
-quadrature (no moment uses it: real orders go through the certified
-``piecewise.power_integral``, and it stays while ``perfbench/tracer.py``
-names it), and exact sign decisions for finite sums
+collects the few pieces that cannot stay rational: p-th roots of exact
+rationals as floats, adaptive quadrature (no moment uses it: real orders
+go through the certified ``piecewise.power_integral``, and it stays
+while ``perfbench/tracer.py`` names it), and exact sign decisions for
+finite sums
 
     c_1 * sqrt(k_1) + ... + c_r * sqrt(k_r),   c_i rational, k_i squarefree,
 
@@ -27,9 +28,6 @@ from fractions import Fraction
 from .errors import AccuracyError, DomainError
 
 MAX_QUADRATURE_EVALS = 1_000_000
-
-# Largest n with n! exactly representable below the float overflow bound.
-_EXACT_FACTORIAL_LIMIT = 170
 
 
 def check_positive_int(p, what: str) -> int:
@@ -81,32 +79,6 @@ def float_root(x, p) -> float:
     if sys.float_info.min <= f < math.inf or not x:
         return f ** (1.0 / p)
     return math.exp((math.log(x.numerator) - math.log(x.denominator)) / p)
-
-
-def log_gamma(x) -> float:
-    """Natural log of the gamma function on the positive reals.
-
-    Integer arguments up to 170 go through the exact factorial, so e.g.
-    ``log_gamma(5) == math.log(24)`` holds to the last bit.  Everything
-    else is delegated to ``math.lgamma`` (relative error within a few ulp).
-    """
-    if isinstance(x, float) and not x.is_integer():
-        xf = x
-        if xf <= 0.0:
-            raise DomainError("log_gamma requires a positive argument")
-        return math.lgamma(xf)
-    if isinstance(x, Fraction) and x.denominator != 1:
-        if x <= 0:
-            raise DomainError("log_gamma requires a positive argument")
-        return math.lgamma(float(x))
-    n = int(x)
-    if n != x:
-        raise DomainError(f"cannot interpret {x!r} as a real number")
-    if n <= 0:
-        raise DomainError("log_gamma requires a positive argument")
-    if n <= _EXACT_FACTORIAL_LIMIT:
-        return math.log(math.factorial(n - 1))
-    return math.lgamma(float(n))
 
 
 # --------------------------------------------------------------------------

@@ -381,11 +381,14 @@ def _float_sum(spans, e: float) -> float | None:
         bound = (e + top + 10) * 2.0 ** -53 * math.fsum(map(abs, terms))
     except OverflowError:
         return None
-    return total if bound <= 2.0 ** -40 * abs(total) else None
+    kept = bound <= 2.0 ** -40 * abs(total) and _TINY <= abs(total)
+    return total if kept else None
 
 
 def _decimal_sum(spans, e: float) -> float:
-    """The slow path of ``power_integral``."""
+    """The slow path of ``power_integral``, which decides the double
+    range on the decimal total, before rounding: a float cannot tell an
+    underflow from a true 0."""
     at = [(x, r) for x, r in _end_residues(spans, Fraction(e)).items()
           if x and r]
     E, digits = Decimal(e), 20
@@ -398,7 +401,12 @@ def _decimal_sum(spans, e: float) -> float:
                 total += t
                 err += abs(t) * (E + 2 * abs(y) + len(at) + 3)
             if err.scaleb(1 - digits) * 2 ** 56 <= abs(total):
-                return float(total)
+                out = float(total)
+                if abs(out) == math.inf or 0 < abs(total) < _TINY:
+                    way = "over" if abs(out) == math.inf else "under"
+                    raise DomainError(f"the integral {way}flows doubles at "
+                                      f"e = {e}; rescale first")
+                return out
         digits *= 2
     raise AccuracyError(f"the integral at exponent {e} cancels past "
                         f"{MAX_DECIMAL_DIGITS} digits")
@@ -424,14 +432,16 @@ def power_integral(f: PiecewisePolynomial, e, a, b):
     - fast: the fsum S of the terms c_k x**(e+k) / (e+k) in floats, with
       x**(e+k) = pow(x, e) * pow(x, k), each within (e + k + 10) u: (e+k) u
       from rounding x, 2u per pow, u each for c_k, e + k and the three
-      operations, and u for second order.  S is kept when every term is
-      a normal double and (e + deg + 10) u sum|terms| <= 2**-40 |S|; then
-      |S - I| <= (2**-40 + u) |S| < 2**-39 |I|.
+      operations, and u for second order.  S is kept when every term and
+      S are normal doubles and (e + deg + 10) u sum|terms| <= 2**-40 |S|;
+      then |S - I| <= (2**-40 + u) |S| < 2**-39 |I|.
     - slow: sum_x exp(e ln x) R_x in decimal at P = 20, 40, 80, ...
       digits; with eta = 10**(1-P) a term is within (e + 2|e ln x| + 3) eta
       and the sum of m terms adds (m - 1) eta sum|terms|.  The sum is kept
       once that is at most 2**-56 of it, which leaves 2**-52 after the
-      rounding to a float; past MAX_DECIMAL_DIGITS AccuracyError.
+      rounding to a float; it raises DomainError when it is nonzero and
+      below the least normal double or rounds to inf, and past
+      MAX_DECIMAL_DIGITS AccuracyError.
     Any other e raises DomainError.
     """
     if isinstance(e, Fraction):
@@ -448,10 +458,7 @@ def power_integral(f: PiecewisePolynomial, e, a, b):
         if spans and spans[0][0] < 0:
             raise DomainError("a real power needs a nonnegative domain")
         total = _float_sum(spans, e)
-        total = _decimal_sum(spans, e) if total is None else total
-        if abs(total) == math.inf:
-            raise DomainError(f"the integral overflows doubles at e = {e}")
-        return total
+        return _decimal_sum(spans, e) if total is None else total
     check_positive_int(e, "exponent e")
     num, den = 0, 1
     for u, w, piece in f.spans(a, b):

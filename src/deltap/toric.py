@@ -25,7 +25,7 @@ from .errors import (DomainError, InvariantViolation, StructureError,
 from .geometry import (Halfspace, RationalPolytope, dot, mean_affine_powers,
                        survival_curve)
 from .linalg import det, solve_linear_system
-from .numeric import check_positive_int, float_root
+from .numeric import as_fraction, check_positive_int, float_root
 from .volume_curve import VolumeCurve
 
 if TYPE_CHECKING:  # loaded on first use by the functions that return them
@@ -130,11 +130,13 @@ class ToricValuation:
 
     def __init__(self, model: ToricModel, v: Sequence):
         v = tuple(v)
-        vec = tuple(int(x) for x in v)
+        # an int entry as it is; any other must be an exact integer
+        vec = tuple(x if type(x) is int else as_fraction(x) for x in v)
         if len(vec) != model.n:
             raise StructureError("valuation arity differs from the dimension")
-        if vec != v:
+        if any(x.denominator != 1 for x in vec):
             raise DomainError(f"the valuation vector must be integral: {v!r}")
+        vec = tuple(int(x) for x in vec)
         if all(x == 0 for x in vec):
             raise DomainError("the valuation vector must be nonzero")
         if math.gcd(*(abs(x) for x in vec)) != 1:
@@ -186,10 +188,14 @@ def log_discrepancy(model: ToricModel, val: ToricValuation) -> Fraction:
 
 def section_filtration(model: ToricModel, val: ToricValuation,
                        m: int) -> FlagFiltration:
-    """Level-m filtration of the lattice-point section space of mP."""
-    from .filtration import MonomialGradedFiltration
-    graded = MonomialGradedFiltration(model.P, _built_on(model, val).v)
-    return graded.flag_filtration(m)
+    """Level-m filtration of the lattice-point section space of mP: its
+    jumps are the weights <u, v> + m * offset of the lattice points u of
+    mP, nonnegative and exact."""
+    from .filtration import FlagFiltration
+    v = _built_on(model, val).v
+    check_positive_int(m, "the level m")
+    return FlagFiltration(m, sorted(dot(u, v) + m * val.offset
+                                    for u in model.P.dilate(m).lattice_points()))
 
 
 def concave_transform_of(model: ToricModel, val: ToricValuation) -> ConcaveTransform:
@@ -219,16 +225,14 @@ def primitive_candidates(n: int, bound: int) -> list[tuple[int, ...]]:
 class DeltaSearchResult(NamedTuple):
     """Outcome of a restricted-candidate threshold search.
 
-    ``value`` = min over the candidate box of A(v) / moment(v)**(1/p),
-    an upper bound for the infimum over all valuations.  ``a`` and
-    ``moment`` certify the minimizer exactly: value**p = a**p / moment.
-    ``normalized`` tells whether the moment is s_p (mean) or V * s_p
-    (integral form).
+    ``value`` = min over the candidate box of A(v) / s_p(v)**(1/p), with
+    s_p the normalized moment, an upper bound for the infimum over all
+    valuations.  ``a`` and ``moment`` = s_p certify the minimizer
+    exactly: value**p = a**p / moment.
     """
 
     p: int
     bound: int
-    normalized: bool
     argmin: tuple[int, ...]
     a: Fraction
     moment: Fraction
@@ -246,7 +250,6 @@ class DeltaSearchResult(NamedTuple):
         return {
             "p": self.p,
             "bound": self.bound,
-            "normalized": self.normalized,
             "upper_bound_only": True,
             "value": self.value,
             "argmin": list(self.argmin),
@@ -307,14 +310,12 @@ class CandidateTable:
         return self.model._curves.get(v) or volume_curve_of(
             self.model, ToricValuation(self.model, v))
 
-    def delta(self, p: int, normalized: bool = True) -> DeltaSearchResult:
-        """Minimum of A(v)/moment(v)**(1/p), with moment s_p (normalized)
-        or V * s_p; ties resolve to the first row."""
+    def delta(self, p: int) -> DeltaSearchResult:
+        """Minimum of A(v)/s_p(v)**(1/p); ties resolve to the first row."""
         check_positive_int(p, "search order p")
-        scale = 1 if normalized else sum(N for N, _ in self.model.simplices())
         table = []
         for v, (a, _, _) in self.rows.items():
-            moment = self.s_p(v, p) * scale
+            moment = self.s_p(v, p)
             if moment <= 0:
                 raise InvariantViolation(f"vanishing moment at {v}")
             table.append((v, a, moment))
@@ -325,9 +326,8 @@ class CandidateTable:
             raise InvariantViolation(
                 f"closed-form row disagrees with the volume curve at v={v}",
                 witness={"v": v, "p": p})
-        return DeltaSearchResult(p=p, bound=self.bound, normalized=normalized,
-                                 argmin=v, a=a, moment=moment,
-                                 table=tuple(table))
+        return DeltaSearchResult(p=p, bound=self.bound, argmin=v, a=a,
+                                 moment=moment, table=tuple(table))
 
     def alpha(self) -> tuple[Fraction, tuple[int, ...]]:
         """Minimum of A(v)/tau(v) and its first minimizer."""
@@ -344,16 +344,6 @@ def delta_p_search(model: ToricModel, p: int,
     resolve to the lexicographically smallest vector.
     """
     return CandidateTable(model, bound, (p,)).delta(p)
-
-
-def delta_bar_p_search(model: ToricModel, p: int,
-                       bound: int = DEFAULT_SEARCH_BOUND) -> DeltaSearchResult:
-    """Unnormalized variant: A(v)/(V * s_p(v))**(1/p).
-
-    Monotone under polytope inclusion with a fixed fan (bigger body,
-    smaller value), which is what the dilation property checks exercise.
-    """
-    return CandidateTable(model, bound, (p,)).delta(p, normalized=False)
 
 
 def alpha_candidate(model: ToricModel,

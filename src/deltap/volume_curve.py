@@ -12,21 +12,25 @@ curve or of its density through the termwise kernel
 ``piecewise.power_integral``: integer orders exactly, half-integer
 orders as sums of square roots, and other real orders as floats within
 a stated relative bound; nothing exact is ever recomputed from floats.
+A curve builds its normalized forms, curve/V and -curve'/V, once on
+first use, and the real orders read them, so no float holds V and the
+kernel alone decides the double range.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from fractions import Fraction
 from random import Random
 from typing import NamedTuple
 
 from .errors import DomainError, InvariantViolation, StructureError
-from .numeric import (SqrtSum, as_fraction, check_positive_int, float_root,
-                      log_gamma)
+from .numeric import SqrtSum, as_fraction, check_positive_int, float_root
 from .piecewise import (PiecewisePolynomial, Polynomial, first_negative,
-                        integrate_monomial_weighted, integrate_real_power,
-                        power_integral, root_counter)
+                        integrate_monomial_weighted, power_integral,
+                        root_counter)
 
 
 # Highest degree a VolumeCurve validates: its Sturm chains grow steeply
@@ -59,15 +63,22 @@ def _check_root_concave(f: PiecewisePolynomial, k: int, what: str) -> None:
                 witness={"x": str(x)})
 
 
-def _log_tau_power(tau: Fraction, p: float) -> float:
-    """p log(tau) for a real order p, from tau's numerator and denominator;
-    past +-700 tau**p nears the end of the double range, where the float
-    routes of order p read 0 or overflow, and DomainError says so."""
-    log_tp = p * (math.log(tau.numerator) - math.log(tau.denominator))
-    if abs(log_tp) > 700.0:
-        raise DomainError(f"tau**p {'over' if log_tp > 0 else 'under'}flows "
-                          "doubles for this tau and p; rescale first")
-    return log_tp
+def _log_binomial(n: int, p: float) -> float:
+    """log C(n+p, p) = sum_j log(1 + p/j), j = 1..n, for a real p."""
+    return math.fsum(math.log1p(p / j) for j in range(1, n + 1))
+
+
+def _scaled_integral(c: float, f: PiecewisePolynomial, e: float, tau) -> float:
+    """c * integral_0^tau x**(e-1) f(x) dx for a float c > 0, within
+    2**-38 relative: the kernel's 2**-39 and one rounding.  The kernel
+    decides the double range: where its integral or the product leaves
+    it, the kernel runs again on c * f, which is exact since a float is a
+    dyadic rational."""
+    with contextlib.suppress(DomainError):
+        out = c * power_integral(f, e, 0, tau)
+        if sys.float_info.min <= out < math.inf:
+            return out
+    return power_integral(f.scale(Fraction(c)), e, 0, tau)
 
 
 def barycenter_bounds(n: int, tau: Fraction, p: int) -> tuple[Fraction, Fraction]:
@@ -87,7 +98,7 @@ class VolumeCurve:
     is for every nontrivial valuation of a big class.
     """
 
-    __slots__ = ("n", "V", "curve", "tau")
+    __slots__ = ("n", "V", "curve", "tau", "_normal")
 
     def __init__(self, n: int, V, curve: PiecewisePolynomial):
         self.n = check_positive_int(n, "dimension")
@@ -101,6 +112,7 @@ class VolumeCurve:
         if hi <= 0:
             raise InvariantViolation("tau must be positive")
         self.tau = hi
+        self._normal = None
         self._validate()
 
     # -- validation ----------------------------------------------------
@@ -130,6 +142,19 @@ class VolumeCurve:
                 witness={"x": str(bps[-2])})
         _check_root_concave(c, self.n, "curve")
 
+    def _normalized(self) -> tuple[PiecewisePolynomial, PiecewisePolynomial,
+                                   PiecewisePolynomial]:
+        """(curve/V, -curve'/V, w), exact and built once on first use, so
+        that no float holds V: the curve and the density of the
+        vanishing-order distribution, and the weight w of k_stat, which is
+        the density for n >= 2 and the constant 1 for n = 1."""
+        if self._normal is None:
+            density = self.curve.derivative().scale(-1 / self.V)
+            weight = density if self.n > 1 else PiecewisePolynomial(
+                (0, self.tau), (Polynomial((1,)),))
+            self._normal = (self.curve.scale(1 / self.V), density, weight)
+        return self._normal
+
     # -- exact moments -------------------------------------------------
 
     def s_p(self, p: int) -> Fraction:
@@ -139,12 +164,11 @@ class VolumeCurve:
                 * integrate_monomial_weighted(self.curve, p, 0, self.tau))
 
     def s_p_from_density(self, p: int) -> Fraction:
-        """Same moment through the density -curve'; an independent route
-        (integration by parts) used for cross-checks."""
+        """Same moment through the normalized density -curve'/V; an
+        independent route (integration by parts) used for cross-checks."""
         check_positive_int(p, "moment order p")
-        density = self.curve.derivative().scale(-1)
-        return (integrate_monomial_weighted(density, p + 1, 0, self.tau)
-                / self.V)
+        return integrate_monomial_weighted(self._normalized()[1], p + 1, 0,
+                                           self.tau)
 
     def s_p_half(self, p) -> SqrtSum:
         """Exact moment for half-integer p >= 1, one root per breakpoint."""
@@ -154,20 +178,13 @@ class VolumeCurve:
         return power_integral(self.curve, p, 0, self.tau).scale(p / self.V)
 
     def s_p_real(self, p: float) -> float:
-        """Moment for real p >= 1 within 2**-38 relative: p/V times
-        ``integrate_real_power``, which is within 2**-39."""
+        """Moment for real p >= 1 within 2**-38 relative: p times the
+        kernel's integral of x**(p-1) curve(x)/V; DomainError when the
+        moment is not a normal double."""
         p = float(p)
         if p < 1.0:
             raise DomainError("moment order p must be at least 1")
-        log_tp = _log_tau_power(self.tau, p)
-        V = float(self.V)
-        if not V:
-            raise DomainError("V underflows doubles; rescale first")
-        log_size = math.log(V) - math.log(p) + log_tp
-        if log_size > 700.0:
-            raise DomainError(
-                "x**p overflows doubles for this tau and p; rescale first")
-        return p * integrate_real_power(self.curve, p, 0, self.tau) / V
+        return _scaled_integral(p, self._normalized()[0], p, self.tau)
 
     # -- derived statistics ---------------------------------------------
 
@@ -175,7 +192,8 @@ class VolumeCurve:
         """Two-sided bounds for s_p from tau alone.
 
         Integer p gives exact rationals (tau^p / C(n+p, p) below,
-        n/(n+p) tau^p above); real p gives floats through log-gamma.
+        n/(n+p) tau^p above); real p gives floats, with log C(n+p, p) as
+        r_stat takes it.
         """
         n = self.n
         if isinstance(p, int) and not isinstance(p, bool):
@@ -183,9 +201,12 @@ class VolumeCurve:
         p = float(p)
         if p < 1.0:
             raise DomainError("moment order p must be at least 1")
-        log_tp = _log_tau_power(self.tau, p)
-        lower = math.exp(log_gamma(p + 1.0) + log_gamma(n + 1.0)
-                         - log_gamma(p + n + 1.0) + log_tp)
+        tau = self.tau  # tau**p nears the end of the doubles past e**+-700
+        log_tp = p * (math.log(tau.numerator) - math.log(tau.denominator))
+        if abs(log_tp) > 700.0:
+            raise DomainError(f"tau**p {'over' if log_tp > 0 else 'under'}"
+                              "flows doubles for this tau and p; rescale first")
+        lower = math.exp(log_tp - _log_binomial(n, p))
         upper = n / (n + p) * math.exp(log_tp)
         return lower, upper
 
@@ -197,41 +218,37 @@ class VolumeCurve:
 
     def h_stat(self, p: float) -> float:
         """Normalized moment statistic ((n+p)/n * s_p)**(1/p), within
-        2**-37 relative at a real order: the root adds 2**-53 |log h|,
-        and |log h| < 2**10 inside the double range."""
+        2**-37 relative at a real order: the two roots and their product
+        add a few units of 2**-53 to the 2**-38 of s_p_real, and their
+        product is finite wherever s_p is."""
         pf = float(p)
         if pf < 1.0:
             raise DomainError("moment order p must be at least 1")
         if pf.is_integer():
             return float_root(self.h_stat_power(int(pf)), pf)
         s = self.s_p_real(pf)
-        return ((self.n + pf) / self.n * s) ** (1.0 / pf)
+        return ((self.n + pf) / self.n) ** (1.0 / pf) * s ** (1.0 / pf)
 
     def k_stat(self, s: float) -> float:
         """The moment family K(s) = s * integral of x**(s-1) g(x)**(n-1),
         with g the ratio of the radial profile to x.
 
-        Equivalently (s/V) * integral of x**(s-n) d(-vol) when n >= 2;
-        termwise closed form per polynomial piece of the density, with
-        exponents positive exactly when s > n - 1, the domain boundary.
-        K(n) = n identically for n >= 2 and (K(n+p)/K(n))**(1/p) equals
-        h_stat(p) on curves carrying a radial profile.  For n = 1 the
-        g-power is the constant 1, so K(s) = tau**s regardless of the
-        curve (log-linear; the identity with h_stat then holds exactly
-        on the linear curves, the only ones of flag type in dimension
-        one).  Within 2**-38 relative, from ``power_integral`` at the
-        exponent s - n + 1, which a float holds exactly.
+        K(s) = s * integral of x**(s-n) w(x), with w the density -curve'/V
+        for n >= 2, where the exponents are positive exactly when
+        s > n - 1, the domain boundary, and w = 1 for n = 1, where
+        K(s) = tau**s regardless of the curve (log-linear; the identity
+        below then holds exactly on the linear curves, the only ones of
+        flag type in dimension one).  K(n) = n identically for n >= 2 and
+        (K(n+p)/K(n))**(1/p) equals h_stat(p) on curves carrying a radial
+        profile.  Within 2**-38 relative, from the kernel at the exponent
+        s - n + 1, which a float holds exactly; DomainError when K(s) is
+        not a normal double.
         """
         s = float(s)
         if s <= self.n - 1:
             raise DomainError(f"k_stat needs s > n - 1 = {self.n - 1}")
-        _log_tau_power(self.tau, s)  # the terms below reach tau**s
-        if self.n == 1:  # tau**s = s * integral_0^tau x**(s-1) dx
-            one = PiecewisePolynomial((0, self.tau), (Polynomial((1,)),))
-            return s * power_integral(one, s, 0, self.tau)
-        density = self.curve.derivative().scale(-1)
-        return (s * power_integral(density, s - self.n + 1, 0, self.tau)
-                / float(self.V))
+        return _scaled_integral(s, self._normalized()[2], s - self.n + 1,
+                                self.tau)
 
     def r_stat(self, p: float) -> float:
         """Scaled moment ((n+p)!/(n! p!) s_p)**(1/p), reported by scans;
@@ -247,15 +264,13 @@ class VolumeCurve:
         if pf.is_integer():
             pint = int(pf)
             return float_root(math.comb(n + pint, pint) * self.s_p(pint), pf)
-        logc = math.fsum(math.log1p(pf / j) for j in range(1, n + 1))
-        return math.exp((logc + math.log(self.s_p_real(pf))) / pf)
+        return math.exp((_log_binomial(n, pf) + math.log(self.s_p_real(pf)))
+                        / pf)
 
     # -- profile and transforms ------------------------------------------
 
     def radial_profile(self) -> "RadialProfile":
-        density = self.curve.derivative().scale(-1)
-        fpow = density.scale(Fraction(1) / self.V)
-        return RadialProfile(self.n, fpow)
+        return RadialProfile(self.n, self._normalized()[1])
 
     def rescale_valuation(self, c) -> "VolumeCurve":
         """Curve of (L, cF): x -> vol(L - (cx)F), so tau scales by 1/c and

@@ -1,13 +1,10 @@
 """Tests for flag filtrations at a fixed level, integer rounding, basis
-moments, and the monomial filtrations generated from a single level.
+moments, and the section filtrations of a toric valuation.
 
 Frozen values, derived by direct counting:
 
   * segment [0, 2], weights u at level m: the level-m jumps are
     0, 1, ..., 2m, so s_m_1 = (1/(2m+1)) sum (u/m) = 1 exactly
-  * generated filtration of the segment [0, 2] from level 5 at level 12:
-    weights min(u, 20) for u = 0..24, first moment
-    (1/25)(1/12)(sum_{u<=20} u + 4*20) = 290/300 = 29/30
 """
 
 import math
@@ -22,7 +19,6 @@ from deltap import filtration
 from deltap.errors import DomainError, InvariantViolation, StructureError
 from deltap.filtration import (
     FlagFiltration,
-    MonomialGradedFiltration,
     basis_moment,
     compatible_basis,
     level_moment,
@@ -33,11 +29,12 @@ from deltap.filtration import (
 from deltap.geometry import RationalPolytope
 from deltap.linalg import rank
 from deltap.numeric import SqrtSum
+from deltap.toric import ToricModel, ToricValuation, section_filtration
 from oracles import compatible_basis_by_rank, nullspace_orders
 
 F = Fraction
 
-SEGMENT2 = RationalPolytope([(F(0),), (F(2),)])
+SEGMENT2 = ToricModel(RationalPolytope([(F(0),), (F(2),)]))
 
 
 def _sign_nonneg(x):
@@ -99,7 +96,7 @@ def test_moments_of_simple_filtration():
 
 def test_half_order_moment():
     filt = FlagFiltration(1, [F(1), F(4)])
-    got = filt.s_m_p_half(F(1, 2))
+    got = filt.s_m_p(F(1, 2))
     expected = SqrtSum.from_rational(F(3, 2))  # (1 + 2)/2
     assert (got - expected).is_zero()
 
@@ -276,7 +273,7 @@ def test_half_integer_moments_and_sandwich_equal_their_per_jump_forms():
         counts = [(a, filt.jumps.count(a)) for a in sorted(set(filt.jumps))]
         for p in (F(1, 2), F(3, 2), F(5, 2), F(7, 2)):
             want = _half_moment_per_jump(filt, p)
-            _assert_identical(filt.s_m_p_half(p), want)
+            _assert_identical(filt.s_m_p(p), want)
             _assert_identical(level_moment(counts, filt.m, filt.d, p), want)
         for p in (1, F(3, 2), 2, F(5, 2), 3, F(7, 2)):
             for got, want in zip(rounding_sandwich(filt, p),
@@ -403,50 +400,34 @@ def test_basis_moment_rejects_singular_input():
 
 
 # ---------------------------------------------------------------------------
-# monomial filtrations
+# section filtrations of a segment
 
 
 def test_monomial_weights_on_segment():
-    base = MonomialGradedFiltration(SEGMENT2, (1,))
-    assert base.offset == 0
-    wts = base.weights(3)
-    assert wts[(0,)] == 0
-    assert wts[(6,)] == 6
-    assert len(wts) == 7
+    val = ToricValuation(SEGMENT2, (1,))
+    assert val.offset == 0
+    filt = section_filtration(SEGMENT2, val, 3)
+    assert filt.jumps == tuple(F(u) for u in range(7))
 
 
 def test_monomial_offset_normalizes_negative_directions():
-    base = MonomialGradedFiltration(SEGMENT2, (-1,))
-    assert base.offset == 2
-    wts = base.weights(1)
-    assert wts[(2,)] == 0
-    assert wts[(0,)] == 2
+    val = ToricValuation(SEGMENT2, (-1,))
+    assert val.offset == 2
+    assert (val.g((2,)), val.g((0,))) == (0, 2)
+    assert section_filtration(SEGMENT2, val, 1).jumps == (0, 1, 2)
 
 
 def test_monomial_flag_filtration_first_moment_is_one_on_segment():
-    base = MonomialGradedFiltration(SEGMENT2, (1,))
+    val = ToricValuation(SEGMENT2, (1,))
     for m in (1, 2, 5):
-        filt = base.flag_filtration(m)
-        assert filt.s_m_p(1) == 1
+        assert section_filtration(SEGMENT2, val, m).s_m_p(1) == 1
 
 
 def test_monomial_flag_filtration_with_flag_routes_agree():
-    base = MonomialGradedFiltration(SEGMENT2, (1,))
-    filt = with_coordinate_flag(base.flag_filtration(2))
+    val = ToricValuation(SEGMENT2, (1,))
+    filt = with_coordinate_flag(section_filtration(SEGMENT2, val, 2))
     assert filt.flag[-1] == (F(4), ((F(0),) * 4 + (F(1),),))
     assert s_m_p_from_flag(filt, 2) == filt.s_m_p(2)
-
-
-@pytest.mark.parametrize("v", [(1, -2), (F(1, 2), F(-2, 3))])
-def test_monomial_weight_is_the_fraction_formula(v):
-    # a vertex off the lattice makes the offset fractional
-    P = RationalPolytope([(F(0), F(0)), (F(5, 2), F(0)), (F(0), F(3))])
-    base = MonomialGradedFiltration(P, v)
-    for m in (1, 2, 3):
-        for u in base.level_points(m):
-            w = sum(F(a) * b for a, b in zip(base.v, u)) + m * base.offset
-            got = base.weight(u, m)
-            assert type(got) is Fraction and got == w
 
 
 # ---------------------------------------------------------------------------

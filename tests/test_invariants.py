@@ -13,13 +13,12 @@ from fractions import Fraction
 
 import pytest
 
-from deltap import invariants, toric
+from deltap import toric
 from deltap.errors import DomainError, InvariantViolation, SemanticError
 from deltap.geometry import RationalPolytope
 from deltap.invariants import (
     InvariantReport,
     KStabilityVerdict,
-    delta_bar_p,
     delta_family,
     h_gap,
     kstability_threshold_power,
@@ -27,8 +26,8 @@ from deltap.invariants import (
     projective_space_delta_power,
 )
 from deltap.toric import (ToricModel, ToricValuation, alpha_candidate,
-                          builtin_model, delta_p_search, primitive_candidates,
-                          volume_curve_of)
+                          builtin_model, delta_p_search, log_discrepancy,
+                          primitive_candidates, volume_curve_of)
 
 F = Fraction
 
@@ -99,28 +98,19 @@ def test_h_gap_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# per-candidate ratio
+# dilation
 
 
-def test_delta_bar_p_certificate():
-    model = builtin_model("p2-anticanonical")
-    val = ToricValuation(model, (1, 0))
-    a, u = delta_bar_p(model, val, 1)
-    assert a == 1
-    assert u == 9  # V = 9 times s_1 = 1
-
-
-def test_delta_bar_p_dilation_homogeneity():
+def test_integral_moment_dilation_homogeneity():
     # doubling the polytope: A fixed, V s_p scales by 2**(n+p)
     model = builtin_model("p2")
     big = ToricModel(RationalPolytope([(0, 0), (2, 0), (0, 2)]))
     val_s = ToricValuation(model, (1, 1))
     val_b = ToricValuation(big, (1, 1))
+    assert log_discrepancy(model, val_s) == log_discrepancy(big, val_b)
+    small, large = volume_curve_of(model, val_s), volume_curve_of(big, val_b)
     for p in (1, 2):
-        a_s, u_s = delta_bar_p(model, val_s, p)
-        a_b, u_b = delta_bar_p(big, val_b, p)
-        assert a_s == a_b
-        assert u_b == u_s * 2 ** (2 + p)
+        assert large.V * large.s_p(p) == small.V * small.s_p(p) * 2 ** (2 + p)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +228,8 @@ def test_delta_family_builds_each_curve_once(monkeypatch):
         built.append(val.v)
         return volume_curve_of(model, val)
 
-    for module in (toric, invariants):
-        monkeypatch.setattr(module, "volume_curve_of", counted)
+    # invariants reaches volume curves only through toric
+    monkeypatch.setattr(toric, "volume_curve_of", counted)
     report = delta_family(builtin_model("p2-anticanonical"), (1, 2, 3, 4), 3)
     # 32 candidates, but only the argmins get a curve, each one once
     assert len(primitive_candidates(2, 3)) == 32

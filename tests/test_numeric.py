@@ -1,4 +1,4 @@
-"""Tests for exact-arithmetic helpers: rational coercion, log-gamma,
+"""Tests for exact-arithmetic helpers: rational coercion, float roots,
 adaptive quadrature, and square-root sums."""
 
 import contextlib
@@ -18,7 +18,6 @@ from deltap.numeric import (
     check_grid,
     check_positive_int,
     float_root,
-    log_gamma,
     squarefree_decompose,
 )
 
@@ -65,12 +64,10 @@ def _order_entry_points():
     flag = filtration.FlagFiltration(
         1, [Fraction(0), Fraction(2)],
         [(Fraction(0), [(1, 0), (0, 1)]), (Fraction(2), [(1, 1)])])
-    section = filtration.MonomialGradedFiltration(model.P, (1, 0))
     curve = piecewise.PiecewisePolynomial(
         [Fraction(0), Fraction(1)], [piecewise.Polynomial([Fraction(1)])])
     return [
         lambda p: toric.CandidateTable(model, 1).delta(p),
-        lambda p: invariants.delta_bar_p(model, val, p),
         lambda p: invariants.kstability_verdict(model, p, 1),
         lambda p: geodesic.dp_speed(transform, p),
         lambda p: geodesic.verify_moment_identity(model, val, p),
@@ -79,7 +76,7 @@ def _order_entry_points():
         flag.s_m_p,
         lambda p: piecewise.integrate_monomial_weighted(curve, p, 0, 1),
         lambda m: filtration.FlagFiltration(m, [Fraction(0)]),
-        section.level_points,
+        lambda m: toric.section_filtration(model, val, m),
         lambda samples: filtration.sup_over_bases_oracle(flag, 1, samples),
         lambda d: filtration.compatible_basis([], d),
     ]
@@ -149,23 +146,6 @@ def test_float_root_overflows_when_the_root_does():
 
 
 # ---------------------------------------------------------------------------
-# log_gamma
-
-
-def test_log_gamma_matches_factorials():
-    # Gamma(k+1) = k!
-    for k in range(1, 12):
-        assert log_gamma(k + 1) == pytest.approx(math.log(math.factorial(k)),
-                                                 rel=1e-13)
-
-
-def test_log_gamma_half_integer():
-    # Gamma(1/2) = sqrt(pi)
-    assert log_gamma(Fraction(1, 2)) == pytest.approx(0.5 * math.log(math.pi),
-                                                      rel=1e-13)
-
-
-# ---------------------------------------------------------------------------
 # adaptive_quadrature
 
 
@@ -229,6 +209,8 @@ def test_sqrtsum_difference_of_equal_roots_is_zero():
     a = SqrtSum.sqrt(Fraction(8))
     b = SqrtSum.sqrt(Fraction(2)).scale(Fraction(2))
     assert (a - b).is_zero()
+    assert a == b and hash(a) == hash(b) and (-a + b).is_zero()
+    assert repr(a + SqrtSum.from_rational(1)) == "SqrtSum(1 + 2*sqrt(2))"
 
 
 def test_sqrtsum_sign_of_close_values():
@@ -236,6 +218,8 @@ def test_sqrtsum_sign_of_close_values():
     lhs = SqrtSum.sqrt(Fraction(2)) + SqrtSum.sqrt(Fraction(3))
     rhs = SqrtSum.sqrt(Fraction(10))
     assert (lhs - rhs).sign() == -1
+    assert lhs < rhs and lhs <= rhs and rhs > lhs and rhs >= lhs
+    assert not (rhs < lhs or rhs <= lhs or lhs > rhs or lhs >= rhs)
 
 
 @settings(max_examples=60)

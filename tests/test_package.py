@@ -90,6 +90,7 @@ def test_exports_are_the_objects_of_their_home_modules():
     namespace = {}
     exec("from deltap import *", namespace)
     assert set(deltap.__all__) <= set(namespace)
+    assert set(deltap.__all__) <= set(dir(deltap))
     with pytest.raises(AttributeError, match="no_such_name"):
         deltap.no_such_name
     with pytest.raises(ImportError):

@@ -264,6 +264,23 @@ def test_a_term_below_the_normal_range_takes_the_decimal_path():
     assert got == pytest.approx(2.0 ** -605 / 1.5, rel=2 ** -39, abs=0)
 
 
+def test_an_integral_below_the_normal_range_is_refused():
+    # int_0^(2**-700) x dx = 2**-1401: every term underflows, and the
+    # decimal total, rounded, would read 0.0 where no integral is 0
+    x = F(1, 2 ** 700)
+    f = PiecewisePolynomial((0, x), (Polynomial((1,)),))
+    with pytest.raises(DomainError, match="underflows doubles.*rescale first"):
+        power_integral(f, 2.0, 0, x)
+    # int_1^(3/2) 2**-1022 dx = 2**-1023 from two normal float terms,
+    # 1.5 * 2**-1022 and -2**-1022, whose sum the fast path would certify
+    f = PiecewisePolynomial((1, F(3, 2)), (Polynomial((F(1, 2 ** 1022),)),))
+    with pytest.raises(DomainError, match="underflows doubles"):
+        power_integral(f, 1.0, 1, F(3, 2))
+    x = F(1, 2 ** 510)
+    f = PiecewisePolynomial((0, x), (Polynomial((1,)),))
+    assert power_integral(f, 2.0, 0, x) == 2.0 ** -1021
+
+
 def test_a_float_exponent_refuses_a_domain_below_zero():
     f = PiecewisePolynomial((-1, 1), (Polynomial((1,)),))
     with pytest.raises(DomainError, match="nonnegative domain"):

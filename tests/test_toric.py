@@ -39,7 +39,6 @@ from deltap.toric import (
     alpha_candidate,
     builtin_model,
     concave_transform_of,
-    delta_bar_p_search,
     delta_p_search,
     log_discrepancy,
     primitive_candidates,
@@ -101,10 +100,21 @@ def test_valuation_rejects_imprimitive():
 
 def test_valuation_rejects_non_integral_coordinates():
     model = builtin_model("p2")
-    for v in ((1.7, 0), (F(1, 2), 1)):
+    for v in ((F(1, 2), 1), ("3/2", 0)):
         with pytest.raises(DomainError, match="must be integral"):
             ToricValuation(model, v)
-    assert ToricValuation(model, (F(1), 0.0)).v == (1, 0)
+    assert ToricValuation(model, (F(1), "0")).v == (1, 0)
+
+
+def test_valuation_takes_only_exact_coordinates():
+    # a bool or a float is no coordinate, even where it equals an integer;
+    # an int is taken as it is and an exact string is read
+    model = builtin_model("p2")
+    for v in ((True, 0), (1.0, 0), (1.7, 0)):
+        with pytest.raises(DomainError, match="exact rational"):
+            ToricValuation(model, v)
+    val = ToricValuation(model, ("1", "0"))
+    assert val.v == (1, 0) and all(type(x) is int for x in val.v)
 
 
 def test_a_valuation_is_refused_by_a_model_it_was_not_built_on():
@@ -202,6 +212,23 @@ def test_section_filtration_matches_monomial_weights():
     # lattice points of 2*simplex: six points with x-weights 0,0,0,1,1,2
     assert filt.jumps == (F(0), F(0), F(0), F(1), F(1), F(2))
     assert filt.s_m_p(1) == F(4, 12)
+
+
+def test_section_jumps_are_the_lattice_point_weights_on_every_builtin():
+    # <u, v> + m * offset over the lattice points u of mP, with the offset
+    # -min <w, v> over the vertices w of P taken here, not from the valuation
+    for name in ("p2", "p2-anticanonical", "p1xp1", "hirzebruch-1",
+                 "hirzebruch-3", "pn:1", "pn:3"):
+        model = builtin_model(name)
+        for v in primitive_candidates(model.n, 1):
+            offset = -min(sum(a * b for a, b in zip(w, v))
+                          for w in model.P.vertices)
+            for m in (1, 2, 3):
+                weights = sorted(sum(F(a) * b for a, b in zip(u, v))
+                                 + m * offset
+                                 for u in model.P.dilate(m).lattice_points())
+                filt = section_filtration(model, ToricValuation(model, v), m)
+                assert filt.jumps == tuple(weights), (name, v, m)
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +353,6 @@ def test_delta_search_product_of_lines():
     assert res.argmin == (-3, -2)
 
 
-def test_delta_bar_search_scales_with_volume():
-    model = builtin_model("p2-anticanonical")
-    res = delta_bar_p_search(model, 1, bound=1)
-    norm = delta_p_search(model, 1, bound=1)
-    assert res.moment == norm.moment * 9
-
-
 def test_delta_search_table_is_complete():
     model = builtin_model("p2")
     res = delta_p_search(model, 1, bound=1)
@@ -373,14 +393,19 @@ def test_delta_search_translation_invariant():
         assert r1.ratio_power() == r2.ratio_power()
 
 
-def test_delta_bar_antitone_under_dilation():
-    # enlarging the body can only shrink the unnormalized bound
-    small = builtin_model("p2")
-    big = ToricModel(RationalPolytope([(0, 0), (2, 0), (0, 2)]))
-    for p in (1, 2):
-        rs = delta_bar_p_search(small, p, bound=2)
-        rb = delta_bar_p_search(big, p, bound=2)
-        assert rb.ratio_power() <= rs.ratio_power()
+def test_delta_p_scales_inversely_under_dilation():
+    # delta_p(cL) = delta_p(L)/c: on cP every s_p(v) is c**p times the
+    # one on P and A(v) is unchanged, so the argmin stays and the exact
+    # ratio power is c**-p times the one on P
+    for name in ("p2", "p1xp1", "hirzebruch-1"):
+        model = builtin_model(name)
+        for c in (2, 3):
+            dilated = ToricModel(model.P.dilate(c))
+            for p in (1, 2, 3):
+                base = delta_p_search(model, p, bound=2)
+                res = delta_p_search(dilated, p, bound=2)
+                assert res.argmin == base.argmin, (name, c, p)
+                assert res.ratio_power() == base.ratio_power() / c ** p
 
 
 # ---------------------------------------------------------------------------

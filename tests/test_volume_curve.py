@@ -618,6 +618,58 @@ def test_real_orders_refuse_values_that_overflow_doubles(n):
     assert c.h_stat(400) > 0
 
 
+def test_real_orders_read_a_curve_whose_volume_is_past_the_double_range():
+    # V = 10**400 / 2 has no double, while s_(3/2), h, r and K(5/2) do
+    c = curve_from_profile(2, [0, 10 ** 200], [10 ** 200, 0])
+    exact = float(c.s_p_half(F(3, 2)))
+    assert exact == pytest.approx(2.2857142857142857e+299, rel=2 ** -52)
+    assert abs(c.s_p_real(1.5) - exact) <= 2 ** -38 * exact
+    for value in (c.h_stat(1.5), c.r_stat(1.5), c.k_stat(2.5)):
+        assert math.isfinite(value)
+    _assert_real_orders_within_bounds(c, 1.5)
+
+
+def test_the_factor_of_the_order_returns_no_inf():
+    # on the linear curve with tau = 1.732 * 2**512, s_2 = tau**2/3 is a
+    # normal double just below the largest; at tau = 1.733 * 2**512 the
+    # integral of x curve/V, tau**2/6, is still one, while 2 times it,
+    # s_2, is past the double range and refused, not read as inf
+    for t, fits in ((F(1732, 1000), True), (F(1733, 1000), False)):
+        tau = t * 2 ** 512
+        c = curve_from_profile(1, [0, tau], [1, 1])
+        if fits:
+            want = float(tau ** 2 / 3)
+            assert abs(c.s_p_real(2.0) - want) <= 2 ** -38 * want
+            continue
+        assert math.isfinite(float(tau ** 2 / 6))
+        with pytest.raises(DomainError, match="overflows.*rescale first"):
+            c.s_p_real(2.0)
+
+
+def test_a_curve_builds_its_normalized_forms_once(monkeypatch):
+    # k_stat, the density route, the radial profile and s_p_real read
+    # curve/V and -curve'/V, built on the first call
+    built = []
+    init = PiecewisePolynomial.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    for n in (1, 2, 3):
+        c = random_admissible_curve(Random(f"normalized-once:{n}"), n)
+        c.k_stat(n + 0.5)
+        with monkeypatch.context() as patch:
+            patch.setattr(PiecewisePolynomial, "__init__", counted)
+            for s in (n + 0.5, n + 1.0, n + 2.7):
+                c.k_stat(s)
+            c.s_p_from_density(2)
+            c.s_p_real(2.5)
+            if n > 1:
+                c.radial_profile()
+        assert built == [], n
+
+
 def test_tau_of_corner_cases():
     assert linear_curve(tau=F(5, 3)).tau == F(5, 3)
 
