@@ -34,7 +34,7 @@ from .errors import (AccuracyError, DeltapError, DomainError,
                      InvariantViolation, StructureError,
                      UnsupportedModelError)
 from .geometry import Halfspace, RationalPolytope
-from .invariants import delta_family
+from .invariants import InvariantReport, delta_family
 from .toric import (MAX_MOMENT_PAIRS, CandidateTable, ToricModel,
                     ToricValuation, builtin_model, delta_p_search,
                     primitive_candidates)
@@ -108,6 +108,11 @@ def _emit(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _csv_float(x: float) -> str:
+    """Every float of a CSV table: 12 significant digits."""
+    return f"{x:.12g}"
+
+
 def _csv_text(header: list[str], rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
@@ -132,8 +137,19 @@ def cmd_invariants(cfg: RunConfig) -> int:
     else:
         header = ["p", "delta_upper", "argmin", "alpha_upper",
                   "threshold", "verdict"]
-        _emit(cfg, _csv_text(header, report.to_csv_rows()))
+        _emit(cfg, _csv_text(header, _invariant_rows(report)))
     return 0
+
+
+def _invariant_rows(report: InvariantReport) -> list[dict]:
+    """One CSV row of ``invariants`` per order of the report."""
+    return [{"p": r.p, "delta_upper": _csv_float(r.delta_upper),
+             "argmin": " ".join(str(x) for x in r.argmin),
+             "alpha_upper": str(report.alpha_upper),
+             "threshold": "" if r.threshold is None
+                          else _csv_float(r.threshold),
+             "verdict": r.verdict or ""}
+            for r in report.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +214,16 @@ def cmd_scan(cfg: RunConfig) -> int:
     rows = []
     for p in p_grid:
         rows.append({"scan": "order", "x": p, "name": "h_stat",
-                     "value": f"{curve.h_stat(p):.12g}",
+                     "value": _csv_float(curve.h_stat(p)),
                      "status": "proven-monotone"})
     for p in p_grid:
         rows.append({"scan": "order", "x": p, "name": "r_stat",
-                     "value": f"{curve.r_stat(p):.12g}",
+                     "value": _csv_float(curve.r_stat(p)),
                      "status": "conjectural"})
     for p in p_grid:
         search = table.delta(p)
         rows.append({"scan": "order", "x": p, "name": "delta_upper",
-                     "value": f"{search.value:.12g}",
+                     "value": _csv_float(search.value),
                      "status": "upper-bound"})
     levels = cfg.m_grid or (1, 2, 4, 8)
     # --m may be unsorted or repeated; the identity takes a strictly
@@ -217,7 +233,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     gaps = {m: gap for m, _, _, gap in report.rows}
     for m in levels:
         rows.append({"scan": "level", "x": m, "name": "moment_gap",
-                     "value": f"{gaps[m]:.12g}", "status": "raw"})
+                     "value": _csv_float(gaps[m]), "status": "raw"})
     rows.extend(probe)
     if cfg.fmt == "json":
         _emit(cfg, json.dumps({"rows": rows}, indent=2) + "\n")
@@ -258,7 +274,7 @@ def _truncation_probe(cfg: RunConfig, cuts, p: int):
         value = ""
         if cut is not None:
             try:
-                value = f"{delta_p_search(cut, p, cfg.bound).value:.12g}"
+                value = _csv_float(delta_p_search(cut, p, cfg.bound).value)
             except (StructureError, UnsupportedModelError, DomainError):
                 pass
         rows.append({"scan": "truncation", "x": f"{x}",

@@ -14,6 +14,7 @@ the adapted basis from which it reads every order.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence
@@ -31,26 +32,22 @@ def _as_vector(row: Sequence, width: int) -> Vector:
     return vec
 
 
-def level_moment(values: Iterable[tuple[Fraction, int]], m: int, d: int,
-                 p):
-    """(1/d) sum c (a/m)**p over (a, c) pairs of a value and a positive
-    weight, its multiplicity for a moment.  For an integer p the values
-    are brought to the lcm of their denominators once, the powers are
-    summed in integers, and one Fraction is built.  For a half-integer
-    Fraction p = k + 1/2 > 0, a SqrtSum with one root per distinct value
-    in first-appearance order: sqrt(a/m) * (a/m)**k * (summed weight)."""
-    pairs = list(values)
+def level_moment(values: Iterable[Fraction], m: int, d: int, p):
+    """(1/d) sum (a/m)**p over the values a, each as often as it occurs.
+    For an integer p the values are brought to the lcm of their
+    denominators once, the powers are summed in integers, and one
+    Fraction is built.  For a half-integer Fraction p = k + 1/2 > 0, a
+    SqrtSum with one root per distinct value in first-appearance order:
+    sqrt(a/m) * (a/m)**k * (its count)."""
+    values = list(values)
     if isinstance(p, Fraction) and p.denominator == 2 and p > 0:
-        k, at = p.numerator // 2, {}
-        for a, c in pairs:
-            at[a] = at.get(a, 0) + c
+        k = p.numerator // 2
         return sum((SqrtSum.sqrt(a / m).scale(c * (a / m) ** k)
-                    for a, c in at.items()),
+                    for a, c in Counter(values).items()),
                    SqrtSum.from_rational(0)).scale(Fraction(1, d))
     check_positive_int(p, "moment order p")
-    q = math.lcm(*(a.denominator for a, _ in pairs))
-    total = sum(c * (a.numerator * (q // a.denominator)) ** p
-                for a, c in pairs)
+    q = math.lcm(*(a.denominator for a in values))
+    total = sum((a.numerator * (q // a.denominator)) ** p for a in values)
     return Fraction(total, d * (q * m) ** p)
 
 
@@ -130,7 +127,7 @@ class FlagFiltration:
     def s_m_p(self, p) -> Fraction | SqrtSum:
         """Exact level-m moment (1/d) sum (a_j/m)**p: a Fraction for an
         integer p >= 1, a SqrtSum for a half-integer Fraction p > 0."""
-        return level_moment(((a, 1) for a in self.jumps), self.m, self.d, p)
+        return level_moment(self.jumps, self.m, self.d, p)
 
     def t_m(self) -> Fraction:
         """Largest jump, normalized by the level."""
@@ -155,16 +152,19 @@ def rounding_sandwich(F: FlagFiltration, p):
     elif p < 1:
         raise DomainError("moment order p must be at least 1")
     m, d = F.m, F.d
-    upper = level_moment(((a, 1) for a in F.jumps), m, d, p)
-    mid = level_moment(((Fraction(math.floor(a)), 1) for a in F.jumps),
-                       m, d, p)
+    upper = level_moment(F.jumps, m, d, p)
+    mid = level_moment((Fraction(math.floor(a)) for a in F.jumps), m, d, p)
     if p == 1:
         return upper, mid, upper - Fraction(1, m)
-    # p/m * s_m_q(F) = (1/(d m)) sum p (a/m)**q, with q = p - 1 from 2 on
-    # and q = 1 below, where p/m**(p-1) = sqrt(m) * p/m
-    slack = level_moment(((a, p) for a in F.jumps), m, d * m, max(p - 1, 1))
+    # p/m * s_m_q(F) = p * (1/(d m)) sum (a/m)**q, with q = p - 1 from 2
+    # on and q = 1 below, where p/m**(p-1) = sqrt(m) * p/m
+    slack = level_moment(F.jumps, m, d * m, max(p - 1, 1))
     if p < 2:
-        slack = SqrtSum.sqrt(m).scale(slack)
+        slack = SqrtSum.sqrt(m).scale(p * slack)
+    elif isinstance(slack, SqrtSum):
+        slack = slack.scale(p)
+    else:
+        slack *= p
     return upper, mid, upper - slack
 
 
@@ -206,7 +206,7 @@ def basis_moment(F: FlagFiltration, basis: Sequence[Sequence], p: int) -> Fracti
     rows = [_exact_row(r, F.d) for r in basis]
     if len(rows) != F.d or rank(rows) != F.d:
         raise StructureError("basis_moment needs a full basis")
-    return level_moment(((F.ord_of(r), 1) for r in rows), F.m, F.d, p)
+    return level_moment((F.ord_of(r) for r in rows), F.m, F.d, p)
 
 
 def sup_over_bases_oracle(F: FlagFiltration, p: int, samples: int,

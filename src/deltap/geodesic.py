@@ -281,16 +281,6 @@ class MomentIdentityReport(NamedTuple):
     rows: tuple[tuple[int, float, float, float], ...]
     final_gap: float
 
-    def to_json_dict(self) -> dict:
-        return {"p": self.p, "continuous_power": str(self.continuous_power),
-                "rows": [{"m": m, "quantized": q, "continuous": c, "gap": g}
-                         for m, q, c, g in self.rows],
-                "final_gap": self.final_gap}
-
-    def to_csv_rows(self) -> list[dict]:
-        return [{"m": m, "quantized": f"{q:.12g}", "continuous": f"{c:.12g}",
-                 "gap": f"{g:.12g}"} for m, q, c, g in self.rows]
-
 
 def verify_moment_identity(model: ToricModel, val: ToricValuation, p: int,
                            m_grid=(1, 2, 4, 8)) -> MomentIdentityReport:

@@ -387,7 +387,3 @@ class RationalPolytope:
 
     def __hash__(self):
         return hash(self.vertices)
-
-    def __repr__(self):
-        return (f"RationalPolytope(dim={self.dim}, "
-                f"{len(self.vertices)} vertices)")

@@ -170,20 +170,6 @@ class InvariantReport(NamedTuple):
                 "closing_gap": self.closing_gap,
                 "flags": list(self.flags)}
 
-    def to_csv_rows(self) -> list[dict]:
-        out = []
-        for r in self.rows:
-            out.append({
-                "p": r.p,
-                "delta_upper": f"{r.delta_upper:.12g}",
-                "argmin": " ".join(str(x) for x in r.argmin),
-                "alpha_upper": str(self.alpha_upper),
-                "threshold": "" if r.threshold is None
-                             else f"{r.threshold:.12g}",
-                "verdict": r.verdict or "",
-            })
-        return out
-
 
 def _check_candidate_inequalities(n: int, p: int, table: CandidateTable) -> None:
     """Exact per-candidate theorems: the two-sided barycenter bracket

@@ -152,6 +152,3 @@ class ConcaveTransform:
         except (KeyError, TypeError) as exc:
             raise StructureError(f"malformed transform JSON: {exc}") from None
         return cls(body, forms)
-
-    def __repr__(self):
-        return f"ConcaveTransform({self.body!r}, {len(self.forms)} forms)"

@@ -146,9 +146,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.nums, self.den))
 
-    def __repr__(self):
-        return f"Polynomial({list(self.coeffs)!r})"
-
 
 def lagrange_interpolate(xs: Sequence, ys: Sequence) -> Polynomial:
     """Exact interpolating polynomial through (xs[i], ys[i])."""
@@ -329,9 +326,6 @@ class PiecewisePolynomial:
                 out.append((u, w, piece))
         return out
 
-    def integrate(self, a, b) -> Fraction:
-        return power_integral(self, 1, a, b)
-
     def __eq__(self, other):
         return (isinstance(other, PiecewisePolynomial)
                 and self.breakpoints == other.breakpoints
@@ -339,10 +333,6 @@ class PiecewisePolynomial:
 
     def __hash__(self):
         return hash((self.breakpoints, self.pieces))
-
-    def __repr__(self):
-        return (f"PiecewisePolynomial({[str(b) for b in self.breakpoints]}, "
-                f"{len(self.pieces)} pieces)")
 
 
 # The decimal path doubles its digits from 20 up to this cap.

@@ -113,12 +113,6 @@ class ToricModel:
                for hs in self.P.halfspaces()]
         return RationalPolytope.from_halfspaces(hss, self.n)
 
-    def to_json_dict(self) -> dict:
-        return self.P.to_json_dict()
-
-    def __repr__(self):
-        return f"ToricModel(n={self.n}, {len(self.P.vertices)} vertices)"
-
 
 class ToricValuation:
     """A torus-invariant valuation: a nonzero primitive integer vector v,

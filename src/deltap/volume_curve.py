@@ -318,9 +318,6 @@ class VolumeCurve:
     def __hash__(self):
         return hash((self.n, self.V, self.tau, self.curve))
 
-    def __repr__(self):
-        return f"VolumeCurve(n={self.n}, V={self.V}, tau={self.tau})"
-
 
 class _RadialFields(NamedTuple):
     n: int
@@ -341,7 +338,7 @@ class RadialProfile(_RadialFields):
 
     def __new__(cls, n, fpow):
         lo, hi = fpow.domain
-        total = fpow.integrate(lo, hi)
+        total = power_integral(fpow, 1, lo, hi)
         if total != 1:
             raise InvariantViolation(
                 f"radial density integrates to {total}, not 1")

@@ -559,6 +559,16 @@ def test_polytope_dilate():
     assert P.dilate(3).volume() == F(9, 2)
 
 
+def test_equal_polytopes_hash_equal_and_share_one_dict_key():
+    # __eq__ compares vertices, and __hash__ keeps the class a valid key:
+    # the same hull from reordered and redundant points
+    P = RationalPolytope(SQUARE)
+    Q = RationalPolytope([SQUARE[3], (F(1, 2), F(1, 2)), *SQUARE[:3]])
+    assert P == Q and hash(P) == hash(Q)
+    assert {P: "first", Q: "second"} == {P: "second"}
+    assert len({P, Q, RationalPolytope(TRIANGLE)}) == 2
+
+
 def test_polytope_intersect_halfspace():
     P = RationalPolytope(SQUARE)
     # keep x + y <= 1, i.e. <-1, -1> . u >= -1

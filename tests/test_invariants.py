@@ -8,12 +8,14 @@ Frozen boundary values:
     equal (p+1)/2**p
 """
 
+import csv
+import io
 import math
 from fractions import Fraction
 
 import pytest
 
-from deltap import toric
+from deltap import cli, toric
 from deltap.errors import DomainError, InvariantViolation, SemanticError
 from deltap.geometry import RationalPolytope
 from deltap.invariants import (
@@ -204,11 +206,12 @@ def test_delta_family_rejects_bad_grid():
         delta_family(model, (0, 1), bound=1)
 
 
-def test_delta_family_csv_rows():
-    report = delta_family(builtin_model("p2-anticanonical"), (1, 2),
-                          bound=1)
-    rows = report.to_csv_rows()
-    assert [r["p"] for r in rows] == [1, 2]
+def test_delta_family_csv_rows(capsys):
+    # the CSV rows are built in cli.py, from the report of delta_family
+    assert cli.main(["invariants", "--model", "p2-anticanonical",
+                     "--p", "1,2", "--bound", "1"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["p"] for r in rows] == ["1", "2"]
     assert set(rows[0]) == {"p", "delta_upper", "argmin", "alpha_upper",
                             "threshold", "verdict"}
     assert rows[0]["verdict"] == "borderline"

@@ -115,8 +115,8 @@ def test_piecewise_integrate_tent():
     up = Polynomial((F(0), F(1)))
     down = Polynomial((F(2), F(-1)))
     tent = PiecewisePolynomial((F(0), F(1), F(2)), (up, down))
-    assert tent.integrate(F(0), F(2)) == 1
-    assert tent.integrate(F(1, 2), F(3, 2)) == F(3, 4)
+    assert power_integral(tent, 1, F(0), F(2)) == 1
+    assert power_integral(tent, 1, F(1, 2), F(3, 2)) == F(3, 4)
 
 
 def test_integrate_monomial_weighted_against_closed_form():
@@ -198,8 +198,6 @@ def test_moment_kernel_matches_antiderivative_oracle(fab, p):
     expected = _antiderivative_oracle(f, p, a, b)
     assert integrate_monomial_weighted(f, p, a, b) == expected
     assert power_integral(f, p, a, b) == expected
-    if p == 1:
-        assert f.integrate(a, b) == expected
     if a == b:
         assert expected == 0 and f.spans(a, b) == []
 
@@ -210,7 +208,7 @@ def test_spans_clip_to_the_bounds():
                             continuous=False)
     assert f.spans(F(1, 2), F(2)) == [(F(1, 2), F(1), one), (F(1), F(2), two)]
     assert f.spans(F(1), F(1)) == []
-    assert f.integrate(F(1, 2), F(3)) == F(1, 2) + 2 + 3
+    assert power_integral(f, 1, F(1, 2), F(3)) == F(1, 2) + 2 + 3
 
 
 @pytest.mark.parametrize("a, b, message", [
@@ -221,7 +219,7 @@ def test_spans_clip_to_the_bounds():
 def test_every_integral_rejects_bounds_off_the_domain(a, b, message):
     f = PiecewisePolynomial((F(0), F(1), F(2)),
                             (Polynomial((F(1),)), Polynomial((F(2), F(-1)))))
-    for call in (lambda: f.integrate(a, b),
+    for call in (lambda: power_integral(f, 1, a, b),
                  lambda: integrate_monomial_weighted(f, 2, a, b),
                  lambda: integrate_real_power(f, 1.5, a, b)):
         with pytest.raises(RangeError, match=message):
@@ -466,6 +464,26 @@ def test_polynomials_compare_in_lowest_terms():
     assert hash(p) == hash(p.scale(3).scale(F(1, 3)))
     assert Polynomial(()).nums == () and Polynomial(()).den == 1
     assert (p - p).is_zero() and (p - p) == Polynomial((F(0),))
+
+
+def test_equal_polynomials_hash_equal_and_share_one_dict_key():
+    p = Polynomial((F(1, 2), F(3, 4)))
+    q = Polynomial((F(2, 4), F(6, 8)))
+    assert p == q and hash(p) == hash(q)
+    assert {p: "first", q: "second"} == {p: "second"}
+    assert len({p, q, p.scale(2)}) == 2
+
+
+def test_equal_piecewise_polynomials_hash_equal_and_share_one_dict_key():
+    def tent(scale):
+        up = Polynomial((F(0), F(scale)))
+        down = Polynomial((F(2 * scale), F(-scale)))
+        return PiecewisePolynomial((F(0), F(1), F(2)), (up, down))
+
+    f, g = tent(1), tent(F(3, 3))
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert {f: "first", g: "second"} == {f: "second"}
+    assert len({f, g, tent(2)}) == 2
 
 
 @settings(max_examples=80, deadline=None)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from deltap.errors import DomainError, InvariantViolation, StructureError
 from deltap.numeric import SqrtSum
-from deltap.piecewise import PiecewisePolynomial, Polynomial
+from deltap.piecewise import PiecewisePolynomial, Polynomial, power_integral
 from deltap import volume_curve
 from deltap.volume_curve import (
     MAX_CURVE_DEGREE,
@@ -486,7 +486,7 @@ def test_radial_profile_roundtrip():
     prof = c.radial_profile()
     assert prof.n == 2
     lo, hi = prof.fpow.domain
-    assert prof.fpow.integrate(lo, hi) == 1
+    assert power_integral(prof.fpow, 1, lo, hi) == 1
 
 
 def test_radial_profile_rejects_non_flag_curve():
@@ -566,6 +566,14 @@ def test_json_roundtrip():
     c = projective_curve(3)
     back = VolumeCurve.from_json_dict(c.to_json_dict())
     assert back == c
+
+
+def test_equal_curves_hash_equal_and_share_one_dict_key():
+    c = projective_curve(3)
+    back = VolumeCurve.from_json_dict(c.to_json_dict())
+    assert back is not c and back == c and hash(back) == hash(c)
+    assert {c: "first", back: "second"} == {c: "second"}
+    assert len({c, back, projective_curve(2)}) == 2
 
 
 @pytest.mark.parametrize("change", [
