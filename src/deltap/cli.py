@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import random
 import sys
@@ -128,7 +129,7 @@ def cmd_invariants(cfg: RunConfig) -> int:
     report = delta_family(model, p_grid, cfg.bound)
     if cfg.fmt == "json":
         try:
-            doc = report.to_json_dict()
+            doc = _invariants_json(report, cfg.bound)
         except ValueError:  # str() of an int past the digit limit
             raise DomainError("an exact value exceeds Python's limit of "
                               f"{sys.get_int_max_str_digits()} digits for "
@@ -141,15 +142,35 @@ def cmd_invariants(cfg: RunConfig) -> int:
     return 0
 
 
+def _with_verdicts(report: InvariantReport):
+    """Each search of the report with its verdict, or with None when the
+    model has no anticanonical scale."""
+    return zip(report.rows, report.verdicts or itertools.repeat(None))
+
+
 def _invariant_rows(report: InvariantReport) -> list[dict]:
     """One CSV row of ``invariants`` per order of the report."""
-    return [{"p": r.p, "delta_upper": _csv_float(r.delta_upper),
-             "argmin": " ".join(str(x) for x in r.argmin),
+    return [{"p": s.p, "delta_upper": _csv_float(s.value),
+             "argmin": " ".join(str(x) for x in s.argmin),
              "alpha_upper": str(report.alpha_upper),
-             "threshold": "" if r.threshold is None
-                          else _csv_float(r.threshold),
-             "verdict": r.verdict or ""}
-            for r in report.rows]
+             "threshold": "" if kv is None else _csv_float(kv.threshold),
+             "verdict": "" if kv is None else kv.relation}
+            for s, kv in _with_verdicts(report)]
+
+
+def _invariants_json(report: InvariantReport, bound: int) -> dict:
+    """The JSON document of ``invariants``; exact values print as "a/b"."""
+    rows = [{"p": s.p, "delta_upper_bound": s.value,
+             "argmin": list(s.argmin), "a": str(s.a),
+             "s_p": str(s.moment), "tau": str(s.tau),
+             "threshold": None if kv is None else kv.threshold,
+             "verdict": None if kv is None else kv.relation}
+            for s, kv in _with_verdicts(report)]
+    return {"n": report.n, "bound": bound, "upper_bounds_only": True,
+            "p_grid": [s.p for s in report.rows], "rows": rows,
+            "alpha_upper_bound": str(report.alpha_upper),
+            "alpha_argmin": list(report.alpha_argmin),
+            "closing_gap": report.closing_gap, "flags": list(report.flags)}
 
 
 # ---------------------------------------------------------------------------

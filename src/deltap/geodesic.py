@@ -124,11 +124,6 @@ class TestCurve1D(_TestCurveFields):
         return {"breakpoints": [str(x) for x in self.breakpoints],
                 "values": [str(y) for y in self.values]}
 
-    @classmethod
-    def from_json_dict(cls, data) -> "TestCurve1D":
-        return cls.make([Fraction(x) for x in data["breakpoints"]],
-                        [Fraction(y) for y in data["values"]])
-
 
 class _GeodesicRayFields(NamedTuple):
     knots: tuple[tuple[Fraction, Fraction], ...]
@@ -193,15 +188,6 @@ class GeodesicRay1D(_GeodesicRayFields):
         if t >= ts[-1]:
             return ys[-1] + self.final_slope * (t - ts[-1])
         return _interpolate(ts, ys, t)
-
-    def to_json_dict(self) -> dict:
-        return {"knots": [[str(t), str(y)] for t, y in self.knots],
-                "final_slope": str(self.final_slope)}
-
-    @classmethod
-    def from_json_dict(cls, data) -> "GeodesicRay1D":
-        return cls.make([(Fraction(t), Fraction(y)) for t, y in data["knots"]],
-                        Fraction(data["final_slope"]))
 
 
 def legendre(tc: TestCurve1D) -> GeodesicRay1D:
@@ -277,9 +263,7 @@ class MomentIdentityReport(NamedTuple):
     """
 
     p: int
-    continuous_power: Fraction
     rows: tuple[tuple[int, float, float, float], ...]
-    final_gap: float
 
 
 def verify_moment_identity(model: ToricModel, val: ToricValuation, p: int,
@@ -293,8 +277,7 @@ def verify_moment_identity(model: ToricModel, val: ToricValuation, p: int,
     check_positive_int(p, "order p")
     grid = check_grid(m_grid, "level grid")
     curve = volume_curve_of(model, val)
-    s_cont = curve.s_p(p)
-    c_root = float_root(s_cont, p)
+    c_root = float_root(curve.s_p(p), p)
     rows = []
     for m in grid:
         filt = section_filtration(model, val, m)
@@ -307,5 +290,4 @@ def verify_moment_identity(model: ToricModel, val: ToricValuation, p: int,
         raise InvariantViolation(
             "normalized speed fails to be nondecreasing on a divisorial input",
             witness={"p_low": drop[0], "p_high": drop[1]})
-    return MomentIdentityReport(p=p, continuous_power=s_cont,
-                                rows=tuple(rows), final_gap=rows[-1][3])
+    return MomentIdentityReport(p=p, rows=tuple(rows))

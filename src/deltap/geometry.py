@@ -357,10 +357,6 @@ class RationalPolytope:
     def lattice_points(self) -> tuple[tuple[int, ...], ...]:
         return lattice_points_in(self.halfspaces(), self.vertices)
 
-    def to_json_dict(self) -> dict:
-        return {"dim": self.dim,
-                "vertices": [[str(x) for x in v] for v in self.vertices]}
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "RationalPolytope":
         try:

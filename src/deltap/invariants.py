@@ -1,11 +1,15 @@
 """Aggregate invariant reports and verdicts for toric models.
 
-Builds per-order threshold tables (with their exact certificates),
-checks every inequality the underlying convexity provides, compares
-anticanonical models against the uniform stability threshold, and
-evaluates the closed-form boundary quantities those comparisons hinge
-on.  All search outputs are upper bounds over a restricted candidate
-set and are labeled as such.
+``delta_family`` reduces one candidate table over an order grid: its
+``InvariantReport`` holds the searches themselves, one
+``DeltaSearchResult`` per order with its exact certificate, and one
+``KStabilityVerdict`` per order when the model is anticanonically
+proportional.  Every inequality the underlying convexity provides is
+checked on the way.  A verdict decides the comparison with the uniform
+stability threshold on exact p-th powers; ``h_gap`` and
+``projective_space_delta_power`` are the closed-form boundary
+quantities that comparison hinges on.  All search outputs are upper
+bounds over a restricted candidate set and are labeled as such.
 """
 
 from __future__ import annotations
@@ -62,25 +66,14 @@ class KStabilityVerdict(NamedTuple):
     (not proof, since the bound may overshoot the infimum) for uniform
     stability; "below" is conclusive the other way because an upper
     bound below the threshold pins the infimum below it too.
+    ``delta_upper`` and ``threshold`` are the p-th roots of the two
+    exact powers the relation is decided on.
     """
 
-    p: int
-    n: int
     relation: str  # "above" | "below" | "borderline"
     delta_upper: float
     threshold: float
-    boundary_value: float
-    h_sign: int
-    h_value: float
     search: DeltaSearchResult
-
-    def to_json_dict(self) -> dict:
-        return {"p": self.p, "n": self.n, "relation": self.relation,
-                "delta_upper_bound": self.delta_upper,
-                "threshold": self.threshold,
-                "boundary_value": self.boundary_value,
-                "h_sign": self.h_sign, "h_value": self.h_value,
-                "search": self.search.to_json_dict()}
 
 
 def kstability_verdict(model: ToricModel, p: int,
@@ -115,60 +108,30 @@ def _verdict(n: int, scale: Fraction,
         relation = "below"
     else:
         relation = "borderline"
-    sign, value = h_gap(n, p)
-    return KStabilityVerdict(
-        p=p, n=n, relation=relation,
-        delta_upper=float(scale) * search.value,
-        threshold=float_root(rhs, p),
-        boundary_value=float_root(projective_space_delta_power(n, p), p),
-        h_sign=sign, h_value=value, search=search)
-
-
-class PGridRow(NamedTuple):
-    p: int
-    delta_upper: float
-    argmin: tuple[int, ...]
-    a: Fraction
-    s_p: Fraction
-    tau: Fraction
-    threshold: float | None
-    verdict: str | None
-
-    def to_json_dict(self) -> dict:
-        return {"p": self.p, "delta_upper_bound": self.delta_upper,
-                "argmin": list(self.argmin), "a": str(self.a),
-                "s_p": str(self.s_p), "tau": str(self.tau),
-                "threshold": self.threshold, "verdict": self.verdict}
+    return KStabilityVerdict(relation=relation,
+                             delta_upper=float_root(lhs, p),
+                             threshold=float_root(rhs, p), search=search)
 
 
 class InvariantReport(NamedTuple):
     """Threshold table over an order grid, with exact side conditions.
 
-    Every row is an upper bound over the candidate box.  ``flags``
-    collects anomalies that were checked and found (they raise nowhere;
-    a violated theorem does).  ``closing_gap`` is delta at the largest
+    ``rows`` hold one search per order of the grid, each an upper bound
+    over the candidate box; ``verdicts`` hold one verdict per order, and
+    none when the model has no anticanonical scale.  ``flags`` collects
+    anomalies that were checked and found (they raise nowhere; a
+    violated theorem does).  ``closing_gap`` is delta at the largest
     order minus the alpha bound, which the theory sends to zero as the
     order grows.
     """
 
     n: int
-    bound: int
-    p_grid: tuple[int, ...]
-    rows: tuple[PGridRow, ...]
+    rows: tuple[DeltaSearchResult, ...]
+    verdicts: tuple[KStabilityVerdict, ...]
     alpha_upper: Fraction
     alpha_argmin: tuple[int, ...]
     closing_gap: float
     flags: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "bound": self.bound,
-                "upper_bounds_only": True,
-                "p_grid": list(self.p_grid),
-                "rows": [r.to_json_dict() for r in self.rows],
-                "alpha_upper_bound": str(self.alpha_upper),
-                "alpha_argmin": list(self.alpha_argmin),
-                "closing_gap": self.closing_gap,
-                "flags": list(self.flags)}
 
 
 def _check_candidate_inequalities(n: int, p: int, table: CandidateTable) -> None:
@@ -207,33 +170,27 @@ def delta_family(model: ToricModel, p_grid, bound: int) -> InvariantReport:
     table = CandidateTable(model, bound, (1, *grid))
     alpha, alpha_v = table.alpha()
 
-    rows = []
-    searches = []
+    rows: list[DeltaSearchResult] = []
+    verdicts: list[KStabilityVerdict] = []
     flags: list[str] = []
     for p in grid:
         search = table.delta(p)
-        searches.append(search)
         _check_candidate_inequalities(model.n, p, table)
-        tau = table.curve(search.argmin).tau
-        threshold = verdict = None
+        rows.append(search)
         if anti is not None:
-            kv = _verdict(model.n, anti[1], search)
-            threshold = kv.threshold
-            verdict = kv.relation
-        rows.append(PGridRow(p=p, delta_upper=search.value,
-                             argmin=search.argmin, a=search.a,
-                             s_p=search.moment, tau=tau,
-                             threshold=threshold, verdict=verdict))
+            verdicts.append(_verdict(model.n, anti[1], search))
 
-    for (p1, s1), (p2, s2) in zip(zip(grid, searches), zip(grid[1:], searches[1:])):
+    for s1, s2 in zip(rows, rows[1:]):
         # delta(p1) >= delta(p2) iff a1^(p1 p2) s2^p1 >= a2^(p1 p2) s1^p2
+        p1, p2 = s1.p, s2.p
         lhs = s1.a ** (p1 * p2) * s2.moment ** p1
         rhs = s2.a ** (p1 * p2) * s1.moment ** p2
         if lhs < rhs:
             flags.append(f"delta grid increases from p={p1} to p={p2}")
 
-    for p, search in zip(grid, searches):
+    for search in rows:
         # alpha lower bracket: delta^(p) >= ((n+p)/n)^(1/p) alpha, exact.
+        p = search.p
         lhs = search.ratio_power()
         rhs = Fraction(model.n + p, model.n) * alpha ** p
         if lhs < rhs:
@@ -247,8 +204,8 @@ def delta_family(model: ToricModel, p_grid, bound: int) -> InvariantReport:
                 witness={"p": p, "ratio_power": str(lhs),
                          "bracket": str(binom * alpha ** p)})
 
-    closing_gap = rows[-1].delta_upper - float(alpha)
-    return InvariantReport(n=model.n, bound=bound, p_grid=grid,
-                           rows=tuple(rows), alpha_upper=alpha,
-                           alpha_argmin=alpha_v, closing_gap=closing_gap,
+    return InvariantReport(n=model.n, rows=tuple(rows),
+                           verdicts=tuple(verdicts), alpha_upper=alpha,
+                           alpha_argmin=alpha_v,
+                           closing_gap=rows[-1].value - float(alpha),
                            flags=tuple(flags))

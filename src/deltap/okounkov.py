@@ -36,14 +36,6 @@ class AffineForm(NamedTuple):
         return sum((a * as_fraction(x) for a, x in zip(self.linear, point)),
                    self.constant)
 
-    def to_json_dict(self) -> dict:
-        return {"linear": [str(a) for a in self.linear],
-                "constant": str(self.constant)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AffineForm":
-        return cls.make(data["linear"], data["constant"])
-
 
 class ConcaveTransform:
     """A concave piecewise-linear function G = min_i(forms) on a body.
@@ -139,16 +131,3 @@ class ConcaveTransform:
         top = curve.domain[1]
         return (Fraction(p) * integrate_monomial_weighted(curve, p, 0, top)
                 / self.body.volume())
-
-    def to_json_dict(self) -> dict:
-        return {"body": self.body.to_json_dict(),
-                "forms": [f.to_json_dict() for f in self.forms]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ConcaveTransform":
-        try:
-            body = RationalPolytope.from_json_dict(data["body"])
-            forms = [AffineForm.from_json_dict(f) for f in data["forms"]]
-        except (KeyError, TypeError) as exc:
-            raise StructureError(f"malformed transform JSON: {exc}") from None
-        return cls(body, forms)

@@ -135,10 +135,6 @@ class Polynomial:
         return _make([0] + [c * (m // (i + 1)) for i, c in enumerate(self.nums)],
                      self.den * m)
 
-    def integrate(self, a, b) -> Fraction:
-        F = self.antiderivative()
-        return F(as_fraction(b)) - F(as_fraction(a))
-
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.den == other.den
                 and self.nums == other.nums)

@@ -177,7 +177,7 @@ def _check_delta_report(rng):
     if report.flags:
         raise InvariantViolation("unexpected flags",
                                  witness={"flags": list(report.flags)})
-    if any(r.verdict is None for r in report.rows):
+    if len(report.verdicts) != len(report.rows):
         raise InvariantViolation("missing verdicts on an anticanonical model")
 
 

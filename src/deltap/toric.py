@@ -222,15 +222,14 @@ class DeltaSearchResult(NamedTuple):
     ``value`` = min over the candidate box of A(v) / s_p(v)**(1/p), with
     s_p the normalized moment, an upper bound for the infimum over all
     valuations.  ``a`` and ``moment`` = s_p certify the minimizer
-    exactly: value**p = a**p / moment.
+    exactly: value**p = a**p / moment; ``tau`` is its support threshold.
     """
 
     p: int
-    bound: int
     argmin: tuple[int, ...]
     a: Fraction
     moment: Fraction
-    table: tuple[tuple[tuple[int, ...], Fraction, Fraction], ...]
+    tau: Fraction
 
     @property
     def value(self) -> float:
@@ -239,20 +238,6 @@ class DeltaSearchResult(NamedTuple):
     def ratio_power(self) -> Fraction:
         """Exact value**p = a**p / moment, for rounding-free comparisons."""
         return self.a ** self.p / self.moment
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "bound": self.bound,
-            "upper_bound_only": True,
-            "value": self.value,
-            "argmin": list(self.argmin),
-            "a": str(self.a),
-            "moment": str(self.moment),
-            "table": [{"v": list(v), "a": str(a), "moment": str(s),
-                       "ratio": float(a) / float_root(s, self.p)}
-                      for v, a, s in self.table],
-        }
 
 
 class CandidateTable:
@@ -264,13 +249,12 @@ class CandidateTable:
     over the model's simplices (none for empty ``orders``).  Every infimum
     reduces over the rows; ``curve(v)`` builds a volume curve on demand."""
 
-    __slots__ = ("model", "bound", "rows")
+    __slots__ = ("model", "rows")
 
     def __init__(self, model: ToricModel, bound: int, orders: Sequence[int] = ()):
         if not model.is_q_gorenstein:
             raise UnsupportedModelError("threshold search needs Q-Gorenstein input")
         self.model = model
-        self.bound = bound
         candidates = primitive_candidates(model.n, bound)
         orders = [check_positive_int(p, "search order p") for p in orders]
         if orders:
@@ -307,21 +291,22 @@ class CandidateTable:
     def delta(self, p: int) -> DeltaSearchResult:
         """Minimum of A(v)/s_p(v)**(1/p); ties resolve to the first row."""
         check_positive_int(p, "search order p")
-        table = []
+        ratios = {}
         for v, (a, _, _) in self.rows.items():
             moment = self.s_p(v, p)
             if moment <= 0:
                 raise InvariantViolation(f"vanishing moment at {v}")
-            table.append((v, a, moment))
-        v, a, moment = min(table, key=lambda row: row[1] ** p / row[2])
+            ratios[v] = a ** p / moment
+        v = min(ratios, key=ratios.get)
+        a, tau, moments = self.rows[v]
         # The printed row rests on a decided curve, reached independently.
         curve = self.curve(v)
-        if (curve.s_p(p), curve.tau) != (self.s_p(v, p), self.rows[v][1]):
+        if (curve.s_p(p), curve.tau) != (moments[p], tau):
             raise InvariantViolation(
                 f"closed-form row disagrees with the volume curve at v={v}",
                 witness={"v": v, "p": p})
-        return DeltaSearchResult(p=p, bound=self.bound, argmin=v, a=a,
-                                 moment=moment, table=tuple(table))
+        return DeltaSearchResult(p=p, argmin=v, a=a, moment=moments[p],
+                                 tau=curve.tau)
 
     def alpha(self) -> tuple[Fraction, tuple[int, ...]]:
         """Minimum of A(v)/tau(v) and its first minimizer."""

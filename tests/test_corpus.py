@@ -4,8 +4,11 @@ still gives its recorded exit code, stdout and stderr byte for byte.
 ``tests/corpus/regen.py`` rewrites the fixtures when a change of output
 is meant.  The benchmark's fixed-input commands are in the corpus too,
 and their frozen stdout in ``perfbench/expected/`` must agree with it.
+The benchmark's library parts run here in-process, read only, so that a
+name they call cannot leave the library unnoticed.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -14,7 +17,8 @@ import pytest
 from corpus.regen import MANIFEST, STDOUT, run
 
 ENTRIES = json.loads(MANIFEST.read_text(encoding="utf-8"))
-BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCH_EXPECTED = BENCH / "expected"
 
 # The benchmark's fixed-input command lines and their frozen stdout;
 # ``verify`` prints the same table for every seed.
@@ -53,3 +57,25 @@ def test_bench_fixed_outputs_equal_the_corpus(command, expected):
     assert len(names) == 1
     assert _stdout(names[0]) == (BENCH_EXPECTED / expected).read_bytes()
 
+
+
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("part", ["oracle", "sections", "curves",
+                                  "pn4-slice"])
+def test_bench_library_parts_pass_their_checks(part, capsys):
+    # The same check the benchmark makes: a frozen part prints the bytes
+    # of perfbench/expected/, a seeded one passes checks.py's routes.
+    assert _bench_module("libcalls").main([part, "0"]) == 0
+    out = capsys.readouterr().out
+    if part in ("sections", "pn4-slice"):
+        assert out.encode() == (BENCH_EXPECTED / f"{part}.json").read_bytes()
+    else:
+        check = getattr(_bench_module("checks"), f"check_{part}")
+        assert check(json.loads(out)) is None

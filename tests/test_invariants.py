@@ -10,6 +10,7 @@ Frozen boundary values:
 
 import csv
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -133,7 +134,7 @@ def test_verdict_curve_is_exactly_borderline():
     for p in (2, 3):
         verdict = kstability_verdict(model, p, bound=2)
         assert verdict.relation == "borderline"
-        assert verdict.h_sign == 0
+        assert h_gap(1, p)[0] == 0
 
 
 def test_verdict_plane_strictly_below_at_higher_order():
@@ -141,7 +142,7 @@ def test_verdict_plane_strictly_below_at_higher_order():
     for p in (2, 3, 4):
         verdict = kstability_verdict(model, p, bound=2)
         assert verdict.relation == "below"
-        assert verdict.h_sign == 1
+        assert h_gap(2, p)[0] == 1
         assert verdict.delta_upper < verdict.threshold
 
 
@@ -162,12 +163,33 @@ def test_verdict_requires_anticanonical_proportionality():
         kstability_verdict(builtin_model("hirzebruch-1"), 2, bound=1)
 
 
-def test_verdict_json_shape():
+def test_verdict_json_shape(capsys):
+    # the JSON document is built in cli.py, from the report's verdicts
+    assert cli.main(["invariants", "--model", "p2-anticanonical", "--p", "2",
+                     "--bound", "1", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["upper_bounds_only"] is True
+    [row] = doc["rows"]
+    assert row["verdict"] == "below"
     verdict = kstability_verdict(builtin_model("p2-anticanonical"), 2,
                                  bound=1)
-    doc = verdict.to_json_dict()
-    assert doc["relation"] == "below"
-    assert doc["search"]["upper_bound_only"] is True
+    assert row["threshold"] == verdict.threshold
+    assert row["delta_upper_bound"] == verdict.search.value
+
+
+def test_verdict_decides_past_the_float_range():
+    # the segment [0, N] with N of 4,000 digits: A = 1 and s_1 = N/2 at
+    # the argmin, and the anticanonical scale is N/2, so the exact power
+    # is 1; neither N nor N/2 converts to a float
+    N = int("7" * 4000)
+    model = ToricModel(RationalPolytope.from_json_dict(
+        {"dim": 1, "vertices": [["0"], [str(N)]]}))
+    verdict = kstability_verdict(model, 1, bound=1)
+    assert verdict.relation == "borderline"
+    assert verdict.delta_upper == verdict.threshold == 1.0
+    assert verdict.search.moment == F(N, 2)
+    with pytest.raises(OverflowError):
+        verdict.search.value
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +202,25 @@ def test_delta_family_report_structure():
     assert report.n == 2
     assert [r.p for r in report.rows] == [1, 2, 3]
     assert report.flags == ()
-    assert report.rows[0].verdict == "borderline"
-    assert report.rows[1].verdict == "below"
+    assert [kv.relation for kv in report.verdicts] == [
+        "borderline", "below", "below"]
+    assert [kv.search for kv in report.verdicts] == list(report.rows)
     assert report.alpha_upper == F(1, 3)
     # grid bounds never increase
-    values = [r.delta_upper for r in report.rows]
+    values = [r.value for r in report.rows]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
     assert report.closing_gap == pytest.approx(values[-1] - 1.0 / 3.0,
                                                rel=1e-9)
 
 
-def test_delta_family_without_anticanonical_scale():
+def test_delta_family_without_anticanonical_scale(capsys):
     report = delta_family(builtin_model("hirzebruch-1"), (1, 2), bound=1)
-    assert all(r.verdict is None for r in report.rows)
-    assert all(r.threshold is None for r in report.rows)
+    assert [r.p for r in report.rows] == [1, 2]
+    assert report.verdicts == ()
+    assert cli.main(["invariants", "--model", "hirzebruch-1", "--p", "1,2",
+                     "--bound", "1", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["threshold"], r["verdict"]) for r in rows] == [(None, None)] * 2
 
 
 def test_delta_family_rejects_bad_grid():
@@ -217,9 +244,10 @@ def test_delta_family_csv_rows(capsys):
     assert rows[0]["verdict"] == "borderline"
 
 
-def test_delta_family_json_labels_upper_bounds():
-    report = delta_family(builtin_model("p1xp1"), (1,), bound=2)
-    doc = report.to_json_dict()
+def test_delta_family_json_labels_upper_bounds(capsys):
+    assert cli.main(["invariants", "--model", "p1xp1", "--p", "1",
+                     "--bound", "2", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert doc["upper_bounds_only"] is True
     assert doc["alpha_upper_bound"] == "1"
 
@@ -256,12 +284,11 @@ def test_delta_family_agrees_with_standalone_searches(name, anticanonical,
     assert (report.alpha_upper, report.alpha_argmin) == alpha_candidate(
         model, bound)
     for row in report.rows:
-        search = delta_p_search(model, row.p, bound)
-        assert (row.argmin, row.a, row.s_p) == (
-            search.argmin, search.a, search.moment)
-        val = ToricValuation(model, search.argmin)
+        assert row == delta_p_search(model, row.p, bound)
+        val = ToricValuation(model, row.argmin)
         assert row.tau == volume_curve_of(model, val).tau
-        assert (row.verdict is None) == (model.anticanonical_scale() is None)
-        if row.verdict is not None:
-            assert row.verdict == kstability_verdict(model, row.p,
-                                                     bound).relation
+    if model.anticanonical_scale() is None:
+        assert report.verdicts == ()
+    else:
+        assert report.verdicts == tuple(
+            kstability_verdict(model, row.p, bound) for row in report.rows)

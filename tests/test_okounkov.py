@@ -37,10 +37,9 @@ def coord(i, dim=2):
 # construction
 
 
-def test_affine_form_evaluate_and_json():
+def test_affine_form_evaluate():
     f = AffineForm.make([F(2), F(-1)], F(3))
     assert f.evaluate((F(1), F(1))) == 4
-    assert AffineForm.from_json_dict(f.to_json_dict()) == f
 
 
 def test_transform_requires_matching_arity():
@@ -134,22 +133,6 @@ def test_moment_rejects_bad_order():
     G = ConcaveTransform(SQUARE, [coord(0)])
     with pytest.raises(DomainError):
         G.moment_p(0)
-
-
-def test_transform_json_roundtrip():
-    G = ConcaveTransform(SQUARE, [coord(0), coord(1)])
-    back = ConcaveTransform.from_json_dict(G.to_json_dict())
-    assert back.forms == G.forms
-    assert back.moment_p(2) == G.moment_p(2)
-
-
-def test_transform_json_has_no_nonneg_key():
-    G = ConcaveTransform(TRIANGLE, [coord(0), AffineForm.make([F(-1), F(0)], 1)])
-    doc = G.to_json_dict()
-    assert set(doc) == {"body", "forms"}
-    back = ConcaveTransform.from_json_dict(doc)
-    assert back.body == G.body and back.forms == G.forms
-    assert back.to_json_dict() == doc
 
 
 @pytest.fixture(scope="module")

@@ -97,7 +97,7 @@ def test_exports_are_the_objects_of_their_home_modules():
         exec("from deltap import no_such_name", {})
 
 
-RECORDS = ("RunConfig", "DeltaSearchResult", "KStabilityVerdict", "PGridRow",
+RECORDS = ("RunConfig", "DeltaSearchResult", "KStabilityVerdict",
            "InvariantReport", "MomentIdentityReport", "RadialProfile",
            "TestCurve1D", "GeodesicRay1D")
 
@@ -107,14 +107,12 @@ def records():
     """One instance of each result record, by class name."""
     model = toric.builtin_model("p2-anticanonical")
     val = toric.ToricValuation(model, (1, 0))
-    report = invariants.delta_family(model, (1,), 1)
     curve = geodesic.TestCurve1D.make([0, 1], [0, -1])
     built = [
         cli.RunConfig("invariants", "p2", False, (1,), 1, (), "csv", 0, None),
         toric.delta_p_search(model, 1, 1),
         invariants.kstability_verdict(model, 1, 1),
-        report.rows[0],
-        report,
+        invariants.delta_family(model, (1,), 1),
         geodesic.verify_moment_identity(model, val, 1, m_grid=(1,)),
         toric.volume_curve_of(model, val).radial_profile(),
         curve,

@@ -45,7 +45,7 @@ def test_polynomial_eval_and_arith():
 def test_polynomial_calculus_roundtrip():
     p = Polynomial((F(2), F(0), F(3)))  # 2 + 3x^2
     assert p.antiderivative().derivative() == p
-    assert p.integrate(F(0), F(1)) == F(3)
+    assert p.antiderivative()(F(1)) - p.antiderivative()(F(0)) == F(3)
     assert p.derivative()(F(2)) == 12
 
 
@@ -73,9 +73,15 @@ def test_evaluation_refuses_a_float():
 @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=5))
 def test_polynomial_integral_additive_over_split(coeffs):
     p = Polynomial([F(c) for c in coeffs])
-    whole = p.integrate(F(0), F(2))
-    split = p.integrate(F(0), F(3, 4)) + p.integrate(F(3, 4), F(2))
-    assert whole == split
+    P = p.antiderivative()
+
+    def closed_form(a, b):
+        return sum(F(c, k + 1) * (b ** (k + 1) - a ** (k + 1))
+                   for k, c in enumerate(coeffs))
+
+    whole = closed_form(F(0), F(2))
+    assert whole == closed_form(F(0), F(3, 4)) + closed_form(F(3, 4), F(2))
+    assert P(F(2)) - P(F(0)) == whole
 
 
 def test_lagrange_interpolation_hits_nodes():
@@ -187,7 +193,8 @@ def _antiderivative_oracle(f, p, a, b):
         u = max(a, f.breakpoints[i])
         w = min(b, f.breakpoints[i + 1])
         if u < w:
-            total += shift_up(piece, p - 1).integrate(u, w)
+            antiderivative = shift_up(piece, p - 1).antiderivative()
+            total += antiderivative(w) - antiderivative(u)
     return total
 
 
@@ -454,7 +461,8 @@ def test_integer_kernel_matches_fraction_reference(a, b, c, x):
         assert got == Polynomial(want.coeffs)
         assert got.degree == len(want.coeffs) - 1
     assert p(x) == rp(x)
-    assert p.integrate(x, c) == rp.antiderivative()(c) - rp.antiderivative()(x)
+    assert p.antiderivative()(c) - p.antiderivative()(x) == \
+        rp.antiderivative()(c) - rp.antiderivative()(x)
 
 
 def test_polynomials_compare_in_lowest_terms():

@@ -86,6 +86,6 @@ def test_readme_python_examples_show_what_they_state():
             if expected is not None:
                 assert value == expected, (ast.unparse(stmt), comment)
                 checked += 1
-    # tau, s_p(2) and h_stat(2) of the quick start; the four delta
-    # values, alpha and the argmin's tau of the candidate table
-    assert checked == 6
+    # tau, s_p(2), h_stat(2) and the search's tau of the quick start;
+    # the four delta values, alpha and the argmin's tau of the table
+    assert checked == 7

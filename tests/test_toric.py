@@ -355,11 +355,12 @@ def test_delta_search_product_of_lines():
 
 def test_delta_search_table_is_complete():
     model = builtin_model("p2")
+    table = CandidateTable(model, 1, (1,))
+    assert list(table.rows) == primitive_candidates(2, 1)
     res = delta_p_search(model, 1, bound=1)
-    assert len(res.table) == len(primitive_candidates(2, 1))
-    doc = res.to_json_dict()
-    assert doc["upper_bound_only"] is True
-    assert doc["argmin"] == list(res.argmin)
+    assert res == table.delta(1)
+    a, tau, moments = table.rows[res.argmin]
+    assert (res.a, res.tau, res.moment) == (a, tau, moments[1])
 
 
 def test_delta_search_rejects_non_q_gorenstein():
