@@ -251,7 +251,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     # increasing grid, so one call covers the distinct levels.
     report = verify_moment_identity(model, val, p0,
                                     m_grid=sorted(set(levels)))
-    gaps = {m: gap for m, _, _, gap in report.rows}
+    gaps = {m: q - report.continuous_root for m, q in report.rows}
     for m in levels:
         rows.append({"scan": "level", "x": m, "name": "moment_gap",
                      "value": _csv_float(gaps[m]), "status": "raw"})

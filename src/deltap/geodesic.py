@@ -16,7 +16,7 @@ of a concave transform is the p-th root of the transform's exact p-th
 moment.
 
 The quantization checks compare level-m filtration moments against the
-continuous limit and report the gap; they assert only what is a theorem
+continuous limit and report both roots; they assert only what is a theorem
 for the inputs at hand (divisorial data), and report the rest.
 """
 
@@ -27,7 +27,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, InvariantViolation, StructureError
-from .numeric import as_fraction, check_grid, check_positive_int, float_root
+from .numeric import (as_fraction, check_grid, check_positive_int, float_root,
+                      root_drops)
 from .okounkov import ConcaveTransform
 from .toric import (ToricModel, ToricValuation, section_filtration,
                     volume_curve_of)
@@ -242,52 +243,34 @@ def dp_speed(transform: ConcaveTransform, p: int) -> float:
     return float_root(transform.moment_p(p), p)
 
 
-def _first_decrease(powers):
-    """The first adjacent (p1, p2) of ``powers``, (p, y_p**p) pairs with
-    p increasing and y_p >= 0, where y_p1 > y_p2, or None; decided as
-    x1**p2 > x2**p1, without roots."""
-    for (p1, x1), (p2, x2) in zip(powers, powers[1:]):
-        if x1 ** p2 > x2 ** p1:
-            return p1, p2
-    return None
-
-
 class MomentIdentityReport(NamedTuple):
-    """Quantized versus continuous p-th moments along a level grid.
-
-    ``rows`` hold (m, quantized root, continuous root, gap) where the
-    gap is signed, quantized minus continuous; finite-level moments may
-    sit on either side of the limit (on a segment the level-m second
-    moment is 1/3 + 1/(6m), above the limit), so no one-sided sandwich
-    is asserted, only the caller's absolute bound at the last level.
+    """Quantized versus continuous p-th moments along a level grid:
+    ``continuous_root`` is the p-th root of the volume curve's s_p, and
+    ``rows`` hold (m, quantized root) per level.  Finite-level moments
+    may sit on either side of the limit (on a segment the level-m second
+    moment is 1/3 + 1/(6m), above it), so no one-sided sandwich is
+    asserted; callers read the signed gap, quantized minus continuous.
     """
 
     p: int
-    rows: tuple[tuple[int, float, float, float], ...]
+    continuous_root: float
+    rows: tuple[tuple[int, float], ...]
 
 
 def verify_moment_identity(model: ToricModel, val: ToricValuation, p: int,
-                           m_grid=(1, 2, 4, 8)) -> MomentIdentityReport:
-    """Compare level-m filtration moments with the volume-curve moment.
-
-    Emits one row per level with the signed gap.  Normalized-speed
-    monotonicity over orders 1..max(8, p) is exact and asserted here
-    because the input is divisorial.
-    """
+                           m_grid) -> MomentIdentityReport:
+    """Level-m filtration moments against the volume-curve moment, one
+    row per level; asserts, exactly, that the normalized speed does not
+    decrease over orders 1..max(8, p), a theorem for divisorial input."""
     check_positive_int(p, "order p")
     grid = check_grid(m_grid, "level grid")
     curve = volume_curve_of(model, val)
-    c_root = float_root(curve.s_p(p), p)
-    rows = []
-    for m in grid:
-        filt = section_filtration(model, val, m)
-        s_m = filt.s_m_p(p)
-        q_root = float_root(s_m, p)
-        rows.append((m, q_root, c_root, q_root - c_root))
-    drop = _first_decrease([(q, curve.h_stat_power(q))
-                            for q in range(1, max(8, p) + 1)])
+    rows = tuple((m, float_root(section_filtration(model, val, m).s_m_p(p), p))
+                 for m in grid)
+    drop = next(root_drops((q, curve.h_stat_power(q))
+                           for q in range(1, max(8, p) + 1)), None)
     if drop is not None:
         raise InvariantViolation(
             "normalized speed fails to be nondecreasing on a divisorial input",
             witness={"p_low": drop[0], "p_high": drop[1]})
-    return MomentIdentityReport(p=p, rows=tuple(rows))
+    return MomentIdentityReport(p, float_root(curve.s_p(p), p), rows)

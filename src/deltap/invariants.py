@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvariantViolation, SemanticError
-from .numeric import check_grid, check_positive_int, float_root
-from .toric import (DEFAULT_SEARCH_BOUND, CandidateTable, DeltaSearchResult,
-                    ToricModel, delta_p_search)
+from .numeric import check_grid, check_positive_int, float_root, root_drops
+from .toric import (CandidateTable, DeltaSearchResult, ToricModel,
+                    delta_p_search)
 from .volume_curve import barycenter_bounds
 
 
@@ -77,7 +77,7 @@ class KStabilityVerdict(NamedTuple):
 
 
 def kstability_verdict(model: ToricModel, p: int,
-                       bound: int = DEFAULT_SEARCH_BOUND) -> KStabilityVerdict:
+                       bound: int) -> KStabilityVerdict:
     """Exact threshold comparison for an anticanonical polarization.
 
     The polarization must be proportional to the anticanonical class of
@@ -180,13 +180,9 @@ def delta_family(model: ToricModel, p_grid, bound: int) -> InvariantReport:
         if anti is not None:
             verdicts.append(_verdict(model.n, anti[1], search))
 
-    for s1, s2 in zip(rows, rows[1:]):
-        # delta(p1) >= delta(p2) iff a1^(p1 p2) s2^p1 >= a2^(p1 p2) s1^p2
-        p1, p2 = s1.p, s2.p
-        lhs = s1.a ** (p1 * p2) * s2.moment ** p1
-        rhs = s2.a ** (p1 * p2) * s1.moment ** p2
-        if lhs < rhs:
-            flags.append(f"delta grid increases from p={p1} to p={p2}")
+    # A drop of 1/delta along the grid is a rise of delta.
+    for p1, p2 in root_drops([(s.p, 1 / s.ratio_power()) for s in rows]):
+        flags.append(f"delta grid increases from p={p1} to p={p2}")
 
     for search in rows:
         # alpha lower bracket: delta^(p) >= ((n+p)/n)^(1/p) alpha, exact.

@@ -15,10 +15,10 @@ from fractions import Fraction
 from .errors import InvariantViolation
 from .filtration import (basis_moment, compatible_basis,
                          random_flag_filtration, rounding_sandwich)
-from .geodesic import (_first_decrease, inverse_legendre, legendre,
-                       random_test_curve, verify_moment_identity)
+from .geodesic import (inverse_legendre, legendre, random_test_curve,
+                       verify_moment_identity)
 from .invariants import delta_family
-from .numeric import SqrtSum
+from .numeric import SqrtSum, root_drops
 from .piecewise import PiecewisePolynomial, Polynomial
 from .toric import (ToricValuation, builtin_model, concave_transform_of,
                     section_filtration, volume_curve_of)
@@ -59,8 +59,8 @@ def _check_dual_route(rng):
 
 def _check_h_monotone(rng):
     for curve in _curve_corpus(rng.randint(0, 10 ** 6)):
-        drop = _first_decrease([(p, curve.h_stat_power(p))
-                                for p in range(1, 7)])
+        drop = next(root_drops((p, curve.h_stat_power(p))
+                               for p in range(1, 7)), None)
         if drop is not None:
             raise InvariantViolation(
                 "normalized moment fails to be nondecreasing",
@@ -135,10 +135,10 @@ def _check_moment_identity(rng):
                 "first-moment lattice coincidence fails",
                 witness={"m": m})
     report = verify_moment_identity(model, val, 2, m_grid=(4, 16))
-    if abs(report.rows[1][3]) > abs(report.rows[0][3]):
-        raise InvariantViolation(
-            "moment gap fails to shrink",
-            witness={"gaps": [r[3] for r in report.rows]})
+    gaps = [q - report.continuous_root for _, q in report.rows]
+    if abs(gaps[1]) > abs(gaps[0]):
+        raise InvariantViolation("moment gap fails to shrink",
+                                 witness={"gaps": gaps})
 
 
 def _check_transform_route(rng):

@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # loaded on first use by the functions that return them
     from .filtration import FlagFiltration
     from .okounkov import ConcaveTransform
 
-DEFAULT_SEARCH_BOUND = 5
 # Most integer vectors a candidate box may hold: each candidate costs one
 # closed-form row, so the box is refused before it is enumerated.
 MAX_CANDIDATE_BOX = 10_000
@@ -314,8 +313,7 @@ class CandidateTable:
                    key=lambda row: row[0])
 
 
-def delta_p_search(model: ToricModel, p: int,
-                   bound: int = DEFAULT_SEARCH_BOUND) -> DeltaSearchResult:
+def delta_p_search(model: ToricModel, p: int, bound: int) -> DeltaSearchResult:
     """Restricted-candidate minimum of A(v)/s_p(v)**(1/p).
 
     The candidate set is the primitive box of radius ``bound``, so the
@@ -326,7 +324,7 @@ def delta_p_search(model: ToricModel, p: int,
 
 
 def alpha_candidate(model: ToricModel,
-                    bound: int = DEFAULT_SEARCH_BOUND) -> tuple[Fraction, tuple[int, ...]]:
+                    bound: int) -> tuple[Fraction, tuple[int, ...]]:
     """Restricted-candidate minimum of A(v)/tau(v), an upper bound for
     the global threshold; exact rational, lexicographic tie-break."""
     return CandidateTable(model, bound).alpha()

@@ -14,6 +14,7 @@ Frozen values:
 """
 
 import math
+import time
 from fractions import Fraction
 from random import Random
 
@@ -34,7 +35,8 @@ from deltap.geodesic import (
 from deltap.geometry import RationalPolytope
 from deltap.invariants import delta_family
 from deltap.okounkov import AffineForm, ConcaveTransform
-from deltap.toric import ToricValuation, builtin_model, volume_curve_of
+from deltap.toric import (CandidateTable, ToricValuation, builtin_model,
+                          volume_curve_of)
 from deltap.volume_curve import VolumeCurve
 
 F = Fraction
@@ -292,16 +294,15 @@ def test_moment_identity_first_order_is_exact_on_plane():
     val = ToricValuation(model, (1, 0))
     report = verify_moment_identity(model, val, 1, m_grid=(1, 2, 4))
     assert volume_curve_of(model, val).s_p(1) == F(1, 3)
-    for _, quantized, continuous, gap in report.rows:
-        assert gap == 0.0
-        assert quantized == continuous
+    for _, quantized in report.rows:
+        assert quantized == report.continuous_root
 
 
 def test_moment_identity_second_order_gap_shrinks():
     model = builtin_model("p2")
     val = ToricValuation(model, (1, 0))
     report = verify_moment_identity(model, val, 2, m_grid=(2, 4, 16))
-    gaps = [abs(g) for _, _, _, g in report.rows]
+    gaps = [abs(q - report.continuous_root) for _, q in report.rows]
     assert gaps[0] == pytest.approx(0.0918, abs=5e-4)
     assert gaps[-1] <= gaps[1] <= gaps[0]
 
@@ -313,7 +314,8 @@ def test_moment_identity_segment_sits_above_the_limit():
     model = builtin_model("pn:1")
     val = ToricValuation(model, (1,))
     report = verify_moment_identity(model, val, 2, m_grid=(1, 2, 4, 8))
-    for m, _, _, gap in report.rows:
+    for m, quantized in report.rows:
+        gap = quantized - report.continuous_root
         exact_quantized = F(2 * m + 1, 6 * m)
         assert gap > 0
         assert gap == pytest.approx(math.sqrt(float(exact_quantized))
@@ -329,6 +331,18 @@ def test_moment_identity_names_the_first_decreasing_pair(monkeypatch):
                        match="normalized speed fails to be nondecreasing") as info:
         verify_moment_identity(model, val, 2, m_grid=(1,))
     assert info.value.witness == {"p_low": 2, "p_high": 3}
+
+
+def test_moment_identity_at_order_800_on_the_scan_curve_is_fast():
+    # scan checks monotonicity over orders 1..max(8, p); at p = 800 the
+    # cross powers alone took about 19 s, and the logs settle every pair.
+    model = builtin_model("p2")
+    argmin = CandidateTable(model, 3, (1,)).delta(1).argmin
+    start = time.perf_counter()
+    report = verify_moment_identity(model, ToricValuation(model, argmin),
+                                    800, m_grid=(1,))
+    assert time.perf_counter() - start < 5.0
+    assert report.p == 800 and [m for m, _ in report.rows] == [1]
 
 
 def test_empty_grids_raise_in_every_grid_taker():
@@ -357,4 +371,4 @@ def test_moment_identity_rejects_bad_grids():
     with pytest.raises(DomainError):
         verify_moment_identity(model, val, 2, m_grid=(4, 2))
     with pytest.raises(DomainError):
-        verify_moment_identity(model, val, 0)
+        verify_moment_identity(model, val, 0, m_grid=(1,))

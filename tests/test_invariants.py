@@ -267,6 +267,24 @@ def test_delta_family_builds_each_curve_once(monkeypatch):
     assert sorted(built) == sorted({row.argmin for row in report.rows})
 
 
+def test_delta_family_flags_a_rising_grid_and_names_the_pair(monkeypatch):
+    # For a fixed candidate set the bound cannot rise, so the order-2
+    # search is doctored: p1xp1's A is scaled by 5/4, which lifts its
+    # bound from 3**(1/2) to about 2.17.  That is above 2 at order 1,
+    # above 1.59 at order 3, and inside the alpha bracket [1.42, 2.45].
+    search = toric.CandidateTable.delta
+
+    def rising(self, p):
+        found = search(self, p)
+        return found._replace(a=found.a * F(5, 4)) if p == 2 else found
+
+    monkeypatch.setattr(toric.CandidateTable, "delta", rising)
+    report = delta_family(builtin_model("p1xp1"), (1, 2, 3), 2)
+    assert [row.value for row in report.rows][:2] == [
+        2.0, pytest.approx(1.25 * math.sqrt(3))]
+    assert report.flags == ("delta grid increases from p=1 to p=2",)
+
+
 @pytest.mark.parametrize("name, anticanonical, bound", [
     ("p2-anticanonical", False, 2),
     ("p1xp1", False, 2),

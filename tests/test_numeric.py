@@ -1,5 +1,5 @@
 """Tests for exact-arithmetic helpers: rational coercion, float roots,
-adaptive quadrature, and square-root sums."""
+the order of p-th roots, adaptive quadrature, and square-root sums."""
 
 import contextlib
 import math
@@ -18,6 +18,7 @@ from deltap.numeric import (
     check_grid,
     check_positive_int,
     float_root,
+    root_drops,
     squarefree_decompose,
 )
 
@@ -70,7 +71,7 @@ def _order_entry_points():
         lambda p: toric.CandidateTable(model, 1).delta(p),
         lambda p: invariants.kstability_verdict(model, p, 1),
         lambda p: geodesic.dp_speed(transform, p),
-        lambda p: geodesic.verify_moment_identity(model, val, p),
+        lambda p: geodesic.verify_moment_identity(model, val, p, (1, 2, 4, 8)),
         transform.moment_p,
         transform.moment_from_slices,
         flag.s_m_p,
@@ -143,6 +144,60 @@ def test_float_root_takes_logs_past_the_float_range(x, p, root):
 def test_float_root_overflows_when_the_root_does():
     with pytest.raises(OverflowError):
         float_root(Fraction(10) ** 400, 1)
+
+
+# ---------------------------------------------------------------------------
+# root_drops
+
+
+def _cross_power_drops(powers):
+    """The exact rule root_drops must equal: x1**p2 > x2**p1."""
+    return [(p1, p2) for (p1, x1), (p2, x2) in zip(powers, powers[1:])
+            if x1 ** p2 > x2 ** p1]
+
+
+_BIG = st.integers(min_value=1, max_value=10 ** 40)
+
+
+@st.composite
+def _root_chains(draw):
+    """Increasing orders with values of three kinds: random positive
+    rationals, exact ties r**p on one base r, and such ties moved by one
+    unit of a denominator 10**k times their own."""
+    orders = sorted(draw(st.sets(st.integers(1, 60), min_size=2, max_size=7)))
+    r = Fraction(draw(st.integers(1, 10 ** 6)), draw(st.integers(1, 10 ** 6)))
+    chain = []
+    for p in orders:
+        kind = draw(st.sampled_from(("random", "tie", "nudged")))
+        if kind == "random":
+            x = Fraction(draw(_BIG), draw(_BIG))
+        else:
+            x = r ** p
+            if kind == "nudged":
+                unit = Fraction(1, 10 ** draw(st.integers(1, 80)) * x.denominator)
+                x += draw(st.sampled_from((-1, 1))) * unit
+        chain.append((p, x))
+    return chain
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain=_root_chains())
+def test_root_drops_equals_the_cross_power_rule(chain):
+    assert list(root_drops(chain)) == _cross_power_drops(chain)
+
+
+def test_root_drops_on_ties_and_near_ties():
+    tie = [(1, Fraction(4)), (2, Fraction(16)), (3, Fraction(64))]
+    assert list(root_drops(tie)) == []
+    eps = Fraction(1, 10 ** 60)
+    assert list(root_drops([(1, Fraction(4)), (2, 16 - eps)])) == [(1, 2)]
+    assert list(root_drops([(1, Fraction(4)), (2, 16 + eps)])) == []
+
+
+def test_root_drops_past_the_float_range():
+    # 10**400 and 10**-400 have no float; their roots 10**400 > 10**-200.
+    chain = [(1, Fraction(10) ** 400), (2, Fraction(1, 10 ** 400))]
+    assert list(root_drops(chain)) == [(1, 2)]
 
 
 # ---------------------------------------------------------------------------
