@@ -2,11 +2,11 @@
 
 Most of the library computes in :class:`fractions.Fraction`.  This module
 collects the few pieces that cannot stay rational: p-th roots of exact
-rationals as floats and their exact order along increasing p (on logs
-under a stated rounding bound, else on cross powers), adaptive
-quadrature (no moment uses it: real orders go through the certified
-``piecewise.power_integral``, and it stays while ``perfbench/tracer.py``
-names it), and exact sign decisions for finite sums
+rationals as floats and their exact order along increasing p (on cross
+powers, with no root taken), adaptive quadrature (no moment uses it:
+real orders go through the certified ``piecewise.power_integral``, and
+it stays while ``perfbench/tracer.py`` names it), and exact sign
+decisions for finite sums
 
     c_1 * sqrt(k_1) + ... + c_r * sqrt(k_r),   c_i rational, k_i squarefree,
 
@@ -85,20 +85,10 @@ def float_root(x, p) -> float:
 
 def root_drops(powers):
     """Each adjacent (p1, p2) of ``powers``, (p, x) pairs with increasing
-    integer p and positive rational x, where x1**(1/p1) > x2**(1/p2),
-    that is x1**p2 > x2**p1.  math.log(k) is within 2**-50 * (|ln k| + 1)
-    of ln k for an int k >= 1, so with L = math.log on the numerators and
-    denominators, g = p2*(L(N1) - L(D1)) - p1*(L(N2) - L(D2)) is within
-    2**-49 * B of p2*ln x1 - p1*ln x2, B = p2*(|L(N1)| + |L(D1)| + 1) +
-    p1*(|L(N2)| + |L(D2)| + 1).  A pair with |g| > 2**-40 * B takes the
-    sign of g, and the rest, ties among them, the sign of x1**p2 - x2**p1."""
-    logs = ((p, x, math.log(x.numerator), math.log(x.denominator))
-            for p, x in powers)
-    for (p1, x1, n1, d1), (p2, x2, n2, d2) in itertools.pairwise(logs):
-        gap = p2 * (n1 - d1) - p1 * (n2 - d2)
-        bound = p2 * (abs(n1) + abs(d1) + 1) + p1 * (abs(n2) + abs(d2) + 1)
-        if (gap > 0 if abs(gap) > bound * 2.0 ** -40
-                else x1 ** p2 > x2 ** p1):
+    integer p and rational x >= 0, where x1**(1/p1) > x2**(1/p2),
+    decided exactly as x1**p2 > x2**p1."""
+    for (p1, x1), (p2, x2) in itertools.pairwise(powers):
+        if x1 ** p2 > x2 ** p1:
             yield p1, p2
 
 

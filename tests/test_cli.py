@@ -6,7 +6,6 @@ quantities frozen in test_toric.py and test_invariants.py, so these
 tests only pin the formatting and plumbing on top of them.
 """
 
-import argparse
 import contextlib
 import io
 import itertools
@@ -564,16 +563,7 @@ def test_each_subcommand_help_lists_exactly_its_options(capsys, command):
 
 
 def test_the_parser_has_17_settable_values():
-    # One value per option of each subcommand, --help aside, so adding or
-    # dropping an option changes this count in the same change.
-    parser = cli.build_parser()
-    subparsers, = (action for action in parser._actions
-                   if isinstance(action, argparse._SubParsersAction))
-    settable = [(name, action.dest)
-                for name, sub in subparsers.choices.items()
-                for action in sub._actions
-                if not isinstance(action, argparse._HelpAction)]
-    assert len(settable) == 17, settable
+    assert sum(map(len, _SUBCOMMAND_OPTIONS.values())) == 17
 
 
 def test_argparse_failures(capsys):
